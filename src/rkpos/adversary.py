@@ -34,6 +34,7 @@ from .molsim import SemiDiscreteProblem, erk_step, scripted
 from .multilinear import VarTag
 from .polygen import PropagationSet, StencilSpec, generate, upwind
 from .tableau import ButcherTableau, rk4_classical
+from .univariate import descend
 
 __all__ = [
     "CounterexampleReport",
@@ -291,9 +292,8 @@ def _closed_negativity_witness(ps: PropagationSet):
             lead = next((c for c in g.coeffs if c != 0), None)
             if lead is None or lead >= 0:
                 continue
-            delta = Fraction(1)
-            while g(delta) >= 0:
-                delta /= 2
+            delta = descend(lambda d: d if g(d) < 0 else None,
+                            Fraction(0), Fraction(1))
             point = {v: delta
                      for i, v in enumerate(ps.vars) if subset >> i & 1}
             return offset, point

@@ -22,7 +22,7 @@ from math import comb
 from typing import Optional
 
 from .tableau import ButcherTableau
-from .univariate import Cut, UniPoly, first_negative_cut
+from .univariate import UniPoly, descend, min_first_negativity
 
 __all__ = [
     "BoundResult",
@@ -63,54 +63,18 @@ class BoundResult:
         return f"[{self.lower}, {self.upper}]"
 
 
-def _lowest_nonzero(p: UniPoly) -> Optional[Fraction]:
-    for c in p.coeffs:
-        if c != 0:
-            return c
-    return None
-
-
-def _min_first_negativity(
-    labeled: list[tuple[str, UniPoly]], tol: Fraction
-) -> BoundResult:
-    """sup { r >= 0 : every polynomial >= 0 on [0, r] }, exactly.
-
-    Shared driver for both bounds: zero test first (a lowest-order
-    negative coefficient forces the bound to 0), then the minimum of the
-    per-polynomial first-negativity cuts.
-    """
-    for label, p in labeled:
-        low = _lowest_nonzero(p)
-        if low is not None and low < 0:
-            return BoundResult(
-                lower=Fraction(0), upper=Fraction(0), exact=Fraction(0),
-                unbounded=False, witness=label,
-            )
-    cuts: list[tuple[Cut, str]] = []
-    for label, p in labeled:
-        if all(c >= 0 for c in p.coeffs):
-            continue
-        cut = first_negative_cut(p, tol)
-        if cut is not None:
-            cuts.append((cut, label))
-    if not cuts:
+def _min_bound(labeled: list[tuple[str, UniPoly]], tol: Fraction) -> BoundResult:
+    """sup { r >= 0 : every labeled polynomial >= 0 on [0, r] }, exactly."""
+    found = min_first_negativity(labeled, tol)
+    if found is None:
         return BoundResult(
             lower=Fraction(0), upper=None, exact=None, unbounded=True,
             witness=None,
         )
-    exact_cuts = [(c.exact, lbl) for c, lbl in cuts if c.exact is not None]
-    interval_lows = [c.lo for c, _ in cuts if c.exact is None]
-    if exact_cuts:
-        best, lbl = min(exact_cuts)
-        if all(best <= lo for lo in interval_lows):
-            return BoundResult(
-                lower=best, upper=best, exact=best, unbounded=False,
-                witness=lbl,
-            )
-    lower = min(c.lower for c, _ in cuts)
-    upper, lbl = min((c.upper, lbl) for c, lbl in cuts)
+    cut, label = found
     return BoundResult(
-        lower=lower, upper=upper, exact=None, unbounded=False, witness=lbl,
+        lower=cut.lower, upper=cut.upper, exact=cut.exact, unbounded=False,
+        witness=label,
     )
 
 
@@ -141,7 +105,7 @@ def radius_abs_monotonicity(
             for k in range(j, deg + 1)
         ]
         labeled.append((f"phi^({j})", UniPoly.from_coeffs(psi)))
-    return _min_first_negativity(labeled, tol)
+    return _min_bound(labeled, tol)
 
 
 def _k_matrix(t: ButcherTableau) -> list[list[Fraction]]:
@@ -240,14 +204,11 @@ def ssp_coefficient(
     constraint polynomials, then cross-checked against the independent
     `ssp_feasible` evaluation on both sides of the answer.
     """
-    result = _min_first_negativity(_constraint_polys(t), tol)
-    probe = result.exact if result.exact is not None else result.lower
+    result = _min_bound(_constraint_polys(t), tol)
     # At C = 0 the feasible set may be empty; elsewhere C itself is feasible.
-    if probe > 0 and not ssp_feasible(t, probe):
-        raise AssertionError("ssp bound not confirmed feasible at the bound")
+    if result.lower > 0 and not ssp_feasible(t, result.lower):
+        raise AssertionError(f"ssp bound not confirmed feasible at {result.lower}")
     if not result.unbounded:
-        past = result.exact if result.exact is not None else result.upper
-        step = Fraction(tol)
-        while ssp_feasible(t, past + step):
-            step /= 2
+        descend(lambda r: None if ssp_feasible(t, r) else r,
+                result.lower, result.upper - result.lower or tol)
     return result

@@ -2,25 +2,20 @@
 
 Every subcommand writes machine-readable output to stdout (CSV by
 default, JSON via --format json) and diagnostics to stderr.  Identical
-invocations produce byte-identical output.  The environment variable
-RKPOS_THREADS caps the worker count for parameter sweeps; results are
-assembled in submission order, so the thread count never changes the
-output bytes.
+invocations produce byte-identical output.
 """
 
 import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .adversary import (first_step_counterexample, negative_entry_counterexample,
                         rk4_counterexample)
 from .bounds import radius_abs_monotonicity, ssp_coefficient, stability_polynomial
-from .errors import RkposError
+from .errors import InputError, RkposError
 from .gamma import (compute_gamma, gamma_zero_test, region_scan, subset_bits,
                     sweep)
 from .molsim import (LIMITERS, SemiDiscreteProblem, advection, max_step, run,
@@ -58,24 +53,6 @@ def _emit(rows: list[dict], header: list[str], fmt: str, out) -> None:
         w.writerow(header)
         for r in rows:
             w.writerow([_fmt(r.get(k)) for k in header])
-
-
-def _workers() -> int:
-    raw = os.environ.get("RKPOS_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n else 1
-
-
-def _pmap(fn, items):
-    """Map preserving order; parallel only when RKPOS_THREADS > 1."""
-    n = _workers()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _method(args):
@@ -147,23 +124,15 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_region(args, out) -> int:
-    # Parameter points are independent, so this parallelizes cleanly.
-    from .gamma import _frange  # grid helper shared with region_scan
-    pts = [(a, b)
-           for a in _frange(args.lo, args.hi, args.spacing)
-           for b in _frange(args.lo, args.hi, args.spacing)]
-    chunks = _pmap(lambda p: region_scan(points=[p], delta=args.delta), pts)
-    rows = []
-    for chunk in chunks:
-        for c in chunk:
-            rows.append({
-                "alpha": c.alpha,
-                "beta": c.beta,
-                "in_bowtie": c.in_region,
-                "condition_at_1": c.condition_holds,
-                "gamma_zero": None if c.gamma_positive is None
-                else not c.gamma_positive,
-            })
+    cells = region_scan(spacing=args.spacing, delta=args.delta,
+                        lo=args.lo, hi=args.hi)
+    rows = [{
+        "alpha": c.alpha,
+        "beta": c.beta,
+        "in_bowtie": c.in_region,
+        "condition_at_1": c.condition_holds,
+        "gamma_zero": None if c.gamma_positive is None else not c.gamma_positive,
+    } for c in cells]
     _emit(rows, ["alpha", "beta", "in_bowtie", "condition_at_1", "gamma_zero"],
           args.format, out)
     return 0
@@ -243,6 +212,8 @@ def cmd_simulate(args, out) -> int:
     t = _method(args)
     stencil = _stencil(args)
     limiter = LIMITERS[args.limiter]
+    if args.n < 1:
+        raise InputError(f"--n must be at least 1, got {args.n}")
     dx = args.dx if args.dx is not None else Fraction(1, args.n)
     prob = SemiDiscreteProblem(args.n, dx, stencil,
                                advection(args.speed, limiter), _step_initial_data(args.n))

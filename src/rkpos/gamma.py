@@ -22,11 +22,10 @@ import random
 
 import numpy as np
 
-from .errors import CapacityError, ParameterDomainError
-from .multilinear import VAR_LIMIT, MultilinearPoly
+from .errors import InputError, ParameterDomainError
 from .polygen import PropagationSet, StencilSpec, generate, upwind
 from .tableau import ButcherTableau, make_family
-from .univariate import Cut, UniPoly, first_negative_cut
+from .univariate import UniPoly, descend, min_first_negativity
 
 __all__ = [
     "GammaCertificate",
@@ -103,20 +102,9 @@ def _poly_tables(ps: PropagationSet):
     return out
 
 
-def gamma_zero_test(ps: PropagationSet) -> Optional[NegativityWitness]:
-    """Decide gamma > 0 without computing gamma.
-
-    gamma > 0 iff for every vertex restriction g_{i,S} the lowest-order
-    nonzero coefficient is positive (then g > 0 on some (0, eps)).
-    Returns None when gamma > 0, otherwise a witness evaluated at a
-    concrete small delta where the polynomial is negative.
-    """
-    if len(ps.vars) > VAR_LIMIT:
-        raise CapacityError(
-            f"{len(ps.vars)} variables exceeds the subset-code limit "
-            f"{VAR_LIMIT}; use sampled_upper_bound instead"
-        )
-    for offset, _scale, table in _poly_tables(ps):
+def _zero_witness(ps: PropagationSet, tables) -> Optional[NegativityWitness]:
+    """gamma_zero_test over prebuilt `_poly_tables(ps)`."""
+    for offset, _scale, table in tables:
         maxdeg = table.shape[0] - 1
         settled = table[0] != 0
         bad = table[0] < 0
@@ -126,27 +114,27 @@ def gamma_zero_test(ps: PropagationSet) -> Optional[NegativityWitness]:
         if bad.any():
             subset = int(np.flatnonzero(bad)[0])
             g = ps.polys[offset].vertex_restriction(subset)
-            delta = Fraction(1)
-            while g(delta) >= 0:
-                delta /= 2
+            delta = descend(lambda d: d if g(d) < 0 else None,
+                            Fraction(0), Fraction(1))
             return NegativityWitness(offset, subset, delta, g(delta))
     return None
 
 
-def condition_at(
-    ps: PropagationSet, delta: Union[Fraction, int]
-) -> Optional[NegativityWitness]:
-    """Check `every P_i >= 0 on [0, delta]^n` exactly at one delta.
+def gamma_zero_test(ps: PropagationSet) -> Optional[NegativityWitness]:
+    """Decide gamma > 0 without computing gamma.
 
-    Returns None when the condition holds, else a witness vertex with a
-    negative value.  Exact: vertices suffice because the polynomials are
-    multilinear.
+    gamma > 0 iff for every vertex restriction g_{i,S} the lowest-order
+    nonzero coefficient is positive (then g > 0 on some (0, eps)).
+    Returns None when gamma > 0, otherwise a witness evaluated at a
+    concrete small delta where the polynomial is negative.
     """
-    delta = Fraction(delta)
-    if delta < 0:
-        raise ParameterDomainError("delta must be nonnegative")
+    return _zero_witness(ps, _poly_tables(ps))
+
+
+def _negative_vertex(tables, delta: Fraction) -> Optional[NegativityWitness]:
+    """condition_at over prebuilt `_poly_tables(ps)`."""
     num, den = delta.numerator, delta.denominator
-    for offset, scale, table in _poly_tables(ps):
+    for offset, scale, table in tables:
         maxdeg = table.shape[0] - 1
         # Scaled evaluation g_S(delta) * scale * den**maxdeg, kept integral.
         bound = sum(
@@ -165,40 +153,32 @@ def condition_at(
     return None
 
 
-def _failing_just_above(
-    ps: PropagationSet, point: Fraction, tol: Fraction
-) -> NegativityWitness:
-    """Witness that the positivity condition fails just beyond `point`.
+def condition_at(
+    ps: PropagationSet, delta: Union[Fraction, int]
+) -> Optional[NegativityWitness]:
+    """Check `every P_i >= 0 on [0, delta]^n` exactly at one delta.
 
-    Some polynomial is strictly negative on an interval (point, point + eta),
-    so halving the probe offset must terminate.
+    Returns None when the condition holds, else a witness vertex with a
+    negative value.  Exact: vertices suffice because the polynomials are
+    multilinear.
     """
-    step = Fraction(tol)
-    while True:
-        fail = condition_at(ps, point + step)
-        if fail is not None:
-            return fail
-        step /= 2
+    delta = Fraction(delta)
+    if delta < 0:
+        raise ParameterDomainError("delta must be nonnegative")
+    return _negative_vertex(_poly_tables(ps), delta)
 
 
-def _distinct_columns(table) -> list[tuple[tuple[int, ...], int]]:
+def _distinct_columns(table) -> dict[tuple[int, ...], int]:
     """Deduplicate vertex-restriction coefficient columns.
 
-    Returns (coefficient tuple, representative subset code) pairs; many
+    Maps each distinct coefficient column to its first subset code; many
     vertices share the same restriction and only one cut is needed per
     distinct polynomial.
     """
-    if table.dtype != object:
-        uniq, idx = np.unique(table, axis=1, return_index=True)
-        return [
-            (tuple(int(v) for v in uniq[:, k]), int(idx[k]))
-            for k in range(uniq.shape[1])
-        ]
     seen: dict[tuple[int, ...], int] = {}
-    for subset in range(table.shape[1]):
-        col = tuple(int(v) for v in table[:, subset])
+    for subset, col in enumerate(zip(*table.tolist())):
         seen.setdefault(col, subset)
-    return [(col, subset) for col, subset in seen.items()]
+    return seen
 
 
 def compute_gamma(
@@ -208,21 +188,18 @@ def compute_gamma(
 ) -> GammaCertificate:
     """Certify gamma for a method/stencil pair (or a ready PropagationSet).
 
-    Pipeline: zero test, then the first-negativity cut of every distinct
-    vertex restriction, then the minimum over cuts.  When the binding cut
-    is an exact rational it is confirmed by `condition_at(c)` passing and
-    `condition_at(c + tol)` failing before being reported as exact.
+    Pipeline: zero test, then the minimum of the first-negativity cuts of
+    the distinct vertex restrictions.  The vertex tables are built once
+    and shared by every step.  The answer is certified by evaluation:
+    `condition_at` holds at the lower bound, and a witness vertex is
+    negative at the upper bound or just above it.
     """
     ps = source if isinstance(source, PropagationSet) else generate(source, stencil)
     n = len(ps.vars)
-    if n > VAR_LIMIT:
-        raise CapacityError(
-            f"{n} variables exceeds the subset-code limit {VAR_LIMIT}; "
-            f"use sampled_upper_bound instead"
-        )
     n_polys = len(ps.polys)
+    tables = _poly_tables(ps)
 
-    zero = gamma_zero_test(ps)
+    zero = _zero_witness(ps, tables)
     if zero is not None:
         return GammaCertificate(
             lower=Fraction(0), upper=Fraction(0), exact=Fraction(0),
@@ -230,52 +207,31 @@ def compute_gamma(
             n_distinct_restrictions=0,
         )
 
-    cuts: list[tuple[Cut, int, int]] = []  # (cut, offset, subset)
-    n_distinct = 0
-    for offset, scale, table in _poly_tables(ps):
-        for col, subset in _distinct_columns(table):
-            n_distinct += 1
-            if all(c >= 0 for c in col):
-                continue
-            g = UniPoly.from_coeffs([Fraction(c, scale) for c in col])
-            cut = first_negative_cut(g, tol)
-            if cut is not None:
-                cuts.append((cut, offset, subset))
-
-    if not cuts:
+    columns = [(offset, scale, _distinct_columns(table))
+               for offset, scale, table in tables]
+    n_distinct = sum(len(cols) for _, _, cols in columns)
+    family = (
+        ((offset, subset), UniPoly.from_coeffs([Fraction(c, scale) for c in col]))
+        for offset, scale, cols in columns
+        for col, subset in cols.items() if min(col) < 0
+    )
+    found = min_first_negativity(family, tol)
+    if found is None:
         return GammaCertificate(
             lower=Fraction(0), upper=None, exact=None, unbounded=True,
             witness=None, n_vars=n, n_polys=n_polys,
             n_distinct_restrictions=n_distinct,
         )
-
-    lower = min(cut.lower for cut, _, _ in cuts)
-    upper = min(cut.upper for cut, _, _ in cuts)
-
-    # gamma is exactly the smallest exact cut E provided no interval cut
-    # could hide a first negativity below E.
-    exact_vals = [cut.exact for cut, _, _ in cuts if cut.exact is not None]
-    interval_lows = [cut.lo for cut, _, _ in cuts if cut.exact is None]
-    if exact_vals:
-        best = min(exact_vals)
-        if all(best <= lo for lo in interval_lows):
-            if condition_at(ps, best) is not None:
-                raise AssertionError("exact cut not confirmed by evaluation")
-            fail = _failing_just_above(ps, best, tol)
-            return GammaCertificate(
-                lower=best, upper=best, exact=best, unbounded=False,
-                witness=fail, n_vars=n, n_polys=n_polys,
-                n_distinct_restrictions=n_distinct,
-            )
-
-    # Interval answer; the witness evaluates negative at (or just past)
-    # the upper bound.
-    fail = condition_at(ps, upper)
-    if fail is None:
-        fail = _failing_just_above(ps, upper, tol)
+    cut, _ = found
+    if _negative_vertex(tables, cut.lower) is not None:
+        raise AssertionError(f"condition_at fails at the lower bound {cut.lower}")
+    # An interval answer's upper bound is itself a negative point; an exact
+    # one is probed from tol above.
+    witness = descend(lambda delta: _negative_vertex(tables, delta),
+                      cut.lower, cut.upper - cut.lower or tol)
     return GammaCertificate(
-        lower=lower, upper=upper, exact=None, unbounded=False,
-        witness=fail, n_vars=n, n_polys=n_polys,
+        lower=cut.lower, upper=cut.upper, exact=cut.exact, unbounded=False,
+        witness=witness, n_vars=n, n_polys=n_polys,
         n_distinct_restrictions=n_distinct,
     )
 
@@ -330,6 +286,8 @@ class SweepRow:
 
 
 def _frange(lo: Fraction, hi: Fraction, step: Fraction):
+    if step <= 0:
+        raise InputError(f"grid step must be positive, got {step}")
     x = Fraction(lo)
     while x <= hi:
         yield x
@@ -396,16 +354,17 @@ def region_scan(
     spacing: Fraction = Fraction(1, 32),
     stencil: StencilSpec = upwind,
     delta: Fraction = Fraction(1),
+    lo: Fraction = Fraction(1, 2),
+    hi: Fraction = Fraction(1),
 ) -> list[RegionCell]:
     """Scan the (alpha, beta) plane for the two-parameter third-order
     family, comparing predicted region membership against the certified
     positivity condition at step-size ratio `delta`.
 
-    Default grid: [1/2, 1]^2 at `spacing`.  Singular parameter points
+    Default grid: [lo, hi]^2 at `spacing`.  Singular parameter points
     are kept as skipped cells.
     """
     if points is None:
-        lo, hi = Fraction(1, 2), Fraction(1)
         points = [
             (a, b)
             for a in _frange(lo, hi, spacing)

@@ -180,22 +180,23 @@ def forward_euler() -> ButcherTableau:
     return _tableau([[0]], [1], "FE")
 
 
+_FAMILIES = {  # kind -> (builder, parameter count)
+    "ERK22": (erk22, 1),
+    "ERK33_CaseI": (erk33_case1, 2),
+    "ERK33_CaseII": (erk33_case2, 1),
+    "ERK33_CaseIII": (erk33_case3, 1),
+}
+
+
 def make_family(kind: str, params: Sequence) -> ButcherTableau:
     """Build a tableau from one of the named parametric families."""
     params = [_frac(p) for p in params]
-    if kind == "ERK22":
-        (alpha,) = params
-        return erk22(alpha)
-    if kind == "ERK33_CaseI":
-        alpha, beta = params
-        return erk33_case1(alpha, beta)
-    if kind == "ERK33_CaseII":
-        (alpha,) = params
-        return erk33_case2(alpha)
-    if kind == "ERK33_CaseIII":
-        (alpha,) = params
-        return erk33_case3(alpha)
-    raise InputError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
+    if kind not in _FAMILIES:
+        raise InputError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
+    build, arity = _FAMILIES[kind]
+    if len(params) != arity:
+        raise InputError(f"{kind} takes {arity} parameter(s), got {len(params)}")
+    return build(*params)
 
 
 # Standard order conditions through order 4, evaluated exactly.
@@ -246,9 +247,13 @@ def tableau_to_json(t: ButcherTableau) -> str:
     return json.dumps(obj)
 
 
+def _reject_float(text: str):
+    raise InputError(f"float {text} not accepted; write it as a string like \"1/10\"")
+
+
 def tableau_from_json(text: str) -> ButcherTableau:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=_reject_float)
         a = [[Fraction(x) for x in row] for row in obj["A"]]
         b = [Fraction(x) for x in obj["b"]]
         if obj["m"] != len(b):

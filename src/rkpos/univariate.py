@@ -10,9 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
-__all__ = ["UniPoly", "Cut", "first_negative_cut"]
+from .errors import InputError
+
+__all__ = ["UniPoly", "Cut", "descend", "first_negative_cut", "min_first_negativity"]
+
+K = TypeVar("K")
+W = TypeVar("W")
+
+# Halvings allowed to `descend`.  Callers' checks typically fail at the
+# first probe; the cap leaves room for coefficient ratios up to 2**256 and
+# turns a check that never fails into an error instead of a hang.
+DESCENT_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -155,8 +165,11 @@ def first_negative_cut(p: UniPoly, tol: Fraction = Fraction(1, 2**40)) -> Option
 
     Returns None when p never goes negative on (0, oo).  The lowest-order
     nonzero coefficient of p must be positive (callers run the zero test
-    first); violating that raises ValueError.
+    first); violating that raises ValueError.  A nonpositive `tol` raises
+    InputError, since bisection to it would never end.
     """
+    if tol <= 0:
+        raise InputError(f"tolerance must be positive, got {tol}")
     coeffs = list(p.coeffs)
     k = 0
     while k < len(coeffs) and coeffs[k] == 0:
@@ -236,3 +249,59 @@ def first_negative_cut(p: UniPoly, tol: Fraction = Fraction(1, 2**40)) -> Option
     if result is None and lead < 0:
         raise AssertionError("negative leading coefficient but no cut found")
     return result
+
+
+def min_first_negativity(
+    family: Iterable[tuple[K, UniPoly]], tol: Fraction
+) -> Optional[tuple[Cut, K]]:
+    """inf{delta > 0 : some member of `family` is negative at delta}.
+
+    `family` holds (key, polynomial) pairs.  Returns None when no member
+    ever turns negative on (0, oo), else the combined cut and the key of
+    the binding member (the smallest key among ties).  A member whose
+    lowest-order nonzero coefficient is negative binds at exactly 0.
+    Otherwise the minimum is exact only when the smallest exact cut is no
+    larger than the `lo` of every interval cut, since an interval cut
+    could hide a first negativity anywhere in (lo, hi].  A nonpositive
+    `tol` raises InputError, as in `first_negative_cut`.
+    """
+    if tol <= 0:
+        raise InputError(f"tolerance must be positive, got {tol}")
+    cuts = []
+    for key, p in family:
+        if next((c for c in p.coeffs if c != 0), 0) < 0:
+            return Cut(Fraction(0), Fraction(0), Fraction(0)), key
+        cut = first_negative_cut(p, tol)
+        if cut is not None:
+            cuts.append((cut, key))
+    if not cuts:
+        return None
+    exact = min(((c.exact, key) for c, key in cuts if c.exact is not None),
+                default=None)
+    if exact is not None and all(exact[0] <= c.lo for c, _ in cuts
+                                 if c.exact is None):
+        return Cut(exact[0], exact[0], exact[0]), exact[1]
+    upper, key = min((c.upper, key) for c, key in cuts)
+    return Cut(None, min(c.lower for c, _ in cuts), upper), key
+
+
+def descend(
+    fails: Callable[[Fraction], Optional[W]], point: Fraction, step: Fraction
+) -> W:
+    """The first failure of an exact check at point + step / 2**k, k >= 0.
+
+    `fails(x)` returns None where the check holds and a failure record
+    where it does not.  Callers know the check fails on some interval
+    (point, point + eta), so the descent ends; past DESCENT_LIMIT
+    halvings it raises AssertionError naming the point and the step.
+    """
+    step = Fraction(step)
+    for _ in range(DESCENT_LIMIT):
+        failure = fails(point + step)
+        if failure is not None:
+            return failure
+        step /= 2
+    raise AssertionError(
+        f"exact check still holds at {point} + {step} after "
+        f"{DESCENT_LIMIT} halvings"
+    )

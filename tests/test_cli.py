@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -128,17 +131,30 @@ def test_error_exit_code(capsys):
     assert code == 2
 
 
-def test_byte_identical_output_across_thread_counts(capsys):
-    _, ref = invoke(capsys, "region", "--lo", "1/2", "--hi", "1",
-                    "--spacing", "1/4")
-    old = os.environ.get("RKPOS_THREADS")
-    os.environ["RKPOS_THREADS"] = "4"
-    try:
-        _, par = invoke(capsys, "region", "--lo", "1/2", "--hi", "1",
-                        "--spacing", "1/4")
-    finally:
-        if old is None:
-            del os.environ["RKPOS_THREADS"]
-        else:
-            os.environ["RKPOS_THREADS"] = old
-    assert par == ref
+FLOAT_TABLEAU = '{"m": 2, "A": [[0, 0], [0.1, 0]], "b": ["1/2", "1/2"]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--method", "erk22:1", "--tol", "0"],
+    ["gamma", "--method", "erk22:1", "--tol", "-1"],
+    ["ssp", "--method", "erk22:1/2", "--tol", "0"],
+    ["region", "--spacing", "0"],
+    ["sweep", "--family", "ERK22", "--lo", "1/2", "--hi", "1", "--step", "0"],
+    ["gamma", "--method", "erk22:"],
+    ["gamma", "--method", "erk22:1,2"],
+    ["simulate", "--method", "erk22:1", "--n", "0"],
+    ["gamma", "--tableau-file", "{float_tableau}"],
+], ids=lambda argv: " ".join(argv))
+def test_rejected_input_exits_2(tmp_path, argv):
+    path = tmp_path / "float.json"
+    path.write_text(FLOAT_TABLEAU, encoding="utf-8")
+    argv = [a.format(float_tableau=path) for a in argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rkpos.cli", *argv],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -8,8 +8,8 @@ from rkpos.gamma import (compute_gamma, condition_at, gamma_zero_test,
                          in_bowtie, region_scan, sampled_upper_bound,
                          subset_bits, sweep)
 from rkpos.polygen import centered, generate, heat, upwind
-from rkpos.tableau import (erk22, erk33_case1, erk33_case2, erk33_case3,
-                           forward_euler, rk4_classical)
+from rkpos.tableau import (ButcherTableau, erk22, erk33_case1, erk33_case2,
+                           erk33_case3, forward_euler, rk4_classical)
 
 
 def erk22_gamma(a: F) -> F:
@@ -91,9 +91,20 @@ def test_condition_monotone_ladder():
         assert w is not None and w.value < 0
 
 
+def generic(m):
+    """The criterion-12 construction: a_ij = 1/(2+i+j) below the diagonal, b = 1/m."""
+    a = [[F(1, 2 + i + j) if j < i else 0 for j in range(m)] for i in range(m)]
+    return ButcherTableau(a=tuple(tuple(F(x) for x in row) for row in a),
+                          b=tuple(F(1, m) for _ in range(m)), name=f"generic{m}")
+
+
 def test_certificate_soundness():
-    for t in (erk22(F(5, 4)), erk33_case2(F(7, 16)), erk33_case1(F(1, 2), F(3, 4))):
-        ps = generate(t, upwind)
+    cases = [(erk22(F(5, 4)), upwind), (erk33_case2(F(7, 16)), upwind),
+             (erk33_case1(F(1, 2), F(3, 4)), upwind),
+             # Irrational gamma: interval certificates with n = 3, 6 and 9.
+             (generic(2), upwind), (generic(3), upwind), (generic(3), heat)]
+    for t, stencil in cases:
+        ps = generate(t, stencil)
         cert = compute_gamma(ps)
         lo = cert.exact if cert.exact is not None else cert.lower
         assert condition_at(ps, lo) is None

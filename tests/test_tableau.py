@@ -117,3 +117,8 @@ def test_validation_rejects_nonsquare():
 def test_dj_irreducible():
     assert erk22(F(1)).is_dj_irreducible()
     assert rk4_classical().is_dj_irreducible()
+
+
+def test_json_accepts_strings_and_integers():
+    t = tableau_from_json('{"m": 2, "A": [[0, 0], ["1/10", 0]], "b": [1, 0]}')
+    assert t.a[1][0] == F(1, 10) and t.b == (F(1), F(0))

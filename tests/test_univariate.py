@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from rkpos.univariate import Cut, UniPoly, first_negative_cut
+from rkpos.univariate import (DESCENT_LIMIT, Cut, UniPoly, descend,
+                              first_negative_cut)
 from rkpos.univariate import _simplest_between
 
 TOL = F(1, 2 ** 40)
@@ -98,3 +99,15 @@ def test_cut_bounds_are_ordered():
     lo = cut.exact if cut.exact is not None else cut.lo
     hi = cut.exact if cut.exact is not None else cut.hi
     assert 0 < lo <= hi
+
+
+def test_descent_is_bounded():
+    probes = []
+
+    def never_fails(x):
+        probes.append(x)
+        return None
+
+    with pytest.raises(AssertionError, match="still holds at 3"):
+        descend(never_fails, F(3), F(1))
+    assert len(probes) == DESCENT_LIMIT
