@@ -7,9 +7,11 @@ For a propagation set {P_i} in n nonnegative variables, define
 Each P_i is multilinear, so its extrema over a box are attained at box
 vertices.  Restricting P_i to the vertex selected by a subset S gives a
 univariate polynomial g_{i,S}(delta), and gamma is the minimum over all
-(i, S) of the first point where g_{i,S} turns negative.  Everything here
-is exact rational arithmetic; a certificate carries witnesses that can be
-re-verified by direct evaluation.
+(i, S) of the first point where g_{i,S} turns negative.  The boxes are
+nested, so a vertex failing at a candidate bound names a restriction that
+turns negative below it; only such restrictions are ever cut.  Everything
+here is exact rational arithmetic; a certificate carries witnesses that
+can be re-verified by direct evaluation.
 
 Above the subset-enumeration capacity limit, `sampled_upper_bound` gives
 a randomized upper bound only.  It is not a certificate.
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import InputError, ParameterDomainError
 from .polygen import PropagationSet, StencilSpec, generate, upwind
 from .tableau import ButcherTableau, make_family
-from .univariate import UniPoly, descend, min_first_negativity
+from .univariate import descend, first_negative_cut
 
 __all__ = [
     "GammaCertificate",
@@ -70,6 +72,8 @@ class GammaCertificate:
     no vertex polynomial ever turns negative (gamma = +infinity); then
     `upper` and `witness` are None.  A zero gamma carries a witness with
     a strictly negative value at some delta > 0.
+    `n_distinct_restrictions` counts the vertex restrictions that were
+    cut to reach the answer (0 for a zero or unbounded gamma).
     """
 
     lower: Fraction
@@ -168,19 +172,6 @@ def condition_at(
     return _negative_vertex(_poly_tables(ps), delta)
 
 
-def _distinct_columns(table) -> dict[tuple[int, ...], int]:
-    """Deduplicate vertex-restriction coefficient columns.
-
-    Maps each distinct coefficient column to its first subset code; many
-    vertices share the same restriction and only one cut is needed per
-    distinct polynomial.
-    """
-    seen: dict[tuple[int, ...], int] = {}
-    for subset, col in enumerate(zip(*table.tolist())):
-        seen.setdefault(col, subset)
-    return seen
-
-
 def compute_gamma(
     source: Union[PropagationSet, ButcherTableau],
     stencil: StencilSpec = upwind,
@@ -188,12 +179,15 @@ def compute_gamma(
 ) -> GammaCertificate:
     """Certify gamma for a method/stencil pair (or a ready PropagationSet).
 
-    Pipeline: zero test, then the minimum of the first-negativity cuts of
-    the distinct vertex restrictions.  The vertex tables are built once
-    and shared by every step.  The answer is certified by evaluation:
-    `condition_at` holds at the lower bound, and a witness vertex is
-    negative at the upper bound or just above it.
+    Pipeline: zero test, then refinement over vertex tables built once.
+    gamma is finite iff some P_i has a negative term c_T, the top
+    coefficient of the restriction to T's own vertex; that restriction is
+    cut first.  While `condition_at` fails at the cut's lower bound, the
+    failing vertex's restriction is cut next.  A witness vertex is then
+    negative at the upper bound or just above it.  `tol` must be positive.
     """
+    if tol <= 0:
+        raise InputError(f"tolerance must be positive, got {tol}")
     ps = source if isinstance(source, PropagationSet) else generate(source, stencil)
     n = len(ps.vars)
     n_polys = len(ps.polys)
@@ -207,24 +201,25 @@ def compute_gamma(
             n_distinct_restrictions=0,
         )
 
-    columns = [(offset, scale, _distinct_columns(table))
-               for offset, scale, table in tables]
-    n_distinct = sum(len(cols) for _, _, cols in columns)
-    family = (
-        ((offset, subset), UniPoly.from_coeffs([Fraction(c, scale) for c in col]))
-        for offset, scale, cols in columns
-        for col, subset in cols.items() if min(col) < 0
-    )
-    found = min_first_negativity(family, tol)
-    if found is None:
+    key = next(((offset, code) for offset in ps.offsets
+                for code, c in sorted(ps.polys[offset].terms.items()) if c < 0),
+               None)
+    if key is None:
         return GammaCertificate(
             lower=Fraction(0), upper=None, exact=None, unbounded=True,
-            witness=None, n_vars=n, n_polys=n_polys,
-            n_distinct_restrictions=n_distinct,
+            witness=None, n_vars=n, n_polys=n_polys, n_distinct_restrictions=0,
         )
-    cut, _ = found
-    if _negative_vertex(tables, cut.lower) is not None:
-        raise AssertionError(f"condition_at fails at the lower bound {cut.lower}")
+    cut, n_cut = None, 0
+    # A failing vertex's restriction is negative at cut.lower, so its cut lies
+    # strictly lower: no restriction repeats and the loop is bounded.
+    while key is not None:
+        below = first_negative_cut(ps.polys[key[0]].vertex_restriction(key[1]), tol)
+        if cut is not None and (below is None or below.lower >= cut.lower):
+            raise AssertionError(
+                f"restriction {key} fails at {cut.lower} but its cut is {below}")
+        cut, n_cut = below, n_cut + 1
+        failing = _negative_vertex(tables, cut.lower)
+        key = None if failing is None else (failing.offset, failing.subset)
     # An interval answer's upper bound is itself a negative point; an exact
     # one is probed from tol above.
     witness = descend(lambda delta: _negative_vertex(tables, delta),
@@ -232,7 +227,7 @@ def compute_gamma(
     return GammaCertificate(
         lower=cut.lower, upper=cut.upper, exact=cut.exact, unbounded=False,
         witness=witness, n_vars=n, n_polys=n_polys,
-        n_distinct_restrictions=n_distinct,
+        n_distinct_restrictions=n_cut,
     )
 
 

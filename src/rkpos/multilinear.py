@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -144,14 +144,6 @@ class MultilinearPoly:
             index_lo[axis] = 0
             shaped[tuple(index_hi)] += shaped[tuple(index_lo)]
         return scale, table
-
-    def all_vertex_restrictions(self) -> Iterator[tuple[int, UniPoly]]:
-        """Yield (subset code, g_S) for every vertex, ascending subset code."""
-        scale, table = self.vertex_table()
-        for subset in range(1 << self.n):
-            yield subset, UniPoly.from_coeffs(
-                [Fraction(int(c), scale) for c in table[:, subset]]
-            )
 
     def map_tags(self, fn) -> "MultilinearPoly":
         """Apply a tag transform (e.g. offset reversal); fn: VarTag -> VarTag."""

@@ -137,6 +137,7 @@ FLOAT_TABLEAU = '{"m": 2, "A": [[0, 0], [0.1, 0]], "b": ["1/2", "1/2"]}'
 @pytest.mark.parametrize("argv", [
     ["gamma", "--method", "erk22:1", "--tol", "0"],
     ["gamma", "--method", "erk22:1", "--tol", "-1"],
+    ["gamma", "--method", "rk4", "--tol", "0"],
     ["ssp", "--method", "erk22:1/2", "--tol", "0"],
     ["region", "--spacing", "0"],
     ["sweep", "--family", "ERK22", "--lo", "1/2", "--hi", "1", "--step", "0"],

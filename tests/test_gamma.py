@@ -2,14 +2,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rkpos.bounds import radius_abs_monotonicity
 from rkpos.gamma import (compute_gamma, condition_at, gamma_zero_test,
                          in_bowtie, region_scan, sampled_upper_bound,
                          subset_bits, sweep)
-from rkpos.polygen import centered, generate, heat, upwind
+from rkpos.multilinear import MultilinearPoly, VarTag
+from rkpos.polygen import PropagationSet, centered, generate, heat, upwind
 from rkpos.tableau import (ButcherTableau, erk22, erk33_case1, erk33_case2,
                            erk33_case3, forward_euler, rk4_classical)
+from rkpos.univariate import min_first_negativity
 
 
 def erk22_gamma(a: F) -> F:
@@ -155,6 +158,68 @@ def test_against_brute_force_oracle(t):
     assert lo <= val
     if hi is not None:
         assert val <= hi
+
+
+SMALL = st.sampled_from([F(0), F(-1, 4), F(1, 4), F(1, 3), F(1, 2), F(2, 3),
+                         F(3, 4), F(1), F(3, 2), F(2)])
+
+
+@st.composite
+def small_tableaux(draw):
+    m = draw(st.integers(1, 3))
+    a = tuple(tuple(draw(SMALL) if j < i else F(0) for j in range(m))
+              for i in range(m))
+    return ButcherTableau(a=a, b=tuple(draw(SMALL) for _ in range(m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tableaux(), st.sampled_from([upwind, heat]))
+def test_refinement_matches_exhaustive_cuts(t, stencil):
+    """The refined certificate agrees with the minimum over every vertex
+    restriction of every P_i."""
+    ps = generate(t, stencil)
+    tol = F(1, 2 ** 40)
+    cert = compute_gamma(ps, tol=tol)
+    family = {poly.vertex_restriction(s) for poly in ps.polys.values()
+              for s in range(2 ** len(ps.vars))}
+    found = min_first_negativity(enumerate(family), tol)
+    if found is None:
+        assert cert.unbounded and cert.upper is None and cert.witness is None
+        return
+    ref, _ = found
+    assert not cert.unbounded
+    assert cert.upper - cert.lower <= tol and ref.upper - ref.lower <= tol
+    assert cert.lower <= ref.upper and ref.lower <= cert.upper
+    if cert.exact is not None and ref.exact is not None:
+        assert cert.exact == ref.exact
+    assert condition_at(ps, cert.lower) is None
+    w = cert.witness
+    bits = subset_bits(w.subset, cert.n_vars)
+    point = {v: (w.delta if b == "1" else F(0)) for v, b in zip(ps.vars, bits)}
+    assert ps.polys[w.offset].eval(point) == w.value < 0
+
+
+def _term_set(terms):
+    """A PropagationSet over x = xi[1,0], y = xi[1,1] from {tags: coeff}."""
+    x, y = VarTag(1, 0), VarTag(1, 1)
+    named = {"x": x, "y": y}
+    polys = {offset: MultilinearPoly.from_tag_terms(
+                 (x, y), {frozenset(named[c] for c in k): v for k, v in p.items()})
+             for offset, p in enumerate(terms)}
+    return PropagationSet(forward_euler(), upwind, (x, y), polys)
+
+
+def test_unbounded_iff_no_negative_term():
+    ps = _term_set([{"": F(1), "x": F(2), "xy": F(1, 3)}, {"y": F(1)}])
+    cert = compute_gamma(ps)
+    assert cert.unbounded and cert.upper is None and cert.witness is None
+    assert str(cert).startswith("gamma = +inf")
+    # 1 + 2x - xy: the xy vertex gives 1 + 2d - d^2, negative past 1 + sqrt 2.
+    ps = _term_set([{"": F(1), "x": F(2), "xy": F(-1)}, {"y": F(1)}])
+    cert = compute_gamma(ps)
+    assert not cert.unbounded and cert.exact is None
+    assert (cert.lower - 1) ** 2 < 2 < (cert.upper - 1) ** 2
+    assert cert.witness.value < 0
 
 
 def test_gamma_below_radius_of_absolute_monotonicity():
