@@ -9,9 +9,15 @@ vertices.  Restricting P_i to the vertex selected by a subset S gives a
 univariate polynomial g_{i,S}(delta), and gamma is the minimum over all
 (i, S) of the first point where g_{i,S} turns negative.  The boxes are
 nested, so a vertex failing at a candidate bound names a restriction that
-turns negative below it; only such restrictions are ever cut.  Everything
-here is exact rational arithmetic; a certificate carries witnesses that
-can be re-verified by direct evaluation.
+turns negative below it; only such restrictions are ever cut.  Every
+answer is exact, and a certificate carries witnesses that can be
+re-verified by direct evaluation.
+
+A vertex check evaluates all 2^n columns of each vertex table on one of
+two paths.  Small scaled values are summed exactly in int64.  Otherwise a
+float64 screen keeps only the columns whose float value is below
+(maxdeg + 8) * 2^-50 times their sum of absolute terms, a margin above the
+proven rounding error, and those columns alone are summed with Python ints.
 
 Above the subset-enumeration capacity limit, `sampled_upper_bound` gives
 a randomized upper bound only.  It is not a certificate.
@@ -135,24 +141,75 @@ def gamma_zero_test(ps: PropagationSet) -> Optional[NegativityWitness]:
     return _zero_witness(ps, _poly_tables(ps))
 
 
+def _candidates(table, delta: Fraction) -> "np.ndarray":
+    """Ascending columns of `table` whose value at delta may be negative,
+    by a float64 screen; every column when the screen is void.
+
+    Column S is evaluated as f = sum_d fl(t_d) * fl(delta**d), one row at a
+    time, together with a = sum_d |fl(t_d) * fl(delta**d)|.  Each term takes
+    three roundings and the sum maxdeg more, so |f - exact| is below
+    (maxdeg + 3) * 2**-52 * a, and f >= (maxdeg + 8) * 2**-50 * a proves the
+    column nonnegative.  That needs every product and sum to stay a normal
+    float: the screen is void for an object table and when some delta**d
+    (d >= 1) lies outside [2**-900, 2**900].
+    """
+    maxdeg = table.shape[0] - 1
+    every = np.arange(table.shape[1])
+    if table.dtype == object:
+        return every
+    num, den = delta.numerator, delta.denominator
+    powers = [1.0]
+    for d in range(1, maxdeg + 1):
+        try:
+            power = num**d / den**d
+        except OverflowError:
+            return every
+        if not 2.0**-900 <= power <= 2.0**900:
+            return every
+        powers.append(power)
+    value = np.zeros(table.shape[1])
+    magnitude = np.zeros(table.shape[1])
+    term = np.empty(table.shape[1])
+    for row, power in zip(table, powers):
+        np.multiply(row, power, out=term)
+        value += term
+        np.abs(term, out=term)
+        magnitude += term
+    return np.flatnonzero(value < (maxdeg + 8) * 2.0**-50 * magnitude)
+
+
 def _negative_vertex(tables, delta: Fraction) -> Optional[NegativityWitness]:
-    """condition_at over prebuilt `_poly_tables(ps)`."""
+    """condition_at over prebuilt `_poly_tables(ps)`.
+
+    Each table is evaluated as g_S(delta) * scale * den**maxdeg, exactly, on
+    one of two paths.  When that scaled form is bounded below 2**62 (every
+    row's max counted at least 1, so each row multiplier fits too), all
+    columns are summed in int64.  Otherwise `_candidates` screens the
+    columns in float64 and only the columns it cannot prove nonnegative are
+    summed with Python ints; the screen is sound because its margin,
+    (maxdeg + 8) * 2**-50 * sum|terms|, exceeds the float error bound of
+    (maxdeg + 3) roundings.  Either way the first negative column in
+    ascending subset order is reported.
+    """
     num, den = delta.numerator, delta.denominator
     for offset, scale, table in tables:
         maxdeg = table.shape[0] - 1
-        # Scaled evaluation g_S(delta) * scale * den**maxdeg, kept integral.
-        bound = sum(
-            int(np.abs(table[d]).max()) * num**d * den ** (maxdeg - d)
-            for d in range(maxdeg + 1)
-        )
-        work = table if bound < 2**62 and table.dtype != object else table.astype(object)
+        multipliers = [num**d * den ** (maxdeg - d) for d in range(maxdeg + 1)]
+        cols = None
+        work = table
+        if table.dtype == object or sum(
+            max(int(np.abs(row).max()), 1) * m for row, m in zip(table, multipliers)
+        ) >= 2**62:
+            cols = _candidates(table, delta)
+            work = table[:, cols].astype(object, copy=False)
         values = np.zeros_like(work[0])
-        for d in range(maxdeg + 1):
-            values += work[d] * (num**d * den ** (maxdeg - d))
-        bad = values < 0
-        if bad.any():
-            subset = int(np.flatnonzero(bad)[0])
-            value = Fraction(int(values[subset]), scale * den**maxdeg)
+        for row, m in zip(work, multipliers):
+            values += row * m
+        bad = np.flatnonzero(values < 0)
+        if bad.size:
+            at = int(bad[0])
+            subset = at if cols is None else int(cols[at])
+            value = Fraction(int(values[at]), scale * den**maxdeg)
             return NegativityWitness(offset, subset, delta, value)
     return None
 

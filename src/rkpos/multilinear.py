@@ -26,8 +26,10 @@ __all__ = [
     "VAR_LIMIT",
 ]
 
-# Hard cap on the variable count: subset codes must fit a machine word and
-# 2**n vertex sweeps must stay tractable.  28 covers upwind stencils to m = 7.
+# Hard cap on the variable count, so that subset codes fit a machine word.
+# It is not a memory limit and is never reached in practice: the degree-7
+# table of an n = 28 polynomial (upwind, m = 7) holds 8 * 2**28 int64
+# entries, 16 GiB, so allocation fails long before the cap applies.
 VAR_LIMIT = 28
 
 

@@ -76,6 +76,15 @@ def test_region_csv(capsys):
     assert r[("1/2", "1/2")]["condition_at_1"] == ""  # singular, skipped
 
 
+def test_region_at_tiny_delta(capsys):
+    code, out = invoke(capsys, "region", "--spacing", "1/2",
+                       "--delta", "1/4294967296")
+    assert code == 0
+    r = {(row["alpha"], row["beta"]): row for row in rows(out)}
+    assert r[("1", "1/2")]["condition_at_1"] == "true"
+    assert r[("1/2", "1")]["condition_at_1"] == "false"
+
+
 def test_ssp_and_rphi(capsys):
     code, out = invoke(capsys, "ssp", "--method", "erk33c2:9/16")
     assert code == 0 and rows(out)[0]["exact"] == "3/4"

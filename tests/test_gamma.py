@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rkpos.bounds import radius_abs_monotonicity
 from rkpos.gamma import (compute_gamma, condition_at, gamma_zero_test,
@@ -13,6 +13,8 @@ from rkpos.polygen import PropagationSet, centered, generate, heat, upwind
 from rkpos.tableau import (ButcherTableau, erk22, erk33_case1, erk33_case2,
                            erk33_case3, forward_euler, rk4_classical)
 from rkpos.univariate import min_first_negativity
+
+from strategies import small_tableaux
 
 
 def erk22_gamma(a: F) -> F:
@@ -160,18 +162,6 @@ def test_against_brute_force_oracle(t):
         assert val <= hi
 
 
-SMALL = st.sampled_from([F(0), F(-1, 4), F(1, 4), F(1, 3), F(1, 2), F(2, 3),
-                         F(3, 4), F(1), F(3, 2), F(2)])
-
-
-@st.composite
-def small_tableaux(draw):
-    m = draw(st.integers(1, 3))
-    a = tuple(tuple(draw(SMALL) if j < i else F(0) for j in range(m))
-              for i in range(m))
-    return ButcherTableau(a=a, b=tuple(draw(SMALL) for _ in range(m)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_tableaux(), st.sampled_from([upwind, heat]))
 def test_refinement_matches_exhaustive_cuts(t, stencil):
@@ -220,6 +210,92 @@ def test_unbounded_iff_no_negative_term():
     assert not cert.unbounded and cert.exact is None
     assert (cert.lower - 1) ** 2 < 2 < (cert.upper - 1) ** 2
     assert cert.witness.value < 0
+
+
+def naive_condition(ps, delta):
+    """First (offset, subset, value) with a negative vertex restriction at
+    delta, by direct substitution, or None."""
+    for offset in ps.offsets:
+        poly = ps.polys[offset]
+        for s in range(2 ** len(ps.vars)):
+            value = poly.vertex_restriction(s)(delta)
+            if value < 0:
+                return offset, s, value
+    return None
+
+
+def witness_triple(ps, delta):
+    w = condition_at(ps, delta)
+    if w is None:
+        return None
+    assert w.delta == delta
+    return w.offset, w.subset, w.value
+
+
+@st.composite
+def multilinear_sets(draw):
+    """Up to 3 random polynomials in n <= 6 variables; in about half of the
+    sets, coefficients of 2**62 and more make object vertex tables."""
+    n = draw(st.integers(1, 6))
+    tags = tuple(VarTag(1, k) for k in range(n))
+    coeff = st.fractions(-4, 4, max_denominator=12)
+    if draw(st.booleans()):
+        coeff = st.one_of(coeff, st.sampled_from(
+            [F(2**62 + 1), F(-(2**63) - 5), F(-(2**70), 3)]))
+    polys = {}
+    for offset in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(st.integers(0, 2**n - 1), coeff,
+                                     max_size=8))
+        polys[offset] = MultilinearPoly(tags, {c: v for c, v in terms.items() if v})
+    return PropagationSet(forward_euler(), upwind, tags, polys)
+
+
+DELTAS = st.one_of(
+    st.integers(1, 2**42).map(lambda k: F(k, 2**40)),
+    st.builds(lambda j, k: F(j, 2**k), st.integers(1, 7), st.integers(20, 400)),
+    st.builds(lambda j, k: F(j * 2**k), st.integers(1, 7), st.integers(50, 300)),
+)
+
+
+def _pell_delta():
+    """a/b with a^2 - 2 b^2 = 1 and b > 2**50."""
+    a, b = 3, 2
+    while b <= 2**50:
+        a, b = 3 * a + 4 * b, 2 * a + 3 * b
+    return F(a, b)
+
+
+def _cubic_set():
+    tags = tuple(VarTag(1, k) for k in range(3))
+    return PropagationSet(forward_euler(), upwind, tags, {
+        0: MultilinearPoly(tags, {0b001: F(1), 0b010: F(1)}),
+        1: MultilinearPoly(tags, {0b111: F(-1)}),
+    })
+
+
+@settings(max_examples=150)
+@given(multilinear_sets(), DELTAS)
+# At the Pell delta the xy vertex of 1 - xy/2 is -1/(2 b^2), about 2^-101 of
+# its terms, and delta^2 rounds to 2.0 in float64.
+@example(_term_set([{"": F(1), "xy": F(-1, 2)}]), _pell_delta())
+# At 2^-400 the -xyz vertex's delta^3 underflows float64 to 0.
+@example(_cubic_set(), F(1, 2**400))
+def test_condition_at_matches_naive_evaluation(ps, delta):
+    """condition_at reports the same first negative vertex as direct
+    evaluation, at a drawn delta and at both ends of gamma's bracket."""
+    cert = compute_gamma(ps)
+    for d in (delta, cert.lower, cert.upper):
+        if d is not None:
+            assert witness_triple(ps, d) == naive_condition(ps, d), d
+
+
+def test_condition_at_tiny_delta_on_int64_tables():
+    # A zero row (the constant row of an off-centre P_i) still multiplies
+    # den^maxdeg, which passes int64 at a 2^-32 denominator.
+    ps = generate(erk22(F(1)), upwind)
+    delta = F(1, 2**32)
+    assert witness_triple(ps, delta) is None
+    assert naive_condition(ps, delta) is None
 
 
 def test_gamma_below_radius_of_absolute_monotonicity():

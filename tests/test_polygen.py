@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rkpos.errors import InputError
 from rkpos.polygen import (BUILTIN_STENCILS, StencilSpec, centered, generate,
@@ -8,6 +9,8 @@ from rkpos.polygen import (BUILTIN_STENCILS, StencilSpec, centered, generate,
                            x_labels)
 from rkpos.tableau import (erk22, erk33_case1, erk33_case2, erk33_case3,
                            forward_euler, rk4_classical)
+
+from strategies import small_tableaux
 
 METHODS = [
     forward_euler(),
@@ -68,6 +71,14 @@ def test_two_generators_agree(t, s):
     assert a.offsets == b.offsets
     for i in a.offsets:
         assert a.polys[i] == b.polys[i]
+
+
+@settings(max_examples=40)
+@given(small_tableaux(), st.sampled_from(STENCILS))
+def test_random_tableaux_unity_and_generators_agree(t, s):
+    """Sum_i P_i = 1 and generate == generate_alt beyond the METHODS list."""
+    test_partition_of_unity(t, s)
+    test_two_generators_agree(t, s)
 
 
 def test_erk22_upwind_printed_polynomials():
