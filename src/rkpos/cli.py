@@ -18,8 +18,8 @@ from .bounds import radius_abs_monotonicity, ssp_coefficient, stability_polynomi
 from .errors import InputError, RkposError
 from .gamma import (compute_gamma, gamma_zero_test, region_scan, subset_bits,
                     sweep)
-from .molsim import (LIMITERS, SemiDiscreteProblem, advection, max_step, run,
-                     tau0)
+from .molsim import (LIMITERS, MONITORS, SemiDiscreteProblem, advection,
+                     max_step, run, tau0)
 from .polygen import BUILTIN_STENCILS, generate, x_labels
 from .tableau import parse_method, tableau_from_json
 
@@ -347,8 +347,15 @@ def _add_common(p, stencil=True):
     p.add_argument("--tol", type=_frac, default=Fraction(1, 2 ** 40))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as one `error:` line, exit status 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="rkpos",
         description="Positivity analysis of explicit Runge-Kutta methods "
                     "applied to semi-discretized transport problems.")
@@ -415,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--dt", type=_frac, default=None)
     group.add_argument("--cfl-fraction", type=_frac, default=Fraction(1))
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--monitors", nargs="+", default=["positivity", "interval"])
+    p.add_argument("--monitors", nargs="+", choices=MONITORS,
+                   default=list(MONITORS))
     p.add_argument("--mode", choices=("rational", "float"), default=None)
     p.set_defaults(fn=cmd_simulate)
 

@@ -1,10 +1,15 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+
 from rkpos.bounds import (radius_abs_monotonicity, ssp_coefficient,
                           ssp_feasible, stability_polynomial)
+from rkpos.gamma import compute_gamma
 from rkpos.tableau import (erk22, erk33_case1, erk33_case2, erk33_case3,
                            forward_euler, rk4_classical)
+
+from strategies import small_tableaux
 
 
 def erk22_ssp(a: F) -> F:
@@ -110,3 +115,28 @@ def test_interval_width_bounded_by_tol():
         res = ssp_coefficient(t, tol=tol)
         if res.exact is None:
             assert res.upper - res.lower <= tol
+
+
+def _ends(result):
+    """(lo, hi) of a gamma certificate or bound; hi is None for +inf."""
+    if result.exact is not None:
+        return result.exact, result.exact
+    return result.lower, None if result.unbounded else result.upper
+
+
+@settings(max_examples=200)
+@given(small_tableaux())
+def test_bounds_chain_on_random_tableaux(t):
+    # C <= gamma <= R(phi), compared by bracket ends: when C = gamma = R is
+    # one irrational value, their brackets overlap and neither upper end
+    # need lie below the other's lower end.
+    c = ssp_coefficient(t)
+    c_lo, _ = _ends(c)
+    g_lo, g_hi = _ends(compute_gamma(t))
+    _, r_hi = _ends(radius_abs_monotonicity(t))
+    assert g_hi is None or c_lo <= g_hi
+    assert r_hi is None or g_lo <= r_hi
+    if c.unbounded:
+        assert g_hi is None
+    if g_hi is None:
+        assert r_hi is None

@@ -153,6 +153,7 @@ FLOAT_TABLEAU = '{"m": 2, "A": [[0, 0], [0.1, 0]], "b": ["1/2", "1/2"]}'
     ["gamma", "--method", "erk22:"],
     ["gamma", "--method", "erk22:1,2"],
     ["simulate", "--method", "erk22:1", "--n", "0"],
+    ["simulate", "--method", "erk22:1", "--monitors", "bogus"],
     ["gamma", "--tableau-file", "{float_tableau}"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejected_input_exits_2(tmp_path, argv):

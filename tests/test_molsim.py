@@ -1,8 +1,11 @@
+import hashlib
 import random
 import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rkpos.errors import InputError, LimiterContractError, PreconditionError
 from rkpos.molsim import (LIMITERS, SemiDiscreteProblem, advection,
@@ -178,16 +181,34 @@ def test_float_mode_runs():
 
 
 def test_rational_overflow_switches_to_float():
-    # an irrational-ish dt makes denominators explode quickly
-    n = 6
-    u0 = tuple(F(k % 2, 3) for k in range(n))
-    p = SemiDiscreteProblem(n, F(1, n), upwind, advection(F(1), minmod), u0)
-    dt = F(123456789, 987654321000)
+    # dt carries a 1902-bit denominator, so the state passes the rational
+    # size limit at step 5.  Heat with dx = 1/10 tells the float problem
+    # (scale 0.1**2) from the rational one (scale float(1/100)).
+    n, dx = 6, F(1, 10)
+    u0 = tuple(F(v) for v in (0, 3, 1, 0, 2, 4))
+    p = SemiDiscreteProblem(n, dx, heat, heat_q([F(1)] * n), u0)
+    dt = F(1, 500) + F(1, 3**1200)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rep = run(p, erk22(F(1)), dt, 200)
-    if rep.mode == "float":
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+        rep = run(p, erk22(F(1)), dt, 8)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert rep.mode == "float" and rep.steps_run == 8
+    assert rep.first_violation is None
+    assert [type(v) for v in rep.mins] == [F] * 4 + [float] * 4
+    assert all(type(v) is float for v in rep.final_state + tuple(rep.tvs[4:]))
+    # After the switch the run steps exactly as a float-mode run would.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        at_switch = run(p, erk22(F(1)), dt, 5).final_state
+    rest = run(SemiDiscreteProblem(n, dx, heat, heat_q([F(1)] * n), at_switch),
+               erk22(F(1)), float(dt), 3, mode="float")
+    assert rest.final_state == rep.final_state
+
+
+def test_run_rejects_unknown_monitor():
+    p = SemiDiscreteProblem(4, F(1), upwind, constant_q(F(1)), (F(1),) * 4)
+    with pytest.raises(InputError, match="bogus"):
+        run(p, erk22(F(1)), F(1, 2), 2, monitors=("positivity", "bogus"))
 
 
 def test_scripted_negative_q_rejected():
@@ -200,3 +221,148 @@ def test_scripted_negative_q_rejected():
 def test_limiters_registry():
     assert set(LIMITERS) == {"minmod", "koren", "mc"}
     assert LIMITERS["minmod"].mu == 1 and LIMITERS["mc"].mu == 2
+
+
+# --- float mode, pinned -----------------------------------------------------
+#
+# float.hex digests of float-mode runs recorded with the per-cell
+# implementation that preceded the array kernel: float results must stay
+# the same bits.
+
+
+def _hexdigest(values):
+    text = ";".join(float.hex(v) for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _golden_cases():
+    n = 32
+    u0 = tuple(F((7 * k * k + 3 * k) % 17, 16) for k in range(n))
+    kappa = [F(1 + k % 5, 4) for k in range(n)]
+    burgers = conservation_law(lambda v: v * v / 2, lambda v: v, minmod)
+    problems = {
+        "minmod-upwind": (upwind, advection(F(1), minmod), erk22(F(1)), 1),
+        "koren-upwind": (upwind, advection(F(1), koren), erk33_case2(F(1, 2)), 1),
+        "heat": (heat, heat_q(kappa), erk22(F(3, 4)), F(2, 3)),
+        "constant-centered": (centered, constant_q(F(3, 4)), rk4_classical(), F(1, 3)),
+        "burgers": (upwind, burgers, erk22(F(1)), 1),
+    }
+    for name, (stencil, provider, t, cfl) in problems.items():
+        p = SemiDiscreteProblem(n, F(1, n), stencil, provider, u0)
+        yield name, p, t, float(tau0(p) * cfl)
+
+
+GOLDEN = {
+    "minmod-upwind": (None, "028434f4e0a61e52", "517ec7b114138a20",
+                      "c26a590acc1b76f9", "6d76c8493f4273b7"),
+    "koren-upwind": (None, "7e8246966e53ced0", "cdec889ab6bfda85",
+                     "67b4511fb3f7e8ba", "aee2f77ff681af55"),
+    "heat": ((1, 19, "-0x1.27d27d27d27c8p-5", "positivity"), "6aa4b8339b79c4af",
+             "ff03c58037c2af4f", "f439b53d56bd70f3", "9e92216623410335"),
+    "constant-centered": ((1, 0, "-0x1.e1e06522c3f35p-5", "positivity"),
+                          "99b446000ffd3dfb", "7370c7be92c0f686",
+                          "7db0e3307f90970c", "49e320daf1b66b61"),
+    "burgers": (None, "15be5a99b5b7a76c", "4be837cc50bc0b52",
+                "11ad59aeb614f765", "1f1a50df7d5cf441"),
+}
+
+
+@pytest.mark.parametrize("name, p, t, dt", list(_golden_cases()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_float_mode_is_pinned(name, p, t, dt):
+    rep = run(p, t, dt, 60, mode="float", stop_on_violation=False)
+    fields = (rep.final_state, rep.mins, rep.maxs, rep.tvs)
+    assert rep.steps_run == 60
+    assert all(type(v) is float for values in fields for v in values)
+    violation = rep.first_violation
+    if violation is not None:
+        violation = violation[:2] + (float.hex(violation[2]), violation[3])
+    assert (violation, *map(_hexdigest, fields)) == GOLDEN[name]
+
+
+# --- the array q against its per-cell definition ----------------------------
+
+
+VALUES = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 4), F(1, 3), F(1, 2),
+                          F(3, 4), F(1), F(3, 2), F(2)])
+# Plateaus: each drawn value repeats 1-3 times; negatives give sign changes.
+GRIDS = st.lists(st.tuples(VALUES, st.integers(1, 3)), min_size=1,
+                 max_size=8).map(lambda runs: tuple(
+                     v for v, times in runs for _ in range(times))[:12])
+
+
+def _cell_terms(limiter, u, k):
+    """(psi, ratio) of cell k from the scalar psi(), degenerate cases
+    included: theta = +-inf takes psi's limit and ratio 0; flat data 0, 0."""
+    n = len(u)
+    s, d = u[k % n] - u[(k - 1) % n], u[(k + 1) % n] - u[k % n]
+    if d != 0:
+        return psi(limiter, s / d)
+    if s != 0:
+        return (limiter.psi_at_plus_inf if s > 0 else limiter.psi_at_minus_inf), 0
+    return 0, 0
+
+
+def _per_cell_q(limiter, u, speed):
+    """q_k = speed_k * (1 - psi_{k-1} + ratio_k), with the first negative
+    cell reported as ("negative", k) and a negative speed as ("speed", k)."""
+    out = []
+    for k in range(len(u)):
+        if speed[k] < 0:
+            return "speed", k
+        q = speed[k] * (1 - _cell_terms(limiter, u, k - 1)[0]
+                        + _cell_terms(limiter, u, k)[1])
+        if q < 0:
+            return "negative", k
+        out.append(q)
+    return out
+
+
+def _burgers_speeds(limiter, u):
+    n = len(u)
+    iface = [u[k] + _cell_terms(limiter, u, k)[0] * (u[(k + 1) % n] - u[k])
+             for k in range(n)]
+    return [max(iface[k - 1], iface[k]) for k in range(n)]
+
+
+def _check_q(q_of, limiter, u, expect):
+    """q_of(u) equals expect exactly on the exact state and within 1e-12
+    in float; an expected failure raises the matching error."""
+    if expect[0] == "speed":
+        with pytest.raises(InputError):
+            q_of(u)
+        return
+    if expect[0] == "negative":
+        with pytest.raises(LimiterContractError, match=rf"q\[{expect[1]}\]"):
+            q_of(u)
+        return
+    exact = q_of(u)
+    assert exact.dtype == object and list(exact) == expect
+    approx = q_of(tuple(float(v) for v in u))
+    assert approx.dtype == np.float64
+    assert all(abs(x - float(y)) <= 1e-12 for x, y in zip(approx.tolist(), expect))
+
+
+@settings(max_examples=150)
+@given(GRIDS, st.sampled_from(sorted(LIMITERS)))
+@example((F(0), F(1, 4), F(3, 2)), "koren")  # theta = 1/5: psi = theta
+def test_array_q_matches_per_cell_definition(u, name):
+    limiter = LIMITERS[name]
+    a = F(3, 2)
+    _check_q(lambda v: q_advection(v, F(0), a, limiter), limiter, u,
+             _per_cell_q(limiter, u, [a] * len(u)))
+    burgers = conservation_law(lambda v: v * v / 2, lambda v: v, limiter)
+    _check_q(lambda v: burgers.q(v, F(0)), limiter, u,
+             _per_cell_q(limiter, u, _burgers_speeds(limiter, u)))
+
+
+@settings(max_examples=40)
+@given(GRIDS, st.sampled_from([minmod, koren]))
+def test_float_run_tracks_rational_run(u, limiter):
+    p = SemiDiscreteProblem(len(u), F(1, len(u)), upwind,
+                            advection(F(1), limiter), u)
+    exact = run(p, erk22(F(1)), tau0(p), 4, monitors=())
+    approx = run(p, erk22(F(1)), float(tau0(p)), 4, monitors=(), mode="float")
+    assert exact.mode == "rational" and approx.mode == "float"
+    assert all(abs(x - float(y)) <= 1e-12
+               for x, y in zip(approx.final_state, exact.final_state))
