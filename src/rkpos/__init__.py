@@ -20,7 +20,7 @@ from .errors import (CapacityError, InputError, LimiterContractError,
                      ParameterDomainError, PreconditionError, RkposError)
 from .gamma import (GammaCertificate, NegativityWitness, RegionCell, SweepRow,
                     compute_gamma, condition_at, gamma_zero_test, in_bowtie,
-                    region_scan, sampled_upper_bound, subset_bits, sweep)
+                    region_scan, subset_bits, sweep)
 from .molsim import (LIMITERS, Limiter, RunReport, SemiDiscreteProblem,
                      StepTrace, advection, conservation_law, constant_q,
                      erk_step, heat_q, max_step, run, scripted, tau0)

@@ -30,6 +30,23 @@ def _frac(text: str) -> Fraction:
     return Fraction(text)
 
 
+# 10**600 has fewer digits than the lowest int-to-str limit Python allows
+# (640), so each chunk below converts under any limit setting.
+_CHUNK_DIGITS = 600
+
+
+def _digits(n: int) -> str:
+    """Decimal digits of n, also beyond the interpreter's int-to-str limit."""
+    if n < 0:
+        return "-" + _digits(-n)
+    chunks = []
+    while n >= 10**_CHUNK_DIGITS:
+        n, low = divmod(n, 10**_CHUNK_DIGITS)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def _fmt(x) -> str:
     """Exact rationals as p/q; None as empty; everything else via repr-ish str."""
     if x is None:
@@ -37,7 +54,9 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, Fraction):
-        return str(x)
+        if x.denominator == 1:
+            return _digits(x.numerator)
+        return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
     if isinstance(x, float):
         return repr(x)
     return str(x)

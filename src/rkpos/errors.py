@@ -10,11 +10,11 @@ class ParameterDomainError(RkposError, ValueError):
 
 
 class CapacityError(RkposError):
-    """Variable count exceeds the subset-code limit.
+    """Vertex tables would exceed their byte budget.
 
-    Vertex enumeration is 2**n; above the configured limit we fail loudly
-    instead of silently grinding.  Randomized sampling (see rkpos.gamma)
-    gives non-certified upper bounds beyond the limit.
+    A polynomial's vertex table has 2**|support| columns.  Above the budget
+    (rkpos.multilinear.TABLE_BYTES) the exact vertex check is refused before
+    anything is allocated; there is no sampling fallback.
     """
 
 

@@ -13,24 +13,22 @@ turns negative below it; only such restrictions are ever cut.  Every
 answer is exact, and a certificate carries witnesses that can be
 re-verified by direct evaluation.
 
-A vertex check evaluates all 2^n columns of each vertex table on one of
-two paths.  Small scaled values are summed exactly in int64.  Otherwise a
-float64 screen keeps only the columns whose float value is below
-(maxdeg + 8) * 2^-50 times their sum of absolute terms, a margin above the
-proven rounding error, and those columns alone are summed with Python ints.
-
-Above the subset-enumeration capacity limit, `sampled_upper_bound` gives
-a randomized upper bound only.  It is not a certificate.
+P_i depends only on the variables its terms use, its support, and the
+value at a vertex S is the value at S intersected with the support.  So
+P_i's vertex table spans its support alone, 2^|support| columns, and a
+vertex check evaluates every column exactly in Python ints; there is one
+path and no sampling fallback.  A set whose tables exceed the byte budget
+of `rkpos.multilinear` raises CapacityError before any table is built.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
-import random
 
 import numpy as np
 
-from .errors import InputError, ParameterDomainError
+from .errors import CapacityError, InputError, ParameterDomainError
+from .multilinear import TABLE_BYTES, MultilinearPoly
 from .polygen import PropagationSet, StencilSpec, generate, upwind
 from .tableau import ButcherTableau, make_family
 from .univariate import descend, first_negative_cut
@@ -45,7 +43,6 @@ __all__ = [
     "gamma_zero_test",
     "in_bowtie",
     "region_scan",
-    "sampled_upper_bound",
     "subset_bits",
     "sweep",
 ]
@@ -103,26 +100,60 @@ class GammaCertificate:
         return f"gamma in [{self.lower}, {self.upper}]"
 
 
+def _move_bits(code: int, targets) -> int:
+    """`code` with each set bit k moved to bit targets[k]."""
+    out = 0
+    while code:
+        low = code & -code
+        out |= 1 << targets[low.bit_length() - 1]
+        code ^= low
+    return out
+
+
 def _poly_tables(ps: PropagationSet):
-    """(offset, scale, table) per polynomial, ascending offset."""
-    out = []
+    """(offset, support, scale, table) per polynomial, ascending offset.
+
+    `support` lists, ascending, the positions of the variables that
+    P_offset uses.  The table is P_offset's `vertex_table()` after re-coding
+    the polynomial over its support alone, converted to Python ints.  The
+    tables' total size is checked against the byte budget before the first
+    one is built.
+    """
+    recoded = []
     for offset in ps.offsets:
-        scale, table = ps.polys[offset].vertex_table()
-        out.append((offset, scale, table))
+        poly = ps.polys[offset]
+        used = 0
+        for code in poly.terms:
+            used |= code
+        support = [k for k in range(poly.n) if used >> k & 1]
+        rank = {k: j for j, k in enumerate(support)}
+        terms = {_move_bits(code, rank): c for code, c in poly.terms.items()}
+        recoded.append((offset, support,
+                        MultilinearPoly(tuple(poly.vars[k] for k in support), terms)))
+    total = sum(poly.table_bytes() for _, _, poly in recoded)
+    if total > TABLE_BYTES:
+        offset, support, poly = max(recoded, key=lambda item: item[2].table_bytes())
+        raise CapacityError(
+            f"vertex tables need {total} bytes, over the {TABLE_BYTES}-byte "
+            f"budget; the largest, P_{offset}'s over {len(support)} support "
+            f"variables, needs {poly.table_bytes()} bytes")
+    out = []
+    for offset, support, poly in recoded:
+        scale, table = poly.vertex_table()
+        out.append((offset, support, scale, table.astype(object, copy=False)))
     return out
 
 
 def _zero_witness(ps: PropagationSet, tables) -> Optional[NegativityWitness]:
     """gamma_zero_test over prebuilt `_poly_tables(ps)`."""
-    for offset, _scale, table in tables:
-        maxdeg = table.shape[0] - 1
+    for offset, support, _scale, table in tables:
         settled = table[0] != 0
         bad = table[0] < 0
-        for d in range(1, maxdeg + 1):
-            bad |= ~settled & (table[d] < 0)
-            settled |= table[d] != 0
+        for row in table[1:]:
+            bad |= ~settled & (row < 0)
+            settled |= row != 0
         if bad.any():
-            subset = int(np.flatnonzero(bad)[0])
+            subset = _move_bits(int(np.flatnonzero(bad)[0]), support)
             g = ps.polys[offset].vertex_restriction(subset)
             delta = descend(lambda d: d if g(d) < 0 else None,
                             Fraction(0), Fraction(1))
@@ -141,76 +172,31 @@ def gamma_zero_test(ps: PropagationSet) -> Optional[NegativityWitness]:
     return _zero_witness(ps, _poly_tables(ps))
 
 
-def _candidates(table, delta: Fraction) -> "np.ndarray":
-    """Ascending columns of `table` whose value at delta may be negative,
-    by a float64 screen; every column when the screen is void.
-
-    Column S is evaluated as f = sum_d fl(t_d) * fl(delta**d), one row at a
-    time, together with a = sum_d |fl(t_d) * fl(delta**d)|.  Each term takes
-    three roundings and the sum maxdeg more, so |f - exact| is below
-    (maxdeg + 3) * 2**-52 * a, and f >= (maxdeg + 8) * 2**-50 * a proves the
-    column nonnegative.  That needs every product and sum to stay a normal
-    float: the screen is void for an object table and when some delta**d
-    (d >= 1) lies outside [2**-900, 2**900].
-    """
-    maxdeg = table.shape[0] - 1
-    every = np.arange(table.shape[1])
-    if table.dtype == object:
-        return every
-    num, den = delta.numerator, delta.denominator
-    powers = [1.0]
-    for d in range(1, maxdeg + 1):
-        try:
-            power = num**d / den**d
-        except OverflowError:
-            return every
-        if not 2.0**-900 <= power <= 2.0**900:
-            return every
-        powers.append(power)
-    value = np.zeros(table.shape[1])
-    magnitude = np.zeros(table.shape[1])
-    term = np.empty(table.shape[1])
-    for row, power in zip(table, powers):
-        np.multiply(row, power, out=term)
-        value += term
-        np.abs(term, out=term)
-        magnitude += term
-    return np.flatnonzero(value < (maxdeg + 8) * 2.0**-50 * magnitude)
-
-
-def _negative_vertex(tables, delta: Fraction) -> Optional[NegativityWitness]:
+def _negative_vertex(
+    tables, delta: Union[Fraction, int]
+) -> Optional[NegativityWitness]:
     """condition_at over prebuilt `_poly_tables(ps)`.
 
-    Each table is evaluated as g_S(delta) * scale * den**maxdeg, exactly, on
-    one of two paths.  When that scaled form is bounded below 2**62 (every
-    row's max counted at least 1, so each row multiplier fits too), all
-    columns are summed in int64.  Otherwise `_candidates` screens the
-    columns in float64 and only the columns it cannot prove nonnegative are
-    summed with Python ints; the screen is sound because its margin,
-    (maxdeg + 8) * 2**-50 * sum|terms|, exceeds the float error bound of
-    (maxdeg + 3) roundings.  Either way the first negative column in
-    ascending subset order is reported.
+    Every column is evaluated exactly, as g_S(delta) * scale * den**maxdeg
+    in Python ints.  Column bit k is the k-th support variable, so ascending
+    columns are ascending global subsets, and a global subset takes the
+    value of its intersection with the support, a subset no larger than
+    itself.  The first negative column is therefore the first negative
+    global subset, and it is reported by its global code.
     """
+    delta = Fraction(delta)
+    if delta < 0:
+        raise ParameterDomainError("delta must be nonnegative")
     num, den = delta.numerator, delta.denominator
-    for offset, scale, table in tables:
-        maxdeg = table.shape[0] - 1
-        multipliers = [num**d * den ** (maxdeg - d) for d in range(maxdeg + 1)]
-        cols = None
-        work = table
-        if table.dtype == object or sum(
-            max(int(np.abs(row).max()), 1) * m for row, m in zip(table, multipliers)
-        ) >= 2**62:
-            cols = _candidates(table, delta)
-            work = table[:, cols].astype(object, copy=False)
-        values = np.zeros_like(work[0])
-        for row, m in zip(work, multipliers):
-            values += row * m
+    for offset, support, scale, table in tables:
+        maxdeg = len(table) - 1
+        values = sum(row * (num**d * den ** (maxdeg - d))
+                     for d, row in enumerate(table))
         bad = np.flatnonzero(values < 0)
         if bad.size:
             at = int(bad[0])
-            subset = at if cols is None else int(cols[at])
-            value = Fraction(int(values[at]), scale * den**maxdeg)
-            return NegativityWitness(offset, subset, delta, value)
+            value = Fraction(values[at], scale * den**maxdeg)
+            return NegativityWitness(offset, _move_bits(at, support), delta, value)
     return None
 
 
@@ -223,9 +209,6 @@ def condition_at(
     negative value.  Exact: vertices suffice because the polynomials are
     multilinear.
     """
-    delta = Fraction(delta)
-    if delta < 0:
-        raise ParameterDomainError("delta must be nonnegative")
     return _negative_vertex(_poly_tables(ps), delta)
 
 
@@ -286,37 +269,6 @@ def compute_gamma(
         witness=witness, n_vars=n, n_polys=n_polys,
         n_distinct_restrictions=n_cut,
     )
-
-
-def sampled_upper_bound(
-    ps: PropagationSet,
-    deltas: Optional[list[Fraction]] = None,
-    samples: int = 2000,
-    seed: int = 0,
-) -> Optional[NegativityWitness]:
-    """Randomized search for a negativity witness.  NOT a certificate.
-
-    Evaluates every polynomial at random box vertices for each trial
-    delta and reports the first witness found (whose delta is then an
-    upper bound on gamma).  Returns None when nothing was found; that
-    proves nothing.  Works for any variable count.
-    """
-    rng = random.Random(seed)
-    n = len(ps.vars)
-    if deltas is None:
-        deltas = [Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 4)]
-    for delta in deltas:
-        for _ in range(samples):
-            subset = rng.getrandbits(n)
-            point = {
-                tag: (delta if subset >> k & 1 else Fraction(0))
-                for k, tag in enumerate(ps.vars)
-            }
-            for offset, poly in ps.polys.items():
-                value = poly.eval(point)
-                if value < 0:
-                    return NegativityWitness(offset, subset, delta, value)
-    return None
 
 
 def subset_bits(subset: int, n: int) -> str:
@@ -431,7 +383,8 @@ def region_scan(
             cells.append(RegionCell(alpha, beta, member, None, None, str(exc)))
             continue
         ps = generate(t, stencil)
-        holds = condition_at(ps, delta) is None
-        positive = gamma_zero_test(ps) is None
+        tables = _poly_tables(ps)
+        holds = _negative_vertex(tables, delta) is None
+        positive = _zero_witness(ps, tables) is None
         cells.append(RegionCell(alpha, beta, member, holds, positive, None))
     return cells

@@ -23,14 +23,16 @@ __all__ = [
     "VarTag",
     "MultilinearPoly",
     "canonical_order",
-    "VAR_LIMIT",
+    "TABLE_BYTES",
 ]
 
-# Hard cap on the variable count, so that subset codes fit a machine word.
-# It is not a memory limit and is never reached in practice: the degree-7
-# table of an n = 28 polynomial (upwind, m = 7) holds 8 * 2**28 int64
-# entries, 16 GiB, so allocation fails long before the cap applies.
-VAR_LIMIT = 28
+# Byte budget for the vertex tables of one propagation set, counted as
+# 8-byte entries.  Exact evaluation keeps each table as Python ints, which
+# costs a few times more, so the budget stays well below the memory of a
+# small machine.  Generic 7-stage upwind (10.6 M entries over its
+# supports) fits; generic 6-stage heat (302 M) and 8-stage upwind (321 M)
+# do not.
+TABLE_BYTES = 2**28
 
 
 class VarTag(NamedTuple):
@@ -114,6 +116,11 @@ class MultilinearPoly:
         maxd = max(coeffs, default=-1)
         return UniPoly.from_coeffs([coeffs.get(d, Fraction(0)) for d in range(maxd + 1)])
 
+    def table_bytes(self) -> int:
+        """Bytes of the (maxdeg + 1, 2**n) array `vertex_table` allocates."""
+        maxdeg = max((c.bit_count() for c in self.terms), default=0)
+        return 8 * (maxdeg + 1) << self.n
+
     def vertex_table(self) -> tuple[int, "np.ndarray"]:
         """All vertex polynomials at once, as scaled-integer coefficient rows.
 
@@ -121,13 +128,15 @@ class MultilinearPoly:
         table[d, S] * / scale is the degree-d coefficient of g_S.  Computed by
         a per-degree zeta (subset-sum) transform: O(2**n * n) adds instead of
         the naive O(4**n).  Entries are exact: int64 when the magnitude bound
-        allows, arbitrary-precision objects otherwise.
+        allows, arbitrary-precision objects otherwise.  CapacityError is
+        raised before allocation when the table exceeds TABLE_BYTES.
         """
         n = self.n
-        if n > VAR_LIMIT:
+        nbytes = self.table_bytes()
+        if nbytes > TABLE_BYTES:
             raise CapacityError(
-                f"{n} variables exceeds the subset-code limit {VAR_LIMIT}; "
-                f"use the sampling fallback in rkpos.gamma"
+                f"the vertex table over {n} variables needs {nbytes} bytes, "
+                f"over the {TABLE_BYTES}-byte budget"
             )
         scale = 1
         for coeff in self.terms.values():

@@ -128,6 +128,21 @@ def test_simulate_jsonl(capsys):
     assert final["steps_run"] == 4 and final["first_violation"] is None
 
 
+def test_simulate_prints_fractions_past_the_digit_limit(capsys):
+    # Rational heat values pass Python's 4,300-digit int-to-str limit
+    # before the run switches to float.
+    with pytest.warns(RuntimeWarning, match="switching to float"):
+        code, out = invoke(capsys, "simulate", "--mode", "rational",
+                           "--method", "erk22:1", "--stencil", "heat",
+                           "--limiter", "minmod", "--n", "8", "--steps", "10",
+                           "--monitors", "interval")
+    assert code == 0
+    lines = out.splitlines()
+    assert max(len(line) for line in lines) > 4300
+    final = json.loads(lines[-1])["final"]
+    assert final["steps_run"] == 10 and final["first_violation"] is None
+
+
 def test_reproduce_ok(capsys):
     for rid in ("erk22-table", "rk4-negative", "heat-table"):
         code, out = invoke(capsys, "reproduce", rid)
@@ -141,6 +156,12 @@ def test_error_exit_code(capsys):
 
 
 FLOAT_TABLEAU = '{"m": 2, "A": [[0, 0], [0.1, 0]], "b": ["1/2", "1/2"]}'
+# The generic 6-stage tableau a_ij = 1/(2+i+j), b = 1/6.  Its heat-stencil
+# vertex tables need 2.4 GB, over the byte budget.
+GENERIC6_TABLEAU = json.dumps({
+    "m": 6, "b": ["1/6"] * 6,
+    "A": [[f"1/{2 + i + j}" if j < i else "0" for j in range(6)]
+          for i in range(6)]})
 
 
 @pytest.mark.parametrize("argv", [
@@ -155,11 +176,14 @@ FLOAT_TABLEAU = '{"m": 2, "A": [[0, 0], [0.1, 0]], "b": ["1/2", "1/2"]}'
     ["simulate", "--method", "erk22:1", "--n", "0"],
     ["simulate", "--method", "erk22:1", "--monitors", "bogus"],
     ["gamma", "--tableau-file", "{float_tableau}"],
+    ["gamma", "--tableau-file", "{generic6_tableau}", "--stencil", "heat"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejected_input_exits_2(tmp_path, argv):
-    path = tmp_path / "float.json"
-    path.write_text(FLOAT_TABLEAU, encoding="utf-8")
-    argv = [a.format(float_tableau=path) for a in argv]
+    files = {"float_tableau": FLOAT_TABLEAU, "generic6_tableau": GENERIC6_TABLEAU}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files})
+            for a in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rkpos.bounds import radius_abs_monotonicity
 from rkpos.gamma import (compute_gamma, condition_at, gamma_zero_test,
-                         in_bowtie, region_scan, sampled_upper_bound,
-                         subset_bits, sweep)
+                         in_bowtie, region_scan, subset_bits, sweep)
 from rkpos.multilinear import MultilinearPoly, VarTag
 from rkpos.polygen import PropagationSet, centered, generate, heat, upwind
 from rkpos.tableau import (ButcherTableau, erk22, erk33_case1, erk33_case2,
@@ -103,6 +102,31 @@ def generic(m):
                           b=tuple(F(1, m) for _ in range(m)), name=f"generic{m}")
 
 
+def assert_witness_evaluates(ps, w, n_vars):
+    bits = subset_bits(w.subset, n_vars)
+    point = {v: (w.delta if b == "1" else F(0)) for v, b in zip(ps.vars, bits)}
+    assert ps.polys[w.offset].eval(point) == w.value < 0
+
+
+def test_generic_six_stage_upwind_bracket():
+    # n = 21; the bracket was recorded with full-width vertex tables.
+    ps = generate(generic(6), upwind)
+    cert = compute_gamma(ps)
+    assert (cert.lower, cert.upper, cert.exact) == (
+        F(72806229997269445, 2**55), F(18201557499322559, 2**53), None)
+    assert cert.n_vars == 21 and condition_at(ps, cert.lower) is None
+    assert_witness_evaluates(ps, cert.witness, cert.n_vars)
+
+
+def test_generic_five_stage_heat_certifies():
+    # n = 25: 2^25 columns per polynomial at full width, 476 K over supports.
+    ps = generate(generic(5), heat)
+    cert = compute_gamma(ps)
+    assert cert.n_vars == 25 and not cert.unbounded
+    assert cert.upper - cert.lower <= F(1, 2**40)
+    assert_witness_evaluates(ps, cert.witness, cert.n_vars)
+
+
 def test_certificate_soundness():
     cases = [(erk22(F(5, 4)), upwind), (erk33_case2(F(7, 16)), upwind),
              (erk33_case1(F(1, 2), F(3, 4)), upwind),
@@ -113,12 +137,8 @@ def test_certificate_soundness():
         cert = compute_gamma(ps)
         lo = cert.exact if cert.exact is not None else cert.lower
         assert condition_at(ps, lo) is None
-        w = cert.witness
-        if w is not None:
-            bits = subset_bits(w.subset, cert.n_vars)
-            point = {v: (w.delta if b == "1" else F(0))
-                     for v, b in zip(ps.vars, bits)}
-            assert ps.polys[w.offset].eval(point) == w.value < 0
+        if cert.witness is not None:
+            assert_witness_evaluates(ps, cert.witness, cert.n_vars)
 
 
 def brute_force_gamma(ps, tol=F(1, 2 ** 20)):
@@ -183,10 +203,7 @@ def test_refinement_matches_exhaustive_cuts(t, stencil):
     if cert.exact is not None and ref.exact is not None:
         assert cert.exact == ref.exact
     assert condition_at(ps, cert.lower) is None
-    w = cert.witness
-    bits = subset_bits(w.subset, cert.n_vars)
-    point = {v: (w.delta if b == "1" else F(0)) for v, b in zip(ps.vars, bits)}
-    assert ps.polys[w.offset].eval(point) == w.value < 0
+    assert_witness_evaluates(ps, cert.witness, cert.n_vars)
 
 
 def _term_set(terms):
@@ -273,6 +290,13 @@ def _cubic_set():
     })
 
 
+def _gapped_set(terms):
+    """One polynomial over four variables, given as {subset code: coeff}."""
+    tags = tuple(VarTag(1, k) for k in range(4))
+    return PropagationSet(forward_euler(), upwind, tags,
+                          {0: MultilinearPoly(tags, terms)})
+
+
 @settings(max_examples=150)
 @given(multilinear_sets(), DELTAS)
 # At the Pell delta the xy vertex of 1 - xy/2 is -1/(2 b^2), about 2^-101 of
@@ -280,6 +304,9 @@ def _cubic_set():
 @example(_term_set([{"": F(1), "xy": F(-1, 2)}]), _pell_delta())
 # At 2^-400 the -xyz vertex's delta^3 underflows float64 to 0.
 @example(_cubic_set(), F(1, 2**400))
+# 1 - x0 x2 uses variables 0 and 2: its first negative vertex is column 0b11
+# of its support table, global subset 0b0101.
+@example(_gapped_set({0b0000: F(1), 0b0101: F(-1)}), F(2))
 def test_condition_at_matches_naive_evaluation(ps, delta):
     """condition_at reports the same first negative vertex as direct
     evaluation, at a drawn delta and at both ends of gamma's bracket."""
@@ -287,6 +314,16 @@ def test_condition_at_matches_naive_evaluation(ps, delta):
     for d in (delta, cert.lower, cert.upper):
         if d is not None:
             assert witness_triple(ps, d) == naive_condition(ps, d), d
+
+
+def test_zero_witness_names_the_global_vertex():
+    # x3 - x0 x2: the vertex {x0, x2} is column 0b11 of the support table
+    # (variables 0, 2, 3) and global subset 0b0101.
+    ps = _gapped_set({0b1000: F(1), 0b0101: F(-1)})
+    w = gamma_zero_test(ps)
+    assert (w.offset, w.subset) == (0, 0b0101)
+    assert_witness_evaluates(ps, w, 4)
+    assert compute_gamma(ps).witness == w
 
 
 def test_condition_at_tiny_delta_on_int64_tables():
@@ -307,15 +344,6 @@ def test_gamma_below_radius_of_absolute_monotonicity():
         rv = r.upper if not r.unbounded else None
         if rv is not None:
             assert g <= rv
-
-
-def test_sampled_upper_bound_is_witness():
-    ps = generate(erk33_case3(F(1)), upwind)
-    w = sampled_upper_bound(ps)
-    assert w is not None
-    bits = subset_bits(w.subset, len(ps.vars))
-    point = {v: (w.delta if b == "1" else F(0)) for v, b in zip(ps.vars, bits)}
-    assert ps.polys[w.offset].eval(point) == w.value < 0
 
 
 def test_sweep_skips_singular_points():

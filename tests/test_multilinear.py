@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from rkpos.errors import CapacityError, InputError
-from rkpos.multilinear import (VAR_LIMIT, MultilinearPoly, VarTag,
+from rkpos.multilinear import (TABLE_BYTES, MultilinearPoly, VarTag,
                                canonical_order)
 
 
@@ -89,12 +89,15 @@ def test_multilinear_extrema_on_box_at_vertices():
 
 
 def test_capacity_limit_on_vertex_table():
-    n = VAR_LIMIT + 1
+    # One term over all n variables: a table of (n + 1) * 2**n 8-byte
+    # entries; n is the smallest count whose table exceeds the budget.
+    n = next(n for n in range(64) if 8 * (n + 1) << n > TABLE_BYTES)
     vs = tuple(VarTag(1, s) for s in range(n))
     p = MultilinearPoly.from_tag_terms(vs, {frozenset(vs): F(1)})
-    with pytest.raises(CapacityError):
+    assert p.table_bytes() == 8 * (n + 1) << n
+    with pytest.raises(CapacityError, match=f"{p.table_bytes()} bytes"):
         p.vertex_table()
-    # evaluation still works above the limit
+    # evaluation still works above the budget
     assert p.eval({v: F(1) for v in vs}) == 1
 
 
