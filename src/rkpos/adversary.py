@@ -8,8 +8,9 @@ trajectory and the exactly verified negative entry:
   propagation polynomial into a one-step problem whose output equals
   that polynomial value.
 * `negative_entry_counterexample`: a method with a negative tableau
-  entry gets a negative value propagated to the output along a chain of
-  nonzero coefficients.
+  entry gets a negative value propagated to the output along a stage
+  chain (`tableau.chain_weights`) whose Butcher weight, times the
+  negative entry, is negative; a negative b entry is used directly.
 * `rk4_counterexample`: the classical four-stage fourth-order method
   produces a negative value for every positive step size; this builds
   the explicit schedule realizing u1 = (1, e/6, (2e^2-e^3)/12, -e^4/24).
@@ -24,7 +25,6 @@ assign conflicting values or destroy the negativity; when they do, a
 precondition error points at the offending stage times.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -33,7 +33,7 @@ from .errors import InputError, PreconditionError
 from .molsim import SemiDiscreteProblem, erk_step, scripted
 from .multilinear import VarTag
 from .polygen import PropagationSet, StencilSpec, generate, upwind
-from .tableau import ButcherTableau, rk4_classical
+from .tableau import ButcherTableau, chain_weights, rk4_classical
 from .univariate import descend
 
 __all__ = [
@@ -199,70 +199,28 @@ def _negative_chain(t: ButcherTableau):
 
     Returns (J, [stage chain], planned value): cell p is scripted at the
     stage time of column J; each subsequent cell at the time of the
-    previous scheduled stage; the output row finishes the chain.
+    previous scheduled stage; the output row finishes the chain.  For the
+    first negative a[i][J] (row-major) the chain is the shortest, then
+    lexicographically first, stage chain starting at i whose weight
+    times a[i][J] is negative.  Without one, a negative b[J] is used
+    directly with an empty chain.
     """
-    m = t.m
-    first = None
-    for i in range(m):
-        for j in range(m):
-            if t.a[i][j] < 0:
-                first = (i, j)
-                break
-        if first:
-            break
-    if first is None:
-        # No negative stage coefficient: a negative output weight is the
-        # direct case.
-        for j in range(m):
-            if t.b[j] < 0:
-                return j, [], t.b[j]
-        raise PreconditionError(
-            f"{t.name}: all tableau entries are nonnegative"
-        )
-    i, J = first
-    if t.b[i] > 0:
-        return J, [i], t.b[i] * t.a[i][J]
-    # Breadth-first search over (stage, running sign) for a chain of
-    # nonzero a-coefficients whose product times an output weight is
-    # negative.
-    start = (i, -1)
-    prev: dict[tuple[int, int], Optional[tuple[int, int]]] = {start: None}
-    queue = deque([start])
-    goal = None
-    while queue:
-        state = queue.popleft()
-        s, sign = state
-        if t.b[s] * sign < 0:
-            goal = state
-            break
-        for s2 in range(s + 1, m):
-            a = t.a[s2][s]
-            if a == 0:
-                continue
-            nxt = (s2, sign * (1 if a > 0 else -1))
-            if nxt not in prev:
-                prev[nxt] = state
-                queue.append(nxt)
-    if goal is None:
-        # Last resort: a negative output weight used directly.
-        for j in range(m):
-            if t.b[j] < 0:
-                return j, [], t.b[j]
-        raise PreconditionError(
-            f"{t.name}: no sign-compatible chain from the negative entry "
-            f"to the output row was found"
-        )
-    chain = []
-    state = goal
-    while state is not None:
-        chain.append(state[0])
-        state = prev[state]
-    chain.reverse()
-    value = t.a[i][J]
-    for s_prev, s_next in zip(chain, chain[1:]):
-        value *= t.a[s_next][s_prev]
-    value *= t.b[chain[-1]]
-    return J, chain, value
+    found = t.has_negative_entry()
+    if found is None:
+        raise PreconditionError(f"{t.name}: all tableau entries are nonnegative")
+    kind, i, J = found
+    if kind == "a":
+        entry = t.a[i - 1][J - 1]
+        for stages, weight in chain_weights(t):
+            if stages[0] == i - 1 and entry * weight < 0:
+                return J - 1, list(stages), entry * weight
+    for j, weight in enumerate(t.b):
+        if weight < 0:
+            return j, [], weight
+    raise PreconditionError(
+        f"{t.name}: no sign-compatible chain from the negative entry "
+        f"to the output row was found"
+    )
 
 
 def _closed_negativity_witness(ps: PropagationSet):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .tableau import ButcherTableau
+from .tableau import ButcherTableau, chain_weights
 from .univariate import UniPoly, descend, min_first_negativity
 
 __all__ = [
@@ -79,14 +79,12 @@ def _min_bound(labeled: list[tuple[str, UniPoly]], tol: Fraction) -> BoundResult
 
 
 def stability_polynomial(t: ButcherTableau) -> UniPoly:
-    """phi(z) = 1 + sum_k (b . A^{k-1} e) z^k, the scalar-test-problem
-    amplification polynomial.  A is nilpotent, so the sum stops at m."""
-    m = t.m
-    vec = [Fraction(1)] * m  # A^{k-1} e, updated in place
-    coeffs = [Fraction(1)]
-    for _ in range(m):
-        coeffs.append(sum(bi * vi for bi, vi in zip(t.b, vec)))
-        vec = [sum(t.a[i][j] * vec[j] for j in range(m)) for i in range(m)]
+    """phi(z) = 1 + sum over stage chains of weight * z^(chain length), the
+    scalar-test-problem amplification polynomial: the z^k coefficient
+    b . A^(k-1) e is the sum of the weights of the k-stage chains."""
+    coeffs = [Fraction(1)] + [Fraction(0)] * t.m
+    for stages, weight in chain_weights(t):
+        coeffs[len(stages)] += weight
     return UniPoly.from_coeffs(coeffs)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .adversary import (first_step_counterexample, negative_entry_counterexample,
                         rk4_counterexample)
 from .bounds import radius_abs_monotonicity, ssp_coefficient, stability_polynomial
-from .errors import InputError, RkposError
+from .errors import InputError, PreconditionError, RkposError
 from .gamma import (compute_gamma, gamma_zero_test, region_scan, subset_bits,
                     sweep)
 from .molsim import (LIMITERS, MONITORS, SemiDiscreteProblem, advection,
@@ -188,6 +188,9 @@ def cmd_rphi(args, out) -> int:
 def cmd_adversary(args, out) -> int:
     if args.construction == "rk4":
         rep = rk4_counterexample(args.eps)
+    elif not (args.method or args.tableau_file):
+        raise InputError("adversary: --method or --tableau-file required "
+                         "unless --construction rk4")
     elif args.construction == "negative-entry":
         rep = negative_entry_counterexample(_method(args))
     else:  # first-step, witness from the zero test
@@ -195,8 +198,9 @@ def cmd_adversary(args, out) -> int:
         ps = generate(t, _stencil(args))
         w = gamma_zero_test(ps)
         if w is None:
-            print("no zero-gamma witness; gamma may be positive", file=sys.stderr)
-            return 2
+            raise PreconditionError(
+                f"{t.name}: gamma is positive, so there is no zero-gamma "
+                "witness for the first-step construction")
         bits = subset_bits(w.subset, len(ps.vars))
         point = {v: w.delta for v, b in zip(ps.vars, bits) if b == "1"}
         rep = first_step_counterexample(t, (w.offset, point), _stencil(args))
@@ -456,11 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "cmd", None) == "adversary" and \
-            args.construction != "rk4" and not (args.method or args.tableau_file):
-        print("adversary: --method or --tableau-file required unless "
-              "--construction rk4", file=sys.stderr)
-        return 2
     buf = io.StringIO()
     try:
         code = args.fn(args, buf)

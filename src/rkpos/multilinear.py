@@ -77,9 +77,6 @@ class MultilinearPoly:
     def n(self) -> int:
         return len(self.vars)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(0, Fraction(0))
-
     def eval(self, point: Mapping[VarTag, Fraction]) -> Fraction:
         """Exact evaluation; every variable of the polynomial needs a value."""
         vals = []

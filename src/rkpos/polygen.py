@@ -5,10 +5,13 @@ semi-discretization u_k' = q_k * (D u)_k / dx^p is
 
     u^{n+1}_k = sum_i P_i(xi) * u^n_{k-i},
 
-with multilinear P_i depending only on the tableau and the stencil.  We track,
-for each stage, a map {displacement d -> polynomial} representing the stage
-value as a combination of u^n_{k-d}, and push it through the stage recursion
-symbolically.
+with multilinear P_i depending only on the tableau and the stencil.  Expanding
+the stages, every non-constant term comes from a stage chain s1 < ... < sr and
+one stencil shift j_1 ... j_r per link: its coefficient is the chain's weight
+b_sr * a_{sr,s(r-1)} * ... * a_{s2,s1} times c_{j_1} * ... * c_{j_r}, it lands
+on displacement j_1 + ... + j_r, and stage s_k contributes the variable at
+offset -(j_{k+1} + ... + j_r).  `generate` is that sum; `generate_alt` builds
+the same polynomials from the Neumann expansion as an independent check.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import PreconditionError
 from .multilinear import MultilinearPoly, VarTag, canonical_order
-from .tableau import ButcherTableau
+from .tableau import ButcherTableau, chain_weights
 
 __all__ = [
     "StencilSpec",
@@ -91,9 +95,6 @@ class PropagationSet:
     def offsets(self) -> list[int]:
         return sorted(self.polys)
 
-    def poly(self, i: int) -> MultilinearPoly:
-        return self.polys[i]
-
 
 def _padd(dst: _Poly, src: _Poly, factor: Fraction) -> None:
     for tags, coeff in src.items():
@@ -155,27 +156,21 @@ def _finalize(
 
 
 def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
-    """Propagate the stage recursion symbolically and assemble the P_i."""
-    m = t.m
-    stage_ops: list[_LatticeOp] = []
-    for i in range(m):
-        op: _LatticeOp = {0: {frozenset(): Fraction(1)}}
-        for j in range(i):
-            if t.a[i][j] == 0:
-                continue
-            scaled = _apply_stencil(stage_ops[j], s)
-            var = VarTag(j + 1, 0)
-            for d, poly in scaled.items():
-                _padd(op.setdefault(d, {}), _mul_fresh_var(poly, var), t.a[i][j])
-        stage_ops.append(op)
+    """Assemble the P_i as the sum over stage chains and stencil shifts.
+
+    Each (chain, shifts) pair gives one monomial: the stages and their
+    offsets fix the chain and all shifts but the first, and the
+    displacement fixes the first, so no term is added twice.
+    """
     step: _LatticeOp = {0: {frozenset(): Fraction(1)}}
-    for i in range(m):
-        if t.b[i] == 0:
-            continue
-        scaled = _apply_stencil(stage_ops[i], s)
-        var = VarTag(i + 1, 0)
-        for d, poly in scaled.items():
-            _padd(step.setdefault(d, {}), _mul_fresh_var(poly, var), t.b[i])
+    for stages, weight in chain_weights(t):
+        for shifts in product(s.coeffs.items(), repeat=len(stages)):
+            tags, displacement, coeff = [], 0, weight
+            for stage, (j, c) in zip(reversed(stages), reversed(shifts)):
+                tags.append(VarTag(stage + 1, -displacement))
+                displacement += j
+                coeff *= c
+            step.setdefault(displacement, {})[frozenset(tags)] = coeff
     return _finalize(t, s, step)
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, ParameterDomainError
 
@@ -23,6 +24,7 @@ __all__ = [
     "rk4_classical",
     "forward_euler",
     "check_order",
+    "chain_weights",
     "tableau_to_json",
     "tableau_from_json",
     "parse_method",
@@ -98,6 +100,23 @@ class ButcherTableau:
                     reached.add(j)
                     frontier.append(j)
         return len(reached) == self.m
+
+
+def chain_weights(t: ButcherTableau) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """The nonzero weights b_sr * a_{sr,s(r-1)} * ... * a_{s2,s1} of stage chains.
+
+    Yields (stages, weight) with 0-based stages s1 < ... < sr, shortest
+    chains first, then in `itertools.combinations` order.  The weights of
+    the r-stage chains are the terms of b . A^(r-1) e, Butcher's
+    elementary weight of the tall tree with r vertices.
+    """
+    for r in range(1, t.m + 1):
+        for stages in combinations(range(t.m), r):
+            weight = t.b[stages[-1]]
+            for lo, hi in zip(stages, stages[1:]):
+                weight *= t.a[hi][lo]
+            if weight != 0:
+                yield stages, weight
 
 
 def _tableau(a_rows: Iterable[Iterable], b: Iterable, name: str) -> ButcherTableau:

@@ -7,7 +7,15 @@ from rkpos.adversary import (ScriptedQ, first_step_counterexample,
 from rkpos.errors import InputError, PreconditionError
 from rkpos.gamma import gamma_zero_test, subset_bits
 from rkpos.polygen import generate, upwind
-from rkpos.tableau import erk22, erk33_case3, forward_euler, rk4_classical
+from rkpos.tableau import (ButcherTableau, erk22, erk33_case3, forward_euler,
+                           rk4_classical)
+
+
+def lower_tableau(rows, b):
+    """Tableau from the strictly lower rows of A (row i holds i entries)."""
+    m = len(b)
+    a = tuple(tuple(F(x) for x in row) + (F(0),) * (m - len(row)) for row in rows)
+    return ButcherTableau(a=a, b=tuple(F(x) for x in b))
 
 
 def witness_point(ps, w):
@@ -89,6 +97,25 @@ def test_negative_entry_various_alphas():
         rep = negative_entry_counterexample(erk33_case3(a))
         assert rep.negative_value < 0
         assert rep.resimulate() == tuple(rep.u1)
+
+
+@pytest.mark.parametrize("rows, b, value, stages", [
+    # a31 = -1 cannot finish with b3 = 0, so the chain relays 3 -> 4.
+    ([[], [F(1, 3)], [-1, F(1, 3)], [F(1, 3), F(1, 2), F(1, 3)]],
+     (F(1, 2), F(1, 3), 0, F(1, 3)), F(-1, 9), [3, 4]),
+    # b2 = -1/6 has the wrong sign for a21 = -1; a32 * b3 = 1/9 has the right one.
+    ([[], [-1], [F(2, 3), F(2, 3)]], (F(1, 2), F(-1, 6), F(1, 6)),
+     F(-1, 9), [2, 3]),
+    # Both 2 -> 4 and 2 -> 3 -> 4 qualify; the shorter chain is taken.
+    ([[], [-1], [0, F(1, 2)], [0, F(1, 2), F(1, 2)]], (F(1, 2), 0, 0, F(1, 2)),
+     F(-1, 4), [2, 4]),
+], ids=["3-4", "2-3", "shortest"])
+def test_negative_entry_relay_chain(rows, b, value, stages):
+    rep = negative_entry_counterexample(lower_tableau(rows, b))
+    assert rep.negative_value == value
+    assert rep.description == \
+        f"negative entry in column 1; relay chain through stages {stages}"
+    assert rep.resimulate() == tuple(rep.u1)
 
 
 def test_negative_entry_requires_a_negative_entry():

@@ -39,6 +39,19 @@ def test_stability_polynomial_truncated_exponential():
         (F(1), F(1), F(1, 2), F(1, 6), F(1, 24))
 
 
+@settings(max_examples=60)
+@given(small_tableaux())
+def test_stability_polynomial_is_the_resolvent(t):
+    # phi(z) = 1 + z b^T (I - zA)^{-1} e, with y = (I - zA)^{-1} e solved
+    # by forward substitution.
+    phi = stability_polynomial(t)
+    for z in (F(-2), F(-1, 3), F(1, 2), F(3)):
+        y = []
+        for i in range(t.m):
+            y.append(1 + z * sum(t.a[i][j] * y[j] for j in range(i)))
+        assert phi(z) == 1 + z * sum(bi * yi for bi, yi in zip(t.b, y))
+
+
 def test_radius_closed_values():
     assert radius_abs_monotonicity(forward_euler()).exact == 1
     assert radius_abs_monotonicity(erk22(F(1))).exact == 1

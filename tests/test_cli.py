@@ -177,6 +177,8 @@ GENERIC6_TABLEAU = json.dumps({
     ["simulate", "--method", "erk22:1", "--monitors", "bogus"],
     ["gamma", "--tableau-file", "{float_tableau}"],
     ["gamma", "--tableau-file", "{generic6_tableau}", "--stencil", "heat"],
+    ["adversary"],
+    ["adversary", "--construction", "first-step", "--method", "erk22:1"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejected_input_exits_2(tmp_path, argv):
     files = {"float_tableau": FLOAT_TABLEAU, "generic6_tableau": GENERIC6_TABLEAU}

@@ -3,10 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 from rkpos.errors import InputError, ParameterDomainError
-from rkpos.tableau import (ButcherTableau, check_order, erk22, erk33_case1,
-                           erk33_case2, erk33_case3, forward_euler,
-                           make_family, parse_method, rk4_classical,
-                           tableau_from_json, tableau_to_json)
+from rkpos.tableau import (ButcherTableau, chain_weights, check_order, erk22,
+                           erk33_case1, erk33_case2, erk33_case3,
+                           forward_euler, make_family, parse_method,
+                           rk4_classical, tableau_from_json, tableau_to_json)
 
 ALL_METHODS = [
     forward_euler(),
@@ -22,6 +22,17 @@ ALL_METHODS = [
 def test_abscissae_are_row_sums():
     t = rk4_classical()
     assert t.c == (F(0), F(1, 2), F(1, 2), F(1))
+
+
+def test_rk4_chain_weights():
+    # Shortest chains first, then combinations order; zero-weight chains
+    # (through a31, a41, a42) are left out.
+    assert list(chain_weights(rk4_classical())) == [
+        ((0,), F(1, 6)), ((1,), F(1, 3)), ((2,), F(1, 3)), ((3,), F(1, 6)),
+        ((0, 1), F(1, 6)), ((1, 2), F(1, 6)), ((2, 3), F(1, 6)),
+        ((0, 1, 2), F(1, 12)), ((1, 2, 3), F(1, 12)),
+        ((0, 1, 2, 3), F(1, 24)),
+    ]
 
 
 def _order_ok(t, p):
