@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .tableau import ButcherTableau, chain_weights
+from .tableau import ButcherTableau
 from .univariate import UniPoly, descend, min_first_negativity
 
 __all__ = [
@@ -79,12 +79,17 @@ def _min_bound(labeled: list[tuple[str, UniPoly]], tol: Fraction) -> BoundResult
 
 
 def stability_polynomial(t: ButcherTableau) -> UniPoly:
-    """phi(z) = 1 + sum over stage chains of weight * z^(chain length), the
-    scalar-test-problem amplification polynomial: the z^k coefficient
-    b . A^(k-1) e is the sum of the weights of the k-stage chains."""
-    coeffs = [Fraction(1)] + [Fraction(0)] * t.m
-    for stages, weight in chain_weights(t):
-        coeffs[len(stages)] += weight
+    """phi(z) = 1 + sum_r (b . A^(r-1) e) z^r, the scalar-test-problem
+    amplification polynomial.  The z^r coefficient is the sum of the
+    weights of the r-stage chains; w_r[j], the sum over the r-stage chains
+    ending at stage j without the factor b_j, follows from w_1 = e and
+    w_r[j] = sum_{i<j} a_ji w_(r-1)[i], in O(m^3) operations."""
+    w = [Fraction(1)] * t.m
+    coeffs = [Fraction(1)]
+    for _ in range(t.m):
+        coeffs.append(sum((bj * wj for bj, wj in zip(t.b, w)), Fraction(0)))
+        w = [sum((t.a[j][i] * w[i] for i in range(j)), Fraction(0))
+             for j in range(t.m)]
     return UniPoly.from_coeffs(coeffs)
 
 

@@ -133,25 +133,22 @@ def _apply_stencil(op: _LatticeOp, stencil: StencilSpec) -> _LatticeOp:
     return out
 
 
-def _finalize(
-    t: ButcherTableau, s: StencilSpec, raw: _LatticeOp, check_consistency: bool = True
-) -> PropagationSet:
+def _finalize(t: ButcherTableau, s: StencilSpec, raw: _LatticeOp) -> PropagationSet:
     raw = {d: {k: v for k, v in poly.items() if v != 0} for d, poly in raw.items()}
     raw = {d: poly for d, poly in raw.items() if poly}
     tags = canonical_order(tag for poly in raw.values() for tags in poly for tag in tags)
     polys = {d: MultilinearPoly.from_tag_terms(tags, poly) for d, poly in raw.items()}
-    if check_consistency:
-        total: _Poly = {}
-        for poly in raw.values():
-            _padd(total, poly, Fraction(1))
-        if total != {frozenset(): Fraction(1)}:
-            if s.is_consistent():
-                raise AssertionError("propagation polynomials do not sum to 1")
-            warnings.warn(
-                "sum of propagation polynomials is not 1: the stencil is not "
-                "consistent (sum of coefficients nonzero)",
-                stacklevel=3,
-            )
+    total: _Poly = {}
+    for poly in raw.values():
+        _padd(total, poly, Fraction(1))
+    if total != {frozenset(): Fraction(1)}:
+        if s.is_consistent():
+            raise AssertionError("propagation polynomials do not sum to 1")
+        warnings.warn(
+            "sum of propagation polynomials is not 1: the stencil is not "
+            "consistent (sum of coefficients nonzero)",
+            stacklevel=3,
+        )
     return PropagationSet(tableau=t, stencil=s, vars=tags, polys=polys)
 
 

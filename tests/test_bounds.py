@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from rkpos.bounds import (radius_abs_monotonicity, ssp_coefficient,
                           ssp_feasible, stability_polynomial)
 from rkpos.gamma import compute_gamma
-from rkpos.tableau import (erk22, erk33_case1, erk33_case2, erk33_case3,
-                           forward_euler, rk4_classical)
+from rkpos.tableau import (ButcherTableau, erk22, erk33_case1, erk33_case2,
+                           erk33_case3, forward_euler, rk4_classical)
 
 from strategies import small_tableaux
 
@@ -39,8 +39,17 @@ def test_stability_polynomial_truncated_exponential():
         (F(1), F(1), F(1, 2), F(1, 6), F(1, 24))
 
 
+def _dense(m):
+    """The criterion-12 generic tableau a_ij = 1/(2+i+j), b = 1/m."""
+    return ButcherTableau(
+        a=tuple(tuple(F(1, 2 + i + j) if j < i else F(0) for j in range(m))
+                for i in range(m)),
+        b=(F(1, m),) * m)
+
+
 @settings(max_examples=60)
 @given(small_tableaux())
+@example(_dense(20))  # 2^20 - 1 chains: quick only when summed by stage
 def test_stability_polynomial_is_the_resolvent(t):
     # phi(z) = 1 + z b^T (I - zA)^{-1} e, with y = (I - zA)^{-1} e solved
     # by forward substitution.

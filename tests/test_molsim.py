@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import warnings
 from fractions import Fraction as F
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rkpos.errors import InputError, LimiterContractError, PreconditionError
-from rkpos.molsim import (LIMITERS, SemiDiscreteProblem, advection,
-                          conservation_law, constant_q, erk_step, heat_q,
-                          koren, max_step, mc, minmod, psi, q_advection, run,
-                          scripted, tau0)
+from rkpos.molsim import (LIMITERS, Limiter, RationalArray,
+                          SemiDiscreteProblem, advection, conservation_law,
+                          constant_q, erk_step, heat_q, koren, max_step, mc,
+                          minmod, psi, q_advection, run, scripted, tau0)
 from rkpos.polygen import centered, generate, heat, upwind
 from rkpos.tableau import erk22, erk33_case1, erk33_case2, forward_euler, rk4_classical
 
@@ -235,7 +236,7 @@ def _hexdigest(values):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _golden_cases():
+def _golden_problems():
     n = 32
     u0 = tuple(F((7 * k * k + 3 * k) % 17, 16) for k in range(n))
     kappa = [F(1 + k % 5, 4) for k in range(n)]
@@ -249,7 +250,12 @@ def _golden_cases():
     }
     for name, (stencil, provider, t, cfl) in problems.items():
         p = SemiDiscreteProblem(n, F(1, n), stencil, provider, u0)
-        yield name, p, t, float(tau0(p) * cfl)
+        yield name, p, t, tau0(p) * cfl
+
+
+def _golden_cases():
+    for name, p, t, dt in _golden_problems():
+        yield name, p, t, float(dt)
 
 
 GOLDEN = {
@@ -278,6 +284,48 @@ def test_float_mode_is_pinned(name, p, t, dt):
     if violation is not None:
         violation = violation[:2] + (float.hex(violation[2]), violation[3])
     assert (violation, *map(_hexdigest, fields)) == GOLDEN[name]
+
+
+# --- rational mode, pinned --------------------------------------------------
+#
+# str() digests of exact runs at the exact certified step, recorded with the
+# object-array-of-Fractions kernel that preceded the numerator/denominator
+# one.  Burgers' q grows with the state, so its denominators quadruple per
+# step and the sixth step passes _RATIONAL_BIT_LIMIT: it is pinned at 5.
+
+
+def _strdigest(values):
+    return hashlib.sha256(";".join(map(str, values)).encode()).hexdigest()[:16]
+
+
+RATIONAL_STEPS = {"burgers": 5}
+GOLDEN_RATIONAL = {
+    "minmod-upwind": (None, "340aac7d439ab888", "a43b1a5fa23b8edd",
+                      "869d56650f89f009", "7b10b85e62063c3e"),
+    "koren-upwind": (None, "0510b6664e6fb61e", "1ce3e6942f57a7b4",
+                     "bbae1d0bae82b603", "9e285db07614e059"),
+    "heat": ((1, 19, "8dcb471cb4ad4818", "positivity"), "a3f2e54fcdde7fe7",
+             "88d541db7acdc6fd", "b25ec63000e28c64", "923fbb0190fded04"),
+    "constant-centered": ((1, 0, "2a59a4b8b3bb71b4", "positivity"),
+                          "e94513bed4282879", "8cd5c8f9accc56c8",
+                          "724def2c3dad991b", "6efbed8890ff8c8c"),
+    "burgers": (None, "cd7cab398b73d715", "d7f77606675c23a5",
+                "a38712541eb52054", "c361dbfc4adcf66f"),
+}
+
+
+@pytest.mark.parametrize("name, p, t, dt", list(_golden_problems()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_rational_mode_is_pinned(name, p, t, dt):
+    steps = RATIONAL_STEPS.get(name, 20)
+    rep = run(p, t, dt, steps, mode="rational", stop_on_violation=False)
+    fields = (rep.final_state, rep.mins, rep.maxs, rep.tvs)
+    assert rep.mode == "rational" and rep.steps_run == steps
+    assert all(isinstance(v, (F, int)) for values in fields for v in values)
+    violation = rep.first_violation
+    if violation is not None:
+        violation = violation[:2] + (_strdigest([violation[2]]), violation[3])
+    assert (violation, *map(_strdigest, fields)) == GOLDEN_RATIONAL[name]
 
 
 # --- the array q against its per-cell definition ----------------------------
@@ -366,3 +414,103 @@ def test_float_run_tracks_rational_run(u, limiter):
     assert exact.mode == "rational" and approx.mode == "float"
     assert all(abs(x - float(y)) <= 1e-12
                for x, y in zip(approx.final_state, exact.final_state))
+
+
+@settings(max_examples=30)
+@given(GRIDS)
+@example((F(1), F(1), F(0), F(1, 2), F(1, 2), F(2)))  # plateaus: d = 0
+def test_scalar_psi_limiter_matches_minmod(u):
+    # psi_array=None sends theta through psi_fn cell by cell, as Fractions
+    # in exact arithmetic and as floats in float.
+    seen = set()
+
+    def psi_fn(theta):
+        seen.add(type(theta))
+        return minmod.psi_fn(theta)
+
+    scalar = Limiter("minmod-scalar", psi_fn, mu=minmod.mu,
+                     ratio_at_zero=minmod.ratio_at_zero,
+                     psi_at_plus_inf=minmod.psi_at_plus_inf,
+                     psi_at_minus_inf=minmod.psi_at_minus_inf)
+    for data, kind in ((u, F), (tuple(float(v) for v in u), float)):
+        seen.clear()
+        q = q_advection(data, F(0), F(3, 2), scalar)
+        assert seen == {kind}
+        assert q.dtype == q_advection(data, F(0), F(3, 2), minmod).dtype
+        assert q.tolist() == q_advection(data, F(0), F(3, 2), minmod).tolist()
+    n = len(u)
+    for mode, dt in (("rational", F(1, 4 * n)), ("float", 1 / (4 * n))):
+        reports = [run(SemiDiscreteProblem(n, F(1, n), upwind,
+                                           advection(F(1), lim), u),
+                       erk22(F(1)), dt, 4, mode=mode, stop_on_violation=False)
+                   for lim in (scalar, minmod)]
+        fields = [(r.final_state, r.mins, r.maxs, r.tvs, r.first_violation)
+                  for r in reports]
+        assert fields[0] == fields[1]
+
+
+class _Tabled:
+    """A provider from outside molsim that only understands Fractions."""
+
+    def q(self, u, t):
+        assert u.dtype == object and all(type(v) is F for v in u)
+        return [F(k % 3, 2) for k in range(len(u))]
+
+
+def test_outside_provider_sees_fractions():
+    u0 = (F(0), F(1, 2), F(1), F(1, 4))
+    table = {(k, tm): F(k % 3, 2) for k in range(4) for tm in (F(0), F(1, 8))}
+    inside, outside = (erk_step(SemiDiscreteProblem(4, F(1), upwind, q, u0),
+                                erk22(F(1)), F(1, 8), u0)
+                       for q in (scripted(table), _Tabled()))
+    assert inside == outside
+    assert all(type(v) is F for v in outside.u_next)
+
+
+def test_run_rejects_inexact_rational_input():
+    p = SemiDiscreteProblem(4, F(1), upwind, constant_q(F(1)), (F(1),) * 4)
+    with pytest.raises(InputError, match="rational mode"):
+        run(p, erk22(F(1)), 0.5, 2, mode="rational")
+    q = SemiDiscreteProblem(4, F(1), upwind, constant_q(F(1)), (1.0,) * 4)
+    with pytest.raises(InputError, match="rational mode"):
+        run(q, erk22(F(1)), F(1, 2), 2, mode="rational")
+    with pytest.raises(InputError, match="unknown mode"):
+        run(p, erk22(F(1)), F(1, 2), 2, mode="exact")
+
+
+EXACT = st.fractions(min_value=-50, max_value=50, max_denominator=2**70)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(EXACT, EXACT.filter(lambda v: v != 0)),
+                min_size=1, max_size=6), EXACT)
+def test_rational_array_matches_fractions(pairs, c):
+    # Every operation agrees with Fraction cell by cell and stays in lowest
+    # terms with a positive denominator.
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    x, y = RationalArray.of(xs), RationalArray.of(ys)
+    results = {
+        "add": (x + y, [a + b for a, b in zip(xs, ys)]),
+        "sub": (x - y, [a - b for a, b in zip(xs, ys)]),
+        "mul": (x * y, [a * b for a, b in zip(xs, ys)]),
+        "div": (x / y, [a / b for a, b in zip(xs, ys)]),
+        "scalar": (c - x * c / 2 + 1, [c - a * c / 2 + 1 for a in xs]),
+        "max": (np.maximum(x, c), [max(a, c) for a in xs]),
+        "min": (np.minimum(0, y), [min(0, b) for b in ys]),
+        "abs": (np.abs(-x), [abs(a) for a in xs]),
+        "roll": (np.roll(x, 1), xs[-1:] + xs[:-1]),
+        "where": (np.where(x < y, x, c),
+                  [a if a < b else c for a, b in zip(xs, ys)]),
+    }
+    for name, (got, expect) in results.items():
+        assert got.tolist() == expect, name
+        assert all(type(v) is F for v in got.tolist()), name
+        assert all(d > 0 and math.gcd(n, d) == 1
+                   for n, d in zip(got.num.tolist(), got.den.tolist())), name
+    assert (x <= c).tolist() == [a <= c for a in xs]
+    assert (x != y).tolist() == [a != b for a, b in zip(xs, ys)]
+    assert x.sum() == sum(xs) and x[-1] == xs[-1]
+    with pytest.raises(ZeroDivisionError):
+        y / (x - x)
+    with pytest.raises(TypeError):
+        x + 0.5
