@@ -27,7 +27,11 @@ __all__ = ["main"]
 
 
 def _frac(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(
+            f"zero denominator in {text!r}") from None
 
 
 # 10**600 has fewer digits than the lowest int-to-str limit Python allows
@@ -76,8 +80,12 @@ def _emit(rows: list[dict], header: list[str], fmt: str, out) -> None:
 
 def _method(args):
     if getattr(args, "tableau_file", None):
-        with open(args.tableau_file, encoding="utf-8") as fh:
-            return tableau_from_json(fh.read())
+        try:
+            with open(args.tableau_file, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read tableau file: {exc}") from exc
+        return tableau_from_json(text)
     return parse_method(args.method)
 
 

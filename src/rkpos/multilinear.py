@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -122,11 +122,15 @@ class MultilinearPoly:
         """All vertex polynomials at once, as scaled-integer coefficient rows.
 
         Returns (scale, table) where table has shape (maxdeg + 1, 2**n) and
-        table[d, S] * / scale is the degree-d coefficient of g_S.  Computed by
-        a per-degree zeta (subset-sum) transform: O(2**n * n) adds instead of
-        the naive O(4**n).  Entries are exact: int64 when the magnitude bound
-        allows, arbitrary-precision objects otherwise.  CapacityError is
-        raised before allocation when the table exceeds TABLE_BYTES.
+        table[d, S] / scale is the degree-d coefficient of g_S.  `scale` is
+        the lcm of the coefficient denominators, so each term enters as the
+        integer numerator * (scale // denominator), computed once and used
+        both for the magnitude bound and for the fill.  A per-degree zeta
+        (subset-sum) transform then sums the terms below each vertex:
+        O(2**n * n) adds instead of the naive O(4**n).  Entries are exact:
+        int64 when the magnitude bound allows, arbitrary-precision objects
+        otherwise.  CapacityError is raised before allocation when the
+        table exceeds TABLE_BYTES.
         """
         n = self.n
         nbytes = self.table_bytes()
@@ -135,15 +139,15 @@ class MultilinearPoly:
                 f"the vertex table over {n} variables needs {nbytes} bytes, "
                 f"over the {TABLE_BYTES}-byte budget"
             )
-        scale = 1
-        for coeff in self.terms.values():
-            scale = scale * coeff.denominator // gcd(scale, coeff.denominator)
+        scale = lcm(*[c.denominator for c in self.terms.values()])
+        numerators = {code: c.numerator * (scale // c.denominator)
+                      for code, c in self.terms.items()}
         maxdeg = max((c.bit_count() for c in self.terms), default=0)
-        magnitude = sum(abs(int(c * scale)) for c in self.terms.values())
+        magnitude = sum(abs(v) for v in numerators.values())
         dtype = np.int64 if magnitude < 2**62 else object
         table = np.zeros((maxdeg + 1, 1 << n), dtype=dtype)
-        for code, coeff in self.terms.items():
-            table[code.bit_count(), code] = int(coeff * scale)
+        for code, v in numerators.items():
+            table[code.bit_count(), code] = v
         shaped = table.reshape((maxdeg + 1,) + (2,) * n)
         for axis in range(1, n + 1):
             index_hi = [slice(None)] * (n + 1)

@@ -140,8 +140,9 @@ def _finalize(t: ButcherTableau, s: StencilSpec, raw: _LatticeOp) -> Propagation
     polys = {d: MultilinearPoly.from_tag_terms(tags, poly) for d, poly in raw.items()}
     total: _Poly = {}
     for poly in raw.values():
-        _padd(total, poly, Fraction(1))
-    if total != {frozenset(): Fraction(1)}:
+        for monomial, coeff in poly.items():
+            total[monomial] = total.get(monomial, 0) + coeff
+    if {m: c for m, c in total.items() if c} != {frozenset(): 1}:
         if s.is_consistent():
             raise AssertionError("propagation polynomials do not sum to 1")
         warnings.warn(

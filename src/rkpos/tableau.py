@@ -277,7 +277,7 @@ def tableau_from_json(text: str) -> ButcherTableau:
         b = [Fraction(x) for x in obj["b"]]
         if obj["m"] != len(b):
             raise InputError("field 'm' disagrees with len(b)")
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"malformed tableau file: {exc}") from exc
     return _tableau(a, b, "from-file")
 
@@ -295,7 +295,10 @@ def parse_method(text: str) -> ButcherTableau:
         return _SHORTHAND[text]()
     if ":" in text:
         head, _, tail = text.partition(":")
-        params = [Fraction(part) for part in tail.split(",") if part]
+        try:
+            params = [Fraction(part) for part in tail.split(",") if part]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad parameter in method {text!r}: {exc}") from exc
         kinds = {
             "erk22": "ERK22",
             "erk33c1": "ERK33_CaseI",

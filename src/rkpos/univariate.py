@@ -3,13 +3,19 @@
 Houses the vertex-restriction polynomials g_S(delta) and the machinery for
 locating the first point on (0, oo) where such a polynomial turns negative:
 Sturm-chain root counting, sign-variation bisection, and rational-root
-snapping.  No floating point anywhere.
+snapping.  The search needs only signs: each polynomial it evaluates is
+scaled once to integer coefficients, and its sign at num/den is that of
+the integer den**deg * p(num/den), computed by homogeneous Horner.  The
+bisection that narrows a bracket to `tol` runs on integer numerators over
+one shared denominator and builds Fractions only for the `Cut` it
+returns.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from .errors import InputError
@@ -91,12 +97,35 @@ def _sturm_chain(p: UniPoly) -> list[UniPoly]:
     return chain[:-1]
 
 
-def _variations(chain: list[UniPoly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = p(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _integer_multiple(coeffs: Sequence[Fraction]) -> list[int]:
+    """Coprime integer coefficients of a positive multiple of the polynomial.
+
+    The multiple has the polynomial's sign at every point.  `coeffs` must
+    not be all zero.
+    """
+    scale = lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _sign(ints: Sequence[int], num: int, den: int) -> int:
+    """Sign (-1, 0 or 1) of p(num / den) for den > 0; ints[d] is p's degree-d
+    coefficient.
+
+    Homogeneous Horner computes sum_d ints[d] * num**d * den**(deg - d),
+    which is den**deg * p(num / den) and so has the same sign.
+    """
+    acc = ints[-1]
+    power = 1
+    for c in reversed(ints[:-1]):
+        power *= den
+        acc = acc * num + c * power
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    signs = [s for s in (_sign(p, x.numerator, x.denominator) for p in chain) if s]
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
@@ -125,17 +154,29 @@ def _squarefree(p: UniPoly) -> UniPoly:
 def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """The rational with smallest denominator in the open interval (lo, hi).
 
-    Stern-Brocot descent; requires 0 <= lo < hi.
+    Stern-Brocot descent on integer numerators and denominators; requires
+    0 <= lo < hi.  Each level splits off the whole part w of the interval
+    (a/b, c/d), answers w + 1 if that lies inside, and otherwise recurses
+    on the reciprocal of the fractional parts, (d/c, b/a).
     """
-    whole = lo.numerator // lo.denominator
-    if Fraction(whole + 1) < hi:
-        return Fraction(whole + 1)
-    frac_lo = lo - whole
-    frac_hi = hi - whole
-    if frac_lo == 0:
-        # (0, frac_hi): 1/n for the smallest n with 1/n < frac_hi.
-        return whole + Fraction(1, frac_hi.denominator // frac_hi.numerator + 1)
-    return whole + 1 / _simplest_between(1 / frac_hi, 1 / frac_lo)
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    wholes = []
+    while True:
+        whole = a // b
+        if (whole + 1) * d < c:
+            num, den = whole + 1, 1
+            break
+        a, c = a - whole * b, c - whole * d
+        if a == 0:
+            # (0, c/d): 1/k for the smallest k with 1/k < c/d.
+            k = d // c + 1
+            num, den = whole * k + 1, k
+            break
+        wholes.append(whole)
+        a, b, c, d = d, c, b, a
+    for whole in reversed(wholes):
+        num, den = whole * num + den, num
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -182,7 +223,8 @@ def first_negative_cut(p: UniPoly, tol: Fraction = Fraction(1, 2**40)) -> Option
     if all(c >= 0 for c in h.coeffs):
         return None
     hs = _squarefree(h)
-    chain = _sturm_chain(hs)
+    chain = [_integer_multiple(q.coeffs) for q in _sturm_chain(hs)]
+    h_ints, hs_ints = _integer_multiple(h.coeffs), chain[0]
     lead = h.coeffs[-1]
     bound = 1 + max(abs(c / lead) for c in h.coeffs)  # all real roots < bound
 
@@ -192,26 +234,34 @@ def first_negative_cut(p: UniPoly, tol: Fraction = Fraction(1, 2**40)) -> Option
 
     def nonroot_between(a: Fraction, b: Fraction) -> Fraction:
         t = (a + b) / 2
-        while hs(t) == 0:
+        while _sign(hs_ints, t.numerator, t.denominator) == 0:
             t = (a + t) / 2
         return t
 
     def refine_bracket(a: Fraction, neg: Fraction) -> Cut:
-        # Single root of h in (a, neg); h(a) > 0, h(neg) < 0.
-        while neg - a > tol:
-            mid = (a + neg) / 2
-            v = h(mid)
-            if v == 0:
-                return Cut(exact=mid, lo=mid, hi=mid)
-            if v < 0:
-                neg = mid
+        # Single root of h in (a, neg); h(a) > 0, h(neg) < 0.  The bracket
+        # is (lo / den, hi / den) with den = q * 2**j, q the lcm of the
+        # ends' denominators; halving it doubles den and keeps hi - lo.
+        den = lcm(a.denominator, neg.denominator)
+        lo = a.numerator * (den // a.denominator)
+        hi = neg.numerator * (den // neg.denominator)
+        while (hi - lo) * tol.denominator > tol.numerator * den:
+            mid = lo + hi
+            den *= 2
+            sign = _sign(h_ints, mid, den)
+            if sign == 0:
+                root = Fraction(mid, den)
+                return Cut(exact=root, lo=root, hi=root)
+            if sign < 0:
+                lo, hi = 2 * lo, mid
             else:
-                a = mid
+                lo, hi = mid, 2 * hi
+        a, neg = Fraction(lo, den), Fraction(hi, den)
         # A rational root with modest denominator is the simplest rational
         # in a tight enough bracket; accept the candidate only if it is
         # genuinely a root.
         cand = _simplest_between(a, neg)
-        if h(cand) == 0:
+        if _sign(h_ints, cand.numerator, cand.denominator) == 0:
             return Cut(exact=cand, lo=cand, hi=cand)
         return Cut(exact=None, lo=a, hi=neg)
 
@@ -219,13 +269,12 @@ def first_negative_cut(p: UniPoly, tol: Fraction = Fraction(1, 2**40)) -> Option
         # Exactly one distinct root r of h in (a, b); h(a) > 0, endpoints non-roots.
         while True:
             mid = (a + b) / 2
-            if hs(mid) == 0:
+            if _sign(hs_ints, mid.numerator, mid.denominator) == 0:
                 after = nonroot_between(mid, b)
-                if h(after) < 0:
+                if _sign(h_ints, after.numerator, after.denominator) < 0:
                     return Cut(exact=mid, lo=mid, hi=mid)
                 return None  # touches zero, stays nonnegative
-            v = h(mid)
-            if v < 0:
+            if _sign(h_ints, mid.numerator, mid.denominator) < 0:
                 return refine_bracket(a, mid)
             if nroots(a, mid) == 1:
                 # Root lies left of mid with h(mid) > 0: an even touch.

@@ -156,6 +156,7 @@ def test_error_exit_code(capsys):
 
 
 FLOAT_TABLEAU = '{"m": 2, "A": [[0, 0], [0.1, 0]], "b": ["1/2", "1/2"]}'
+ZERO_DEN_TABLEAU = '{"m": 1, "A": [["0"]], "b": ["1/0"]}'
 # The generic 6-stage tableau a_ij = 1/(2+i+j), b = 1/6.  Its heat-stencil
 # vertex tables need 2.4 GB, over the byte budget.
 GENERIC6_TABLEAU = json.dumps({
@@ -179,13 +180,25 @@ GENERIC6_TABLEAU = json.dumps({
     ["gamma", "--tableau-file", "{generic6_tableau}", "--stencil", "heat"],
     ["adversary"],
     ["adversary", "--construction", "first-step", "--method", "erk22:1"],
+    ["gamma", "--method", "erk22:1", "--tol", "1/0"],
+    ["sweep", "--family", "ERK22", "--lo", "0/0", "--hi", "1", "--step", "1/4"],
+    ["gamma", "--method", "erk22:1/0"],
+    ["gamma", "--method", "erk22:abc"],
+    ["gamma", "--tableau-file", "{zero_den_tableau}"],
+    ["gamma", "--tableau-file", "{missing}"],
+    ["gamma", "--tableau-file", "{directory}"],
+    ["gamma", "--tableau-file", "{binary}"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejected_input_exits_2(tmp_path, argv):
-    files = {"float_tableau": FLOAT_TABLEAU, "generic6_tableau": GENERIC6_TABLEAU}
+    files = {"float_tableau": FLOAT_TABLEAU, "generic6_tableau": GENERIC6_TABLEAU,
+             "zero_den_tableau": ZERO_DEN_TABLEAU}
+    paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, text in files.items():
-        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
-    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files})
-            for a in argv]
+        paths[name].write_text(text, encoding="utf-8")
+    paths.update(missing=tmp_path / "missing.json", directory=tmp_path,
+                 binary=tmp_path / "binary.json")
+    paths["binary"].write_bytes(b"\xff\xfe")
+    argv = [a.format(**paths) for a in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

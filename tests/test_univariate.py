@@ -1,13 +1,18 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rkpos.univariate import (DESCENT_LIMIT, Cut, UniPoly, descend,
                               first_negative_cut)
-from rkpos.univariate import _simplest_between
+from rkpos.univariate import _integer_multiple, _sign, _simplest_between
 
 TOL = F(1, 2 ** 40)
+
+RATIONALS = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                         max_denominator=10 ** 6)
 
 
 def P(*coeffs):
@@ -58,22 +63,23 @@ def test_leading_negative_zero_coeff_rejected():
         first_negative_cut(P(0, -1))
 
 
+def _mul(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def test_random_products_of_linear_factors():
     rng = random.Random(7)
     for _ in range(25):
         roots = sorted(F(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(3))
         # p = prod (r - x): positive at 0, first sign change at the
         # smallest odd-multiplicity root
-        def mul(p, q):
-            out = [F(0)] * (len(p) + len(q) - 1)
-            for i, a in enumerate(p):
-                for j, b in enumerate(q):
-                    out[i + j] += a * b
-            return out
-
         poly = [F(1)]
         for r in roots:
-            poly = mul(poly, [r, F(-1)])
+            poly = _mul(poly, [r, F(-1)])
         cut = first_negative_cut(UniPoly.from_coeffs(poly))
         odd_roots = []
         for r in set(roots):
@@ -83,6 +89,59 @@ def test_random_products_of_linear_factors():
             assert cut.exact == min(odd_roots)
         else:
             assert cut is None
+
+
+@given(st.lists(RATIONALS, min_size=1, max_size=7).filter(any), RATIONALS,
+       st.lists(RATIONALS, max_size=3))
+def test_integer_sign_matches_exact_value(coeffs, x, roots):
+    # Roots are multiplied in as (x - r) factors, so x = r is an exact zero.
+    for r in roots:
+        coeffs = _mul(coeffs, [-r, F(1)])
+    p = UniPoly.from_coeffs(coeffs)
+    ints = _integer_multiple(p.coeffs)
+    for point in [x, *roots]:
+        value = p(point)
+        assert _sign(ints, point.numerator, point.denominator) == (
+            (value > 0) - (value < 0))
+
+
+def _pinned_corpus():
+    """Seeded polynomials, positive right of 0, with rational roots (some
+    doubled), irrational roots of irreducible quadratics, or no root."""
+    rng = random.Random(20261018)
+    for _ in range(60):
+        factors = [[F(rng.randint(1, 40), rng.randint(1, 12)), F(-1)]
+                   for _ in range(rng.randint(0, 3))]
+        if factors and rng.random() < 0.4:
+            factors.append(factors[0])  # a doubled root
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.5:  # c - x^2: irrational root unless c is a square
+                c = F(rng.choice([2, 3, 5, 6, 7, 10, 11]) * rng.randint(1, 5) ** 2,
+                      rng.randint(1, 9))
+                factors.append([c, F(0), F(-1)])
+            else:  # x^2 + b x + c with b^2 < 4c: no real root
+                b = F(rng.randint(-6, 6), rng.randint(1, 4))
+                factors.append([b * b / 4 + F(rng.randint(1, 9), rng.randint(1, 9)),
+                                b, F(1)])
+        poly = [F(0)] * rng.randint(0, 2) + [F(rng.randint(1, 9), rng.randint(1, 9))]
+        for factor in factors:
+            poly = _mul(poly, factor)
+        yield UniPoly.from_coeffs(poly)
+
+
+# Digest of the corpus cuts, recorded with the Fraction-arithmetic search
+# that preceded integer sign evaluation: 101 exact, 49 interval, 30 none.
+PINNED_CUTS = "dc1eeb41b36eb15da9f57e9668153ab1adeeaaacdf3cc968cac04f72bfe0c524"
+
+
+def test_first_negative_cut_is_pinned():
+    hasher = hashlib.sha256()
+    for poly in _pinned_corpus():
+        for tol in (F(1, 2 ** 4), F(1, 2 ** 10), F(1, 2 ** 40)):
+            cut = first_negative_cut(poly, tol)
+            key = None if cut is None else (cut.exact, cut.lo, cut.hi)
+            hasher.update(repr(key).encode())
+    assert hasher.hexdigest() == PINNED_CUTS
 
 
 def test_simplest_between():
