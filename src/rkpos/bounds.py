@@ -123,11 +123,15 @@ def _k_matrix(t: ButcherTableau) -> list[list[Fraction]]:
 
 
 def _mat_mul(x, y):
+    # K (A with the row b below it) and its powers are strictly lower
+    # triangular, so most x[i][k] are 0: skip them.
     n = len(x)
-    return [
-        [sum(x[i][t_] * y[t_][j] for t_ in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    out = []
+    for row in x:
+        nonzero = [(k, v) for k, v in enumerate(row) if v]
+        out.append([sum((v * y[k][j] for k, v in nonzero), Fraction(0))
+                    for j in range(n)])
+    return out
 
 
 def _constraint_polys(t: ButcherTableau) -> list[tuple[str, UniPoly]]:

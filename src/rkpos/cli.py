@@ -466,8 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built once per process: parse_args starts every call from a fresh
+# Namespace, so one parser serves any number of `main` calls.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     buf = io.StringIO()
     try:
         code = args.fn(args, buf)

@@ -594,12 +594,13 @@ def erk_step(
     increments = []
     stages = []
     xis = []
+    abscissae = t.c
     for j in range(t.m):
         y = u
         for l in range(j):
             if t.a[j][l] != 0:
                 y = y + num(t.a[j][l]) * increments[l]
-        xi = dtn * _provider_q(p.q_provider, y, t0 + t.c[j] * dt) / scale
+        xi = dtn * _provider_q(p.q_provider, y, t0 + abscissae[j] * dt) / scale
         # (S y)_k = sum_o c_o y_{k-o}
         sy = sum(c * np.roll(y, o) for o, c in coeffs)
         increments.append(xi * sy)

@@ -10,8 +10,9 @@ the stages, every non-constant term comes from a stage chain s1 < ... < sr and
 one stencil shift j_1 ... j_r per link: its coefficient is the chain's weight
 b_sr * a_{sr,s(r-1)} * ... * a_{s2,s1} times c_{j_1} * ... * c_{j_r}, it lands
 on displacement j_1 + ... + j_r, and stage s_k contributes the variable at
-offset -(j_{k+1} + ... + j_r).  `generate` is that sum; `generate_alt` builds
-the same polynomials from the Neumann expansion as an independent check.
+offset -(j_{k+1} + ... + j_r).  `generate` writes that sum straight as subset
+codes from the chain weights and stencil-shift rows; `generate_alt` builds the
+same polynomials from the Neumann expansion as an independent check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import PreconditionError
 from .multilinear import MultilinearPoly, VarTag, canonical_order
@@ -37,8 +37,7 @@ __all__ = [
     "x_labels",
 ]
 
-# Internal representation during propagation: polynomial as a map
-# {frozenset of VarTag -> Fraction}; lattice operator as {displacement -> poly}.
+# generate_alt's polynomials {frozenset of VarTag -> Fraction} and operators {d -> poly}.
 _Poly = dict[frozenset, Fraction]
 _LatticeOp = dict[int, _Poly]
 
@@ -133,43 +132,54 @@ def _apply_stencil(op: _LatticeOp, stencil: StencilSpec) -> _LatticeOp:
     return out
 
 
-def _finalize(t: ButcherTableau, s: StencilSpec, raw: _LatticeOp) -> PropagationSet:
-    raw = {d: {k: v for k, v in poly.items() if v != 0} for d, poly in raw.items()}
-    raw = {d: poly for d, poly in raw.items() if poly}
-    tags = canonical_order(tag for poly in raw.values() for tags in poly for tag in tags)
-    polys = {d: MultilinearPoly.from_tag_terms(tags, poly) for d, poly in raw.items()}
-    total: _Poly = {}
-    for poly in raw.values():
-        for monomial, coeff in poly.items():
-            total[monomial] = total.get(monomial, 0) + coeff
-    if {m: c for m, c in total.items() if c} != {frozenset(): 1}:
+def _check_unity(s: StencilSpec, polys, stacklevel: int = 3) -> None:
+    """Check Sum_i P_i = 1 on codes; an inconsistent custom stencil only warns."""
+    total: dict[int, Fraction] = {}
+    for code, coeff in (item for terms in polys for item in terms.items()):
+        total[code] = total.get(code, 0) + coeff
+    if {code: c for code, c in total.items() if c} != {0: 1}:
         if s.is_consistent():
             raise AssertionError("propagation polynomials do not sum to 1")
-        warnings.warn(
-            "sum of propagation polynomials is not 1: the stencil is not "
-            "consistent (sum of coefficients nonzero)",
-            stacklevel=3,
-        )
+        warnings.warn("sum of propagation polynomials is not 1: the stencil is not "
+                      "consistent (sum of coefficients nonzero)", stacklevel=stacklevel)
+
+
+def _finalize(t: ButcherTableau, s: StencilSpec, raw: _LatticeOp) -> PropagationSet:
+    tags = canonical_order(tag for poly in raw.values() for tags in poly for tag in tags)
+    polys = {d: MultilinearPoly.from_tag_terms(tags, p) for d, p in raw.items() if p}
+    _check_unity(s, [p.terms for p in polys.values()], stacklevel=4)
     return PropagationSet(tableau=t, stencil=s, vars=tags, polys=polys)
 
 
 def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
     """Assemble the P_i as the sum over stage chains and stencil shifts.
 
-    Each (chain, shifts) pair gives one monomial: the stages and their
-    offsets fix the chain and all shifts but the first, and the
-    displacement fixes the first, so no term is added twice.
+    The shift rows of length r, (stage offsets, last stage first;
+    displacement; product of stencil constants), extend those of length
+    r - 1 by a leading shift, so the k-th stage from a chain's end takes
+    the offsets that end the rows of length k.  A (chain, row) pair is one
+    monomial: the stages and offsets fix all shifts but the first, and the
+    displacement the first, so no subset code repeats (checked).
     """
-    step: _LatticeOp = {0: {frozenset(): Fraction(1)}}
-    for stages, weight in chain_weights(t):
-        for shifts in product(s.coeffs.items(), repeat=len(stages)):
-            tags, displacement, coeff = [], 0, weight
-            for stage, (j, c) in zip(reversed(stages), reversed(shifts)):
-                tags.append(VarTag(stage + 1, -displacement))
-                displacement += j
-                coeff *= c
-            step.setdefault(displacement, {})[frozenset(tags)] = coeff
-    return _finalize(t, s, step)
+    shift_rows = [[((), 0, Fraction(1))]]
+    for _ in range(t.m):
+        shift_rows.append([(offsets + (-d,), d + j, cprod * c) for j, c in s.coeffs.items()
+                           for offsets, d, cprod in shift_rows[-1]])
+    chains = [([st + 1 for st in reversed(chain)], w) for chain, w in chain_weights(t)]
+    reach = [{offsets[-1] for offsets, _, _ in rows} for rows in shift_rows[1:]]
+    vars = tuple(map(VarTag._make, sorted(
+        {(st, o) for stages, _ in chains for st, offs in zip(stages, reach) for o in offs})))
+    bit = {tag: 1 << i for i, tag in enumerate(vars)}
+    terms: dict[int, dict[int, Fraction]] = {0: {0: Fraction(1)}}
+    for stages, weight in chains:
+        for offsets, d, cprod in shift_rows[len(stages)]:
+            code = sum(map(bit.__getitem__, zip(stages, offsets)))
+            terms.setdefault(d, {})[code] = weight * cprod
+    if sum(map(len, terms.values())) != 1 + sum(len(shift_rows[len(c)]) for c, _ in chains):
+        raise AssertionError("a subset code of generate repeats")
+    _check_unity(s, terms.values())
+    return PropagationSet(tableau=t, stencil=s, vars=vars,
+                          polys={d: MultilinearPoly(vars, p) for d, p in terms.items()})
 
 
 def generate_alt(t: ButcherTableau, s: StencilSpec) -> PropagationSet:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from rkpos import cli
 from rkpos.cli import main
 from rkpos.tableau import erk22, tableau_to_json
 
@@ -153,6 +154,43 @@ def test_reproduce_ok(capsys):
 def test_error_exit_code(capsys):
     code, _ = invoke(capsys, "gamma", "--method", "nope:1")
     assert code == 2
+
+
+SWEEP = ["sweep", "--family", "ERK22", "--lo", "1/2", "--hi", "1", "--step", "1/4"]
+SIMULATE = ["simulate", "--method", "erk22:1", "--n", "6", "--steps", "3",
+            "--cfl-fraction", "3"]
+# Each pair sets an option, then leaves it to its default.
+ONE_PROCESS_SEQUENCE = [
+    ["gamma", "--method", "erk22:1", "--stencil", "heat"],
+    ["gamma", "--method", "erk22:1"],
+    SWEEP + ["--ssp"],
+    SWEEP,
+    ["gamma", "--method", "erk22:1", "--tol", "1/0"],
+    ["gamma", "--method", "erk22:3/2"],
+    SIMULATE + ["--monitors", "positivity"],
+    SIMULATE + ["--monitors", "interval"],
+    SIMULATE,
+]
+
+
+def run_main(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_many_calls(capsys, monkeypatch):
+    """Calls in one process share a parser; none sees another's options."""
+    shared = [run_main(capsys, argv) for argv in ONE_PROCESS_SEQUENCE]
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0, 3, 3, 3]
+    assert shared[0][1] != shared[1][1] and shared[2][1] != shared[3][1]
+    assert shared[7][1] != shared[8][1]
+    for argv, got in zip(ONE_PROCESS_SEQUENCE, shared):
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        assert run_main(capsys, argv) == got, argv
 
 
 FLOAT_TABLEAU = '{"m": 2, "A": [[0, 0], [0.1, 0]], "b": ["1/2", "1/2"]}'

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -80,6 +81,25 @@ def test_random_tableaux_unity_and_generators_agree(t, s):
     """Sum_i P_i = 1 and generate == generate_alt beyond the METHODS list."""
     test_partition_of_unity(t, s)
     test_two_generators_agree(t, s)
+
+
+@pytest.mark.parametrize("coeffs", [{0: 1}, {2: 1, 0: -3, -1: 1}])
+def test_inconsistent_stencil_warns_at_the_caller(coeffs):
+    """Sum_i P_i != 1 for an inconsistent custom stencil: both generators
+    warn, attributed to this file, and still agree."""
+    for t in (erk22(F(3, 4)), erk33_case1(F(1, 2), F(3, 4))):
+        with pytest.warns(UserWarning, match="sum of propagation "
+                          "polynomials is not 1") as record:
+            test_two_generators_agree(t, StencilSpec(coeffs))
+        assert [w.filename for w in record] == [__file__] * 2
+
+
+def test_consistent_custom_stencil_does_not_warn():
+    s = StencilSpec({2: 1, 0: -3, -1: 2})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gen in (generate, generate_alt):
+            gen(erk33_case1(F(1, 2), F(3, 4)), s)
 
 
 def test_erk22_upwind_printed_polynomials():
