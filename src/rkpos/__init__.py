@@ -26,8 +26,7 @@ from .molsim import (LIMITERS, Limiter, RunReport, SemiDiscreteProblem,
                      erk_step, heat_q, max_step, run, scripted, tau0)
 from .multilinear import MultilinearPoly, VarTag
 from .polygen import (BUILTIN_STENCILS, PropagationSet, StencilSpec, centered,
-                      generate, generate_alt, heat, symmetry_report, upwind,
-                      x_labels)
+                      generate, heat, symmetry_report, upwind, x_labels)
 from .tableau import (ButcherTableau, check_order, erk22, erk33_case1,
                       erk33_case2, erk33_case3, forward_euler, make_family,
                       parse_method, rk4_classical, tableau_from_json,

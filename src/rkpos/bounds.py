@@ -50,11 +50,6 @@ class BoundResult:
     unbounded: bool
     witness: Optional[str]
 
-    @property
-    def value(self) -> Optional[Fraction]:
-        """The bound when known exactly (None for intervals and +inf)."""
-        return self.exact
-
     def __str__(self) -> str:
         if self.unbounded:
             return "+inf"
@@ -169,37 +164,20 @@ def _constraint_polys(t: ButcherTableau) -> list[tuple[str, UniPoly]]:
 def ssp_feasible(t: ButcherTableau, r: Fraction) -> bool:
     """Direct exact check of the SSP feasibility conditions at one r.
 
-    Independent of the polynomial route in `ssp_coefficient`: solves the
-    linear systems by Gaussian elimination over Fraction.
+    Independent of the polynomial route in `ssp_coefficient`: I + rK is
+    unit lower triangular, so forward substitution over Fraction solves
+    (I + rK) X = [K | e] row by row, X = (I + rK)^{-1} [K | e].
     """
     r = Fraction(r)
-    m1 = t.m + 1
-    k = _k_matrix(t)
-    a = [
-        [Fraction(i == j) + r * k[i][j] for j in range(m1)]
-        for i in range(m1)
-    ]
-    # Augment with K's columns and e, then eliminate: solutions are the
-    # columns of (I+rK)^{-1}K^T-style products rearranged below.
-    rhs = [[k[i][j] for j in range(m1)] + [Fraction(1)] for i in range(m1)]
-    aug = [a[i] + rhs[i] for i in range(m1)]
-    n = m1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return False  # singular
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    sol = [row[n:] for row in aug]  # (I+rK)^{-1} [K | e]
-    if any(sol[i][n] < 0 for i in range(n)):
-        return False
-    # K (I+rK)^{-1} = ((I+rK)^{-1} K) because K and (I+rK)^{-1} commute.
-    return all(sol[i][j] >= 0 for i in range(n) for j in range(n))
+    sol = []
+    for row in _k_matrix(t):
+        x = row + [Fraction(1)]
+        for j, kij in enumerate(row):
+            if kij:
+                x = [v - r * kij * w for v, w in zip(x, sol[j])]
+        sol.append(x)
+    # K (I+rK)^{-1} = (I+rK)^{-1} K because K and (I+rK)^{-1} commute.
+    return all(v >= 0 for x in sol for v in x)
 
 
 def ssp_coefficient(

@@ -28,7 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import CapacityError, InputError, ParameterDomainError
-from .multilinear import TABLE_BYTES, MultilinearPoly
+from .multilinear import TABLE_BYTES, MultilinearPoly, move_bits
 from .polygen import PropagationSet, StencilSpec, generate, upwind
 from .tableau import ButcherTableau, make_family
 from .univariate import descend, first_negative_cut
@@ -100,16 +100,6 @@ class GammaCertificate:
         return f"gamma in [{self.lower}, {self.upper}]"
 
 
-def _move_bits(code: int, targets) -> int:
-    """`code` with each set bit k moved to bit targets[k]."""
-    out = 0
-    while code:
-        low = code & -code
-        out |= 1 << targets[low.bit_length() - 1]
-        code ^= low
-    return out
-
-
 def _poly_tables(ps: PropagationSet):
     """(offset, support, scale, table) per polynomial, ascending offset.
 
@@ -127,7 +117,7 @@ def _poly_tables(ps: PropagationSet):
             used |= code
         support = [k for k in range(poly.n) if used >> k & 1]
         rank = {k: j for j, k in enumerate(support)}
-        terms = {_move_bits(code, rank): c for code, c in poly.terms.items()}
+        terms = {move_bits(code, rank): c for code, c in poly.terms.items()}
         recoded.append((offset, support,
                         MultilinearPoly(tuple(poly.vars[k] for k in support), terms)))
     total = sum(poly.table_bytes() for _, _, poly in recoded)
@@ -153,7 +143,7 @@ def _zero_witness(ps: PropagationSet, tables) -> Optional[NegativityWitness]:
             bad |= ~settled & (row < 0)
             settled |= row != 0
         if bad.any():
-            subset = _move_bits(int(np.flatnonzero(bad)[0]), support)
+            subset = move_bits(int(np.flatnonzero(bad)[0]), support)
             g = ps.polys[offset].vertex_restriction(subset)
             delta = descend(lambda d: d if g(d) < 0 else None,
                             Fraction(0), Fraction(1))
@@ -196,7 +186,7 @@ def _negative_vertex(
         if bad.size:
             at = int(bad[0])
             value = Fraction(values[at], scale * den**maxdeg)
-            return NegativityWitness(offset, _move_bits(at, support), delta, value)
+            return NegativityWitness(offset, move_bits(at, support), delta, value)
     return None
 
 
@@ -323,7 +313,7 @@ def sweep(
             rows.append(SweepRow(alpha, None, None, None, str(exc)))
             continue
         cert = compute_gamma(t, stencil, tol)
-        ssp = ssp_coefficient(t).value if with_ssp else None
+        ssp = ssp_coefficient(t).exact if with_ssp else None
         rows.append(SweepRow(alpha, None, cert, ssp, None))
     return rows
 

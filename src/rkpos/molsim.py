@@ -569,6 +569,34 @@ class StepTrace:
     u_next: tuple
 
 
+def _step(p: SemiDiscreteProblem, t: ButcherTableau, dt: Number, u, t0: Number):
+    """The kernel of `erk_step` on a state array u: (stages, xis, u_next),
+    the stage states and xi vectors as lists of arrays in u's arithmetic."""
+    num = _num(u)
+    coeffs = [(o, num(c)) for o, c in p.stencil.coeffs.items()]
+    dtn, scale = num(dt), num(p.dx ** p.stencil.dx_power)
+    increments = []
+    stages = []
+    xis = []
+    abscissae = t.c
+    for j in range(t.m):
+        y = u
+        for l in range(j):
+            if t.a[j][l] != 0:
+                y = y + num(t.a[j][l]) * increments[l]
+        xi = dtn * _provider_q(p.q_provider, y, t0 + abscissae[j] * dt) / scale
+        # (S y)_k = sum_o c_o y_{k-o}
+        sy = sum(c * np.roll(y, o) for o, c in coeffs)
+        increments.append(xi * sy)
+        stages.append(y)
+        xis.append(xi)
+    u1 = u
+    for j in range(t.m):
+        if t.b[j] != 0:
+            u1 = u1 + num(t.b[j]) * increments[j]
+    return stages, xis, u1
+
+
 def erk_step(
     p: SemiDiscreteProblem,
     t: ButcherTableau,
@@ -587,30 +615,9 @@ def erk_step(
     """
     if dt <= 0:
         raise PreconditionError("step size must be positive")
-    u = _state(u)
-    num = _num(u)
-    coeffs = [(o, num(c)) for o, c in p.stencil.coeffs.items()]
-    dtn, scale = num(dt), num(p.dx ** p.stencil.dx_power)
-    increments = []
-    stages = []
-    xis = []
-    abscissae = t.c
-    for j in range(t.m):
-        y = u
-        for l in range(j):
-            if t.a[j][l] != 0:
-                y = y + num(t.a[j][l]) * increments[l]
-        xi = dtn * _provider_q(p.q_provider, y, t0 + abscissae[j] * dt) / scale
-        # (S y)_k = sum_o c_o y_{k-o}
-        sy = sum(c * np.roll(y, o) for o, c in coeffs)
-        increments.append(xi * sy)
-        stages.append(tuple(y.tolist()))
-        xis.append(tuple(xi.tolist()))
-    u1 = u
-    for j in range(t.m):
-        if t.b[j] != 0:
-            u1 = u1 + num(t.b[j]) * increments[j]
-    return StepTrace(tuple(stages), tuple(xis), tuple(u1.tolist()))
+    stages, xis, u1 = _step(p, t, dt, _state(u), t0)
+    return StepTrace(tuple(tuple(y.tolist()) for y in stages),
+                     tuple(tuple(xi.tolist()) for xi in xis), tuple(u1.tolist()))
 
 
 @dataclass
@@ -703,12 +710,9 @@ def run(
     mins, maxs, tvs = [], [], []
     violation = None
     now = t_start if mode == "rational" else float(t_start)
-    step = 0
-    while step < steps:
-        values = erk_step(p, t, dt, u, now).u_next
+    for step in range(1, steps + 1):
+        u = _step(p, t, dt, u, now)[2]
         now = now + dt
-        step += 1
-        u = _state(values)
         if isinstance(u, RationalArray) and u.max_den_bits() > _RATIONAL_BIT_LIMIT:
             warnings.warn(
                 "rational state size exceeded the practical limit; "
@@ -716,8 +720,8 @@ def run(
             )
             mode = "float"
             p, dt, now = _as_float(p), float(dt), float(now)
-            values = tuple(float(v) for v in values)
-            u = np.array(values)
+            u = np.array([float(v) for v in u.tolist()])
+        values = tuple(u.tolist())
         mins.append(min(values))
         maxs.append(max(values))
         tvs.append(_total(np.abs(u - np.roll(u, 1))))

@@ -23,6 +23,7 @@ __all__ = [
     "VarTag",
     "MultilinearPoly",
     "canonical_order",
+    "move_bits",
     "TABLE_BYTES",
 ]
 
@@ -48,30 +49,22 @@ def canonical_order(tags: Iterable[VarTag]) -> tuple[VarTag, ...]:
     return tuple(sorted(set(tags)))
 
 
+def move_bits(code: int, targets) -> int:
+    """`code` with each set bit k moved to bit targets[k]."""
+    out = 0
+    while code:
+        low = code & -code
+        out |= 1 << targets[low.bit_length() - 1]
+        code ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class MultilinearPoly:
     """Multilinear polynomial; terms maps subset code -> nonzero coefficient."""
 
     vars: tuple[VarTag, ...]
     terms: dict[int, Fraction]
-
-    @staticmethod
-    def from_tag_terms(
-        vars: Iterable[VarTag], terms: Mapping[frozenset, Fraction]
-    ) -> "MultilinearPoly":
-        """Build from terms keyed by frozensets of VarTags."""
-        order = canonical_order(vars)
-        pos = {v: i for i, v in enumerate(order)}
-        coded: dict[int, Fraction] = {}
-        for tags, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            code = 0
-            for tag in tags:
-                code |= 1 << pos[tag]
-            coded[code] = coded.get(code, Fraction(0)) + coeff
-        return MultilinearPoly(order, {c: v for c, v in coded.items() if v != 0})
 
     @property
     def n(self) -> int:
@@ -157,36 +150,18 @@ class MultilinearPoly:
             shaped[tuple(index_hi)] += shaped[tuple(index_lo)]
         return scale, table
 
-    def map_tags(self, fn) -> "MultilinearPoly":
-        """Apply a tag transform (e.g. offset reversal); fn: VarTag -> VarTag."""
-        remapped: dict[frozenset, Fraction] = {}
-        for code, coeff in self.terms.items():
-            tags = frozenset(fn(self.vars[i]) for i in range(self.n) if code >> i & 1)
-            remapped[tags] = remapped.get(tags, Fraction(0)) + coeff
-        universe = [fn(v) for v in self.vars]
-        return MultilinearPoly.from_tag_terms(universe, remapped)
-
-    def scaled(self, factor: Fraction) -> "MultilinearPoly":
-        factor = Fraction(factor)
-        if factor == 0:
-            return MultilinearPoly(self.vars, {})
-        return MultilinearPoly(self.vars, {c: v * factor for c, v in self.terms.items()})
+    def _by_tags(self) -> dict[tuple[VarTag, ...], Fraction]:
+        """Terms keyed by their variables, sorted: independent of var order."""
+        return {tuple(sorted(v for i, v in enumerate(self.vars) if code >> i & 1)): c
+                for code, c in self.terms.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultilinearPoly):
             return NotImplemented
-        mine = {
-            frozenset(self.vars[i] for i in range(self.n) if code >> i & 1): coeff
-            for code, coeff in self.terms.items()
-        }
-        theirs = {
-            frozenset(other.vars[i] for i in range(other.n) if code >> i & 1): coeff
-            for code, coeff in other.terms.items()
-        }
-        return mine == theirs
+        return self._by_tags() == other._by_tags()
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash(frozenset(self._by_tags().items()))
 
     def format_terms(self, labels: Mapping[VarTag, str] | None = None) -> str:
         """Print format: terms ascending by subset code, constant term first."""

@@ -10,9 +10,10 @@ the stages, every non-constant term comes from a stage chain s1 < ... < sr and
 one stencil shift j_1 ... j_r per link: its coefficient is the chain's weight
 b_sr * a_{sr,s(r-1)} * ... * a_{s2,s1} times c_{j_1} * ... * c_{j_r}, it lands
 on displacement j_1 + ... + j_r, and stage s_k contributes the variable at
-offset -(j_{k+1} + ... + j_r).  `generate` writes that sum straight as subset
-codes from the chain weights and stencil-shift rows; `generate_alt` builds the
-same polynomials from the Neumann expansion as an independent check.
+offset -(j_{k+1} + ... + j_r).  `generate`, the one generator, writes that sum
+straight as subset codes from the chain weights and stencil-shift rows.  The
+test suite checks it against an independent oracle built from the Neumann
+expansion of the stage equations (tests/oracle.py).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .multilinear import MultilinearPoly, VarTag, canonical_order
+from .multilinear import MultilinearPoly, VarTag, move_bits
 from .tableau import ButcherTableau, chain_weights
 
 __all__ = [
@@ -32,15 +33,9 @@ __all__ = [
     "centered",
     "heat",
     "generate",
-    "generate_alt",
     "symmetry_report",
     "x_labels",
 ]
-
-# generate_alt's polynomials {frozenset of VarTag -> Fraction} and operators {d -> poly}.
-_Poly = dict[frozenset, Fraction]
-_LatticeOp = dict[int, _Poly]
-
 
 @dataclass(frozen=True)
 class StencilSpec:
@@ -95,43 +90,6 @@ class PropagationSet:
         return sorted(self.polys)
 
 
-def _padd(dst: _Poly, src: _Poly, factor: Fraction) -> None:
-    for tags, coeff in src.items():
-        new = dst.get(tags, Fraction(0)) + coeff * factor
-        if new == 0:
-            dst.pop(tags, None)
-        else:
-            dst[tags] = new
-
-
-def _shift_poly(p: _Poly, s: int) -> _Poly:
-    # Relabel a polynomial expressed relative to index k so it is relative to
-    # k - s: variable (j, o) becomes (j, o - s).
-    if s == 0:
-        return p
-    return {
-        frozenset(VarTag(t.stage, t.offset - s) for t in tags): c for tags, c in p.items()
-    }
-
-
-def _mul_fresh_var(p: _Poly, var: VarTag) -> _Poly:
-    out: _Poly = {}
-    for tags, coeff in p.items():
-        if var in tags:
-            raise AssertionError(f"variable {var} is not fresh in this product")
-        out[tags | {var}] = coeff
-    return out
-
-
-def _apply_stencil(op: _LatticeOp, stencil: StencilSpec) -> _LatticeOp:
-    # (D V)_k = sum_s c_s V_{k-s}; displacement d picks up s, tags shift by -s.
-    out: _LatticeOp = {}
-    for s, cs in stencil.coeffs.items():
-        for d, poly in op.items():
-            _padd(out.setdefault(d + s, {}), _shift_poly(poly, s), cs)
-    return out
-
-
 def _check_unity(s: StencilSpec, polys, stacklevel: int = 3) -> None:
     """Check Sum_i P_i = 1 on codes; an inconsistent custom stencil only warns."""
     total: dict[int, Fraction] = {}
@@ -142,13 +100,6 @@ def _check_unity(s: StencilSpec, polys, stacklevel: int = 3) -> None:
             raise AssertionError("propagation polynomials do not sum to 1")
         warnings.warn("sum of propagation polynomials is not 1: the stencil is not "
                       "consistent (sum of coefficients nonzero)", stacklevel=stacklevel)
-
-
-def _finalize(t: ButcherTableau, s: StencilSpec, raw: _LatticeOp) -> PropagationSet:
-    tags = canonical_order(tag for poly in raw.values() for tags in poly for tag in tags)
-    polys = {d: MultilinearPoly.from_tag_terms(tags, p) for d, p in raw.items() if p}
-    _check_unity(s, [p.terms for p in polys.values()], stacklevel=4)
-    return PropagationSet(tableau=t, stencil=s, vars=tags, polys=polys)
 
 
 def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
@@ -182,60 +133,26 @@ def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
                           polys={d: MultilinearPoly(vars, p) for d, p in terms.items()})
 
 
-def generate_alt(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
-    """Independent construction from the closed-form Neumann expansion.
-
-    Builds sum_{i=0}^{m-1} ((A (x) D) Q)^i (e (x) D) and contracts with b and
-    the diagonal of stage variables; a cross-check oracle for generate().
-    """
-    m = t.m
-    # term[j] is the j-th stage component of the current Neumann term.
-    term: list[_LatticeOp] = []
-    base = _apply_stencil({0: {frozenset(): Fraction(1)}}, s)
-    for _ in range(m):
-        term.append({d: dict(poly) for d, poly in base.items()})
-    step: _LatticeOp = {0: {frozenset(): Fraction(1)}}
-    for _ in range(m):
-        for j in range(m):
-            if t.b[j] == 0:
-                continue
-            var = VarTag(j + 1, 0)
-            for d, poly in term[j].items():
-                _padd(step.setdefault(d, {}), _mul_fresh_var(poly, var), t.b[j])
-        nxt: list[_LatticeOp] = []
-        for i in range(m):
-            acc: _LatticeOp = {}
-            for j in range(i):
-                if t.a[i][j] == 0:
-                    continue
-                var = VarTag(j + 1, 0)
-                mult = {
-                    d: _mul_fresh_var(poly, var) for d, poly in term[j].items() if poly
-                }
-                shifted = _apply_stencil(mult, s)
-                for d, poly in shifted.items():
-                    _padd(acc.setdefault(d, {}), poly, t.a[i][j])
-            nxt.append(acc)
-        term = nxt
-    return _finalize(t, s, step)
-
-
 def symmetry_report(ps: PropagationSet) -> dict[int, bool]:
-    """Check P_j(xi) = (-1)^j P_{-j}(xi-hat) for a skew-symmetric stencil.
+    """Check P_j(xi) = P_{-j}(-xi-hat) for a skew-symmetric stencil.
 
-    xi-hat reverses spatial offsets: xi-hat^j_{k+i} = xi^j_{k-i}.  Returns a
-    pass/fail flag per offset j >= 0.
+    xi-hat reverses spatial offsets: xi-hat^j_{k+i} = xi^j_{k-i}.  Mirroring
+    every stencil shift of a term negates its displacement and its variable
+    offsets and, as c_{-j} = -c_j, multiplies its coefficient by (-1)^|T|,
+    |T| its degree.  When every stencil offset is odd (as for `centered`),
+    |T| has the parity of j and the identity reads P_j(xi) = (-1)^j
+    P_{-j}(xi-hat).  Returns a pass/fail flag per offset j >= 0.
     """
     if not ps.stencil.is_skew_symmetric():
         raise PreconditionError("symmetry_report requires a skew-symmetric stencil")
     zero = MultilinearPoly(ps.vars, {})
     report: dict[int, bool] = {}
     for j in sorted(o for o in ps.polys if o >= 0):
-        pj = ps.polys[j]
-        pmj = ps.polys.get(-j, zero)
-        hat = pmj.map_tags(lambda tag: VarTag(tag.stage, -tag.offset))
-        expected = hat if j % 2 == 0 else hat.scaled(Fraction(-1))
-        report[j] = pj == expected
+        pj, pmj = ps.polys[j], ps.polys.get(-j, zero)
+        pos = {tag: i for i, tag in enumerate(pj.vars)}
+        mirror = [pos[VarTag(stage, -offset)] for stage, offset in pmj.vars]
+        report[j] = pj.terms == {move_bits(code, mirror): (-1) ** code.bit_count() * c
+                                 for code, c in pmj.terms.items()}
     return report
 
 

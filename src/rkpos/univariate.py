@@ -71,28 +71,29 @@ class UniPoly:
         return " + ".join(parts)
 
 
-def _rem(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    # Remainder of f by g, dense coefficient lists, g nonzero.
+def _divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """(quotient, remainder) of f by g: dense coefficient lists, g nonzero."""
     f = f[:]
     while f and f[-1] == 0:
         f.pop()
     dg = len(g) - 1
-    lg = g[-1]
-    while len(f) - 1 >= dg and f:
-        q = f[-1] / lg
+    quotient = [Fraction(0)] * max(len(f) - dg, 0)
+    while len(f) > dg:
+        q = f[-1] / g[-1]
         shift = len(f) - 1 - dg
+        quotient[shift] = q
         for i, gi in enumerate(g):
             f[shift + i] -= q * gi
         f.pop()
         while f and f[-1] == 0:
             f.pop()
-    return f
+    return quotient, f
 
 
 def _sturm_chain(p: UniPoly) -> list[UniPoly]:
     chain = [p, p.derivative()]
     while not chain[-1].is_zero():
-        r = _rem(list(chain[-2].coeffs), list(chain[-1].coeffs))
+        _, r = _divmod(list(chain[-2].coeffs), list(chain[-1].coeffs))
         chain.append(UniPoly.from_coeffs([-c for c in r]))
     return chain[:-1]
 
@@ -134,21 +135,10 @@ def _squarefree(p: UniPoly) -> UniPoly:
     g = list(p.coeffs)
     h = list(p.derivative().coeffs)
     while h:
-        g, h = h, _rem(g, h)
+        g, h = h, _divmod(g, h)[1]
     if len(g) <= 1:
         return p
-    quotient: list[Fraction] = [Fraction(0)] * (len(p.coeffs) - len(g) + 1)
-    f = list(p.coeffs)
-    dg = len(g) - 1
-    while f and len(f) - 1 >= dg:
-        q = f[-1] / g[-1]
-        quotient[len(f) - 1 - dg] = q
-        shift = len(f) - 1 - dg
-        for i, gi in enumerate(g):
-            f[shift + i] -= q * gi
-        while f and f[-1] == 0:
-            f.pop()
-    return UniPoly.from_coeffs(quotient)
+    return UniPoly.from_coeffs(_divmod(list(p.coeffs), g)[0])
 
 
 def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 from hypothesis import example, given, settings
 
-from rkpos.bounds import (radius_abs_monotonicity, ssp_coefficient,
-                          ssp_feasible, stability_polynomial)
+from rkpos.bounds import (_constraint_polys, radius_abs_monotonicity,
+                          ssp_coefficient, ssp_feasible, stability_polynomial)
 from rkpos.gamma import compute_gamma
 from rkpos.tableau import (ButcherTableau, erk22, erk33_case1, erk33_case2,
                            erk33_case3, forward_euler, rk4_classical)
@@ -162,3 +162,13 @@ def test_bounds_chain_on_random_tableaux(t):
         assert g_hi is None
     if g_hi is None:
         assert r_hi is None
+
+
+@settings(max_examples=60)
+@given(small_tableaux())
+def test_feasibility_matches_the_constraint_polynomials(t):
+    """ssp_feasible(t, r) holds exactly where every constraint polynomial
+    of the polynomial route is nonnegative at r."""
+    constraints = [p for _, p in _constraint_polys(t)]
+    for r in (F(0), F(1, 7), F(1, 2), F(1), F(3, 2), F(3)):
+        assert ssp_feasible(t, r) == all(p(r) >= 0 for p in constraints)

@@ -13,6 +13,7 @@ from rkpos.tableau import (ButcherTableau, erk22, erk33_case1, erk33_case2,
                            erk33_case3, forward_euler, rk4_classical)
 from rkpos.univariate import min_first_negativity
 
+from oracle import coded
 from strategies import small_tableaux
 
 
@@ -210,8 +211,8 @@ def _term_set(terms):
     """A PropagationSet over x = xi[1,0], y = xi[1,1] from {tags: coeff}."""
     x, y = VarTag(1, 0), VarTag(1, 1)
     named = {"x": x, "y": y}
-    polys = {offset: MultilinearPoly.from_tag_terms(
-                 (x, y), {frozenset(named[c] for c in k): v for k, v in p.items()})
+    polys = {offset: coded((x, y), {frozenset(named[c] for c in k): v
+                                    for k, v in p.items()})
              for offset, p in enumerate(terms)}
     return PropagationSet(forward_euler(), upwind, (x, y), polys)
 

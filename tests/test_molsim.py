@@ -514,3 +514,35 @@ def test_rational_array_matches_fractions(pairs, c):
         y / (x - x)
     with pytest.raises(TypeError):
         x + 0.5
+
+
+class _Clocked:
+    """An outside provider whose q depends on the time and the state."""
+
+    def q(self, u, t):
+        return np.array([(2 if v > 1 else 1) * (1 + t) * (1 + k % 3) / 8
+                         for k, v in enumerate(u.tolist())])
+
+
+@pytest.mark.parametrize("provider", [
+    advection(lambda t: 1 + t, minmod, a_sup=3), _Clocked()],
+    ids=["advection-a(t)", "outside"])
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_run_steps_as_chained_erk_step(provider, mode):
+    """run's final state is that of chained erk_step calls, t0 advancing by
+    dt from t_start: equal in rational mode, the same bits in float mode."""
+    n, steps, start = 8, 5, F(1, 3)
+    u0 = tuple(F((5 * k * k + k) % 7, 4) for k in range(n))
+    p = SemiDiscreteProblem(n, F(1, n), upwind, provider, u0)
+    t, dt = erk33_case2(F(1, 2)), F(1, 40)
+    rep = run(p, t, dt, steps, mode=mode, stop_on_violation=False, t_start=start)
+    convert = F if mode == "rational" else float
+    u, t0, dt = tuple(map(convert, u0)), convert(start), convert(dt)
+    for _ in range(steps):
+        u = erk_step(p, t, dt, u, t0).u_next
+        t0 = t0 + dt
+    assert rep.steps_run == steps and rep.mode == mode
+    if mode == "rational":
+        assert rep.final_state == u
+    else:
+        assert list(map(float.hex, rep.final_state)) == list(map(float.hex, u))

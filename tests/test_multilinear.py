@@ -5,7 +5,9 @@ import pytest
 
 from rkpos.errors import CapacityError, InputError
 from rkpos.multilinear import (TABLE_BYTES, MultilinearPoly, VarTag,
-                               canonical_order)
+                               canonical_order, move_bits)
+
+from oracle import coded
 
 
 def tags(n):
@@ -18,7 +20,7 @@ def random_poly(rng, n, terms=12):
     for _ in range(terms):
         sub = frozenset(v for v in vs if rng.random() < 0.4)
         table[sub] = table.get(sub, 0) + F(rng.randint(-9, 9), rng.randint(1, 5))
-    return MultilinearPoly.from_tag_terms(vs, table)
+    return coded(vs, table)
 
 
 def test_canonical_order():
@@ -32,14 +34,14 @@ def test_var_str():
 
 
 def test_eval_requires_all_vars():
-    p = MultilinearPoly.from_tag_terms(tags(2), {frozenset(tags(2)): F(1)})
+    p = coded(tags(2), {frozenset(tags(2)): F(1)})
     with pytest.raises(InputError):
         p.eval({tags(2)[0]: F(1)})
 
 
 def test_eval_simple():
     a, b = tags(2)
-    p = MultilinearPoly.from_tag_terms((a, b), {
+    p = coded((a, b), {
         frozenset(): F(1), frozenset([a]): F(-2), frozenset([a, b]): F(3),
     })
     assert p.eval({a: F(1, 2), b: F(1, 3)}) == 1 - 1 + F(1, 2)
@@ -93,7 +95,7 @@ def test_capacity_limit_on_vertex_table():
     # entries; n is the smallest count whose table exceeds the budget.
     n = next(n for n in range(64) if 8 * (n + 1) << n > TABLE_BYTES)
     vs = tuple(VarTag(1, s) for s in range(n))
-    p = MultilinearPoly.from_tag_terms(vs, {frozenset(vs): F(1)})
+    p = coded(vs, {frozenset(vs): F(1)})
     assert p.table_bytes() == 8 * (n + 1) << n
     with pytest.raises(CapacityError, match=f"{p.table_bytes()} bytes"):
         p.vertex_table()
@@ -103,13 +105,22 @@ def test_capacity_limit_on_vertex_table():
 
 def test_equality_is_canonical():
     a, b = tags(2)
-    p = MultilinearPoly.from_tag_terms((a, b), {frozenset([a]): F(2)})
-    q = MultilinearPoly.from_tag_terms((b, a), {frozenset([a]): F(4, 2)})
+    p = coded((a, b), {frozenset([a]): F(2)})
+    q = coded((b, a), {frozenset([a]): F(4, 2)})
     assert p == q
+    # the same terms over the variables in the other order
+    r = MultilinearPoly((b, a), {0b10: F(2)})
+    assert p == r and hash(p) == hash(r)
+    assert p != MultilinearPoly((b, a), {0b01: F(2)})
+
+
+def test_move_bits():
+    assert move_bits(0b101, [2, 0, 1]) == 0b110
+    assert move_bits(0, [3]) == 0
 
 
 def test_zero_coefficients_dropped():
     a, b = tags(2)
-    p = MultilinearPoly.from_tag_terms((a, b), {frozenset([a]): F(0)})
+    p = coded((a, b), {frozenset([a]): F(0)})
     assert p.terms == {}
     assert p.format_terms() == "0"

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rkpos.errors import InputError
-from rkpos.polygen import (BUILTIN_STENCILS, StencilSpec, centered, generate,
-                           generate_alt, heat, symmetry_report, upwind,
+from rkpos.multilinear import MultilinearPoly
+from rkpos.polygen import (BUILTIN_STENCILS, PropagationSet, StencilSpec,
+                           centered, generate, heat, symmetry_report, upwind,
                            x_labels)
 from rkpos.tableau import (erk22, erk33_case1, erk33_case2, erk33_case3,
                            forward_euler, rk4_classical)
 
+from oracle import generate_alt
 from strategies import small_tableaux
 
 METHODS = [
@@ -200,3 +202,31 @@ def test_forward_euler_polynomials():
     v = ps.vars[0]
     assert ps.polys[0].eval({v: F(1, 3)}) == F(2, 3)
     assert ps.polys[1].eval({v: F(1, 3)}) == F(1, 3)
+
+
+WIDE = StencilSpec({2: F(1, 3), 1: F(1, 2), -1: F(-1, 2), -2: F(-1, 3)})
+
+
+@settings(max_examples=40)
+@given(small_tableaux())
+def test_symmetry_report_wide_stencil(t):
+    """A skew stencil with an even offset: terms of P_{-j} map to P_j with
+    the sign (-1)^|T|, not (-1)^j."""
+    rep = symmetry_report(generate(t, WIDE))
+    assert rep and all(rep.values())
+
+
+def test_symmetry_report_wide_erk22():
+    assert symmetry_report(generate(erk22(F(1)), WIDE)) == {j: True for j in range(5)}
+
+
+def test_symmetry_report_detects_a_broken_term():
+    for t in METHODS:
+        ps = generate(t, centered)
+        p1 = ps.polys[1]
+        code = min(p1.terms)
+        broken = dict(ps.polys)
+        broken[1] = MultilinearPoly(p1.vars, {**p1.terms, code: 2 * p1.terms[code]})
+        rep = symmetry_report(PropagationSet(t, centered, ps.vars, broken))
+        assert rep[1] is False
+        assert all(v for j, v in rep.items() if j != 1)
