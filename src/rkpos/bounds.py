@@ -11,18 +11,21 @@ coefficient gamma:
   where K is the (m+1)x(m+1) matrix [[A, 0], [b^T, 0]].
 
 K is strictly lower triangular, so det(I + rK) = 1 and
-(I + rK)^{-1} = sum_t (-r)^t K^t is a polynomial matrix.  Both bounds
-therefore reduce to the first-negativity point of finitely many exact
-univariate polynomials, the same machinery used for gamma.
+(I + rK)^{-1} = sum_t (-r)^t K^t is a polynomial matrix.  Each bound is
+the sup of a monotone exact check on finitely many univariate
+polynomials, and runs gamma's loop, `univariate.refine`: cut what the
+check names at the lower end until it holds there, then confirm that it
+fails just above.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import Callable, Optional
 
+from .errors import InputError
 from .tableau import ButcherTableau
-from .univariate import UniPoly, descend, min_first_negativity
+from .univariate import DEFAULT_TOL, Cut, UniPoly, descend, refine
 
 __all__ = [
     "BoundResult",
@@ -58,19 +61,33 @@ class BoundResult:
         return f"[{self.lower}, {self.upper}]"
 
 
-def _min_bound(labeled: list[tuple[str, UniPoly]], tol: Fraction) -> BoundResult:
-    """sup { r >= 0 : every labeled polynomial >= 0 on [0, r] }, exactly."""
-    found = min_first_negativity(labeled, tol)
+def _min_bound(labeled: list[tuple[str, UniPoly]], holds: Callable[[Fraction], bool],
+               tol: Fraction) -> BoundResult:
+    """sup { r >= 0 : holds(r) }, where holds(r) checks exactly that every
+    labeled polynomial is >= 0 on [0, r].  A label whose lowest nonzero
+    coefficient is negative binds at 0; otherwise `refine` cuts the labels
+    in family order.  Every finite bound is confirmed to fail just above."""
+    if tol <= 0:
+        raise InputError(f"tolerance must be positive, got {tol}")
+
+    def fails(r: Fraction) -> Optional[str]:
+        if holds(r):
+            return None
+        for label, p in labeled:
+            if p(r) < 0:
+                return label
+        raise AssertionError(f"check fails at {r} but no polynomial is negative")
+
+    polys = dict(labeled)
+    zero = next((label for label, p in labeled
+                 if next((c for c in p.coeffs if c), 0) < 0), None)
+    found = (refine(polys.__getitem__, fails, polys, tol) if zero is None
+             else (Cut(Fraction(0), Fraction(0), Fraction(0)), zero, 0))
     if found is None:
-        return BoundResult(
-            lower=Fraction(0), upper=None, exact=None, unbounded=True,
-            witness=None,
-        )
-    cut, label = found
-    return BoundResult(
-        lower=cut.lower, upper=cut.upper, exact=cut.exact, unbounded=False,
-        witness=label,
-    )
+        return BoundResult(Fraction(0), None, None, unbounded=True, witness=None)
+    cut, label, _ = found
+    descend(fails, cut.lower, cut.upper - cut.lower or tol)
+    return BoundResult(cut.lower, cut.upper, cut.exact, False, witness=label)
 
 
 def stability_polynomial(t: ButcherTableau) -> UniPoly:
@@ -89,21 +106,16 @@ def stability_polynomial(t: ButcherTableau) -> UniPoly:
 
 
 def radius_abs_monotonicity(
-    t: ButcherTableau, tol: Fraction = Fraction(1, 2**40)
+    t: ButcherTableau, tol: Fraction = DEFAULT_TOL
 ) -> BoundResult:
     """R(phi): the largest r with phi and all its derivatives nonnegative
-    on [-r, 0], expressed through psi_j(r) = phi^(j)(-r) / j!."""
-    phi = stability_polynomial(t)
-    c = phi.coeffs
-    deg = phi.degree
-    labeled = []
-    for j in range(deg + 1):
-        psi = [
-            c[k] * comb(k, j) * (-1) ** (k - j)
-            for k in range(j, deg + 1)
-        ]
-        labeled.append((f"phi^({j})", UniPoly.from_coeffs(psi)))
-    return _min_bound(labeled, tol)
+    on [-r, 0], expressed through psi_j(r) = phi^(j)(-r) / j!.  Every
+    psi_j >= 0 at r implies it on [0, r], by Taylor expansion about -r."""
+    c = stability_polynomial(t).coeffs
+    labeled = [(f"phi^({j})", UniPoly.from_coeffs(
+                   [c[k] * comb(k, j) * (-1) ** (k - j) for k in range(j, len(c))]))
+               for j in range(len(c))]
+    return _min_bound(labeled, lambda r: all(p(r) >= 0 for _, p in labeled), tol)
 
 
 def _k_matrix(t: ButcherTableau) -> list[list[Fraction]]:
@@ -181,19 +193,9 @@ def ssp_feasible(t: ButcherTableau, r: Fraction) -> bool:
 
 
 def ssp_coefficient(
-    t: ButcherTableau, tol: Fraction = Fraction(1, 2**40)
+    t: ButcherTableau, tol: Fraction = DEFAULT_TOL
 ) -> BoundResult:
-    """The SSP coefficient C, exactly.
-
-    Computed as the joint first-negativity point of the feasibility
-    constraint polynomials, then cross-checked against the independent
-    `ssp_feasible` evaluation on both sides of the answer.
-    """
-    result = _min_bound(_constraint_polys(t), tol)
-    # At C = 0 the feasible set may be empty; elsewhere C itself is feasible.
-    if result.lower > 0 and not ssp_feasible(t, result.lower):
-        raise AssertionError(f"ssp bound not confirmed feasible at {result.lower}")
-    if not result.unbounded:
-        descend(lambda r: None if ssp_feasible(t, r) else r,
-                result.lower, result.upper - result.lower or tol)
-    return result
+    """The SSP coefficient C, exactly: `refine` over the feasibility
+    constraint polynomials, each cut named by the independent `ssp_feasible`
+    check.  The feasible set is [0, C] (Kraaijevanger, BIT 31, 1991)."""
+    return _min_bound(_constraint_polys(t), lambda r: ssp_feasible(t, r), tol)

@@ -22,6 +22,7 @@ from .molsim import (LIMITERS, MONITORS, SemiDiscreteProblem, advection,
                      max_step, run, tau0)
 from .polygen import BUILTIN_STENCILS, generate, x_labels
 from .tableau import parse_method, tableau_from_json
+from .univariate import DEFAULT_TOL
 
 __all__ = ["main"]
 
@@ -194,6 +195,9 @@ def cmd_rphi(args, out) -> int:
 
 
 def cmd_adversary(args, out) -> int:
+    if args.construction != "first-step" and args.stencil != "upwind":
+        raise InputError(f"adversary: --construction {args.construction} "
+                         "is upwind only; --stencil needs first-step")
     if args.construction == "rk4":
         rep = rk4_counterexample(args.eps)
     elif not (args.method or args.tableau_file):
@@ -251,7 +255,7 @@ def cmd_simulate(args, out) -> int:
     if args.dt is not None:
         dt = args.dt
     else:
-        cert = compute_gamma(t, stencil)
+        cert = compute_gamma(t, stencil, tol=args.tol)
         gamma = cert.exact if cert.exact is not None else cert.lower
         dt = args.cfl_fraction * max_step(gamma, prob)
         print(f"gamma={_fmt(gamma)} tau0={_fmt(tau0(prob))} dt={_fmt(dt)}",
@@ -370,12 +374,13 @@ def _add_method_args(p, required=True):
     g.add_argument("--tableau-file", help="JSON tableau file")
 
 
-def _add_common(p, stencil=True):
+def _add_common(p, stencil=True, tol=True):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     if stencil:
         p.add_argument("--stencil", choices=sorted(BUILTIN_STENCILS),
                        default="upwind")
-    p.add_argument("--tol", type=_frac, default=Fraction(1, 2 ** 40))
+    if tol:
+        p.add_argument("--tol", type=_frac, default=DEFAULT_TOL)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -394,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polys", help="print the solution-propagation polynomials")
     _add_method_args(p)
-    _add_common(p)
+    _add_common(p, tol=False)
     p.add_argument("--x-labels", action="store_true",
                    help="label variables x_1..x_n in canonical order")
     p.set_defaults(fn=cmd_polys)
@@ -419,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=_frac, default=Fraction(1))
     p.add_argument("--spacing", type=_frac, default=Fraction(1, 32))
     p.add_argument("--delta", type=_frac, default=Fraction(1))
-    _add_common(p, stencil=False)
+    _add_common(p, stencil=False, tol=False)
     p.set_defaults(fn=cmd_region)
 
     p = sub.add_parser("ssp", help="SSP coefficient")
@@ -435,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adversary", help="build a verified negativity counterexample")
     _add_method_args(p, required=False)
-    _add_common(p)
+    _add_common(p, tol=False)
     p.add_argument("--construction",
                    choices=("first-step", "negative-entry", "rk4"),
                    default="negative-entry")

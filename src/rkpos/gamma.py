@@ -31,7 +31,7 @@ from .errors import CapacityError, InputError, ParameterDomainError
 from .multilinear import TABLE_BYTES, MultilinearPoly, move_bits
 from .polygen import PropagationSet, StencilSpec, generate, upwind
 from .tableau import ButcherTableau, make_family
-from .univariate import descend, first_negative_cut
+from .univariate import DEFAULT_TOL, descend, refine
 
 __all__ = [
     "GammaCertificate",
@@ -46,8 +46,6 @@ __all__ = [
     "subset_bits",
     "sweep",
 ]
-
-DEFAULT_TOL = Fraction(1, 2**40)
 
 
 @dataclass(frozen=True)
@@ -209,56 +207,45 @@ def compute_gamma(
 ) -> GammaCertificate:
     """Certify gamma for a method/stencil pair (or a ready PropagationSet).
 
-    Pipeline: zero test, then refinement over vertex tables built once.
-    gamma is finite iff some P_i has a negative term c_T, the top
-    coefficient of the restriction to T's own vertex; that restriction is
-    cut first.  While `condition_at` fails at the cut's lower bound, the
-    failing vertex's restriction is cut next.  A witness vertex is then
-    negative at the upper bound or just above it.  `tol` must be positive.
+    Pipeline: zero test, then `univariate.refine` over vertex tables built
+    once, checked by `condition_at`.  gamma is finite iff some P_i has a
+    negative term c_T, the top coefficient of the restriction to T's own
+    vertex; the first such restriction is cut first.  A witness vertex is
+    then negative at the upper bound or just above it.  `tol` must be
+    positive.
     """
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
     ps = source if isinstance(source, PropagationSet) else generate(source, stencil)
-    n = len(ps.vars)
-    n_polys = len(ps.polys)
+    sizes = dict(n_vars=len(ps.vars), n_polys=len(ps.polys))
     tables = _poly_tables(ps)
 
     zero = _zero_witness(ps, tables)
     if zero is not None:
         return GammaCertificate(
-            lower=Fraction(0), upper=Fraction(0), exact=Fraction(0),
-            unbounded=False, witness=zero, n_vars=n, n_polys=n_polys,
-            n_distinct_restrictions=0,
-        )
+            lower=Fraction(0), upper=Fraction(0), exact=Fraction(0), unbounded=False,
+            witness=zero, n_distinct_restrictions=0, **sizes)
 
-    key = next(((offset, code) for offset in ps.offsets
-                for code, c in sorted(ps.polys[offset].terms.items()) if c < 0),
-               None)
-    if key is None:
+    def failing_key(delta):
+        failing = _negative_vertex(tables, delta)
+        return None if failing is None else (failing.offset, failing.subset)
+
+    negative_terms = ((offset, code) for offset in ps.offsets
+                      for code, c in sorted(ps.polys[offset].terms.items()) if c < 0)
+    found = refine(lambda key: ps.polys[key[0]].vertex_restriction(key[1]),
+                   failing_key, negative_terms, tol)
+    if found is None:
         return GammaCertificate(
             lower=Fraction(0), upper=None, exact=None, unbounded=True,
-            witness=None, n_vars=n, n_polys=n_polys, n_distinct_restrictions=0,
-        )
-    cut, n_cut = None, 0
-    # A failing vertex's restriction is negative at cut.lower, so its cut lies
-    # strictly lower: no restriction repeats and the loop is bounded.
-    while key is not None:
-        below = first_negative_cut(ps.polys[key[0]].vertex_restriction(key[1]), tol)
-        if cut is not None and (below is None or below.lower >= cut.lower):
-            raise AssertionError(
-                f"restriction {key} fails at {cut.lower} but its cut is {below}")
-        cut, n_cut = below, n_cut + 1
-        failing = _negative_vertex(tables, cut.lower)
-        key = None if failing is None else (failing.offset, failing.subset)
+            witness=None, n_distinct_restrictions=0, **sizes)
+    cut, _, n_cut = found
     # An interval answer's upper bound is itself a negative point; an exact
     # one is probed from tol above.
     witness = descend(lambda delta: _negative_vertex(tables, delta),
                       cut.lower, cut.upper - cut.lower or tol)
     return GammaCertificate(
         lower=cut.lower, upper=cut.upper, exact=cut.exact, unbounded=False,
-        witness=witness, n_vars=n, n_polys=n_polys,
-        n_distinct_restrictions=n_cut,
-    )
+        witness=witness, n_distinct_restrictions=n_cut, **sizes)
 
 
 def subset_bits(subset: int, n: int) -> str:

@@ -555,11 +555,12 @@ def max_step(gamma: Fraction, p: SemiDiscreteProblem,
 
 
 def _provider_q(provider, y, t):
-    """q at state y in y's arithmetic.  A provider from outside this module
-    sees an exact state as an object array of Fractions."""
-    if isinstance(provider, _Provider) or not isinstance(y, RationalArray):
+    """q at state y in y's arithmetic.  An outside provider sees an exact
+    state as an object array of Fractions and may return any sequence."""
+    if isinstance(provider, _Provider):
         return provider.q(y, t)
-    return RationalArray.of(provider.q(np.array(y.tolist(), dtype=object), t))
+    seen = np.array(y.tolist(), dtype=object) if isinstance(y, RationalArray) else y
+    return _like(y, provider.q(seen, t))
 
 
 @dataclass(frozen=True)

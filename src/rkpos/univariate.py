@@ -8,7 +8,8 @@ scaled once to integer coefficients, and its sign at num/den is that of
 the integer den**deg * p(num/den), computed by homogeneous Horner.  The
 bisection that narrows a bracket to `tol` runs on integer numerators over
 one shared denominator and builds Fractions only for the `Cut` it
-returns.  No floating point anywhere.
+returns.  `refine` finds the sup of a monotone exact check by cutting only
+the restrictions that the check names.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from .errors import InputError
 
-__all__ = ["UniPoly", "Cut", "descend", "first_negative_cut", "min_first_negativity"]
+__all__ = ["UniPoly", "Cut", "DEFAULT_TOL", "descend", "first_negative_cut", "refine"]
 
 K = TypeVar("K")
 W = TypeVar("W")
@@ -29,6 +30,9 @@ W = TypeVar("W")
 # first probe; the cap leaves room for coefficient ratios up to 2**256 and
 # turns a check that never fails into an error instead of a hang.
 DESCENT_LIMIT = 256
+
+# Width to which an irrational cut point is bracketed, unless callers say.
+DEFAULT_TOL = Fraction(1, 2**40)
 
 
 @dataclass(frozen=True)
@@ -191,7 +195,7 @@ class Cut:
         return self.exact if self.exact is not None else self.hi
 
 
-def first_negative_cut(p: UniPoly, tol: Fraction = Fraction(1, 2**40)) -> Optional[Cut]:
+def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]:
     """inf{delta > 0 : p(delta) < 0}, assuming p >= 0 immediately right of 0.
 
     Returns None when p never goes negative on (0, oo).  The lowest-order
@@ -290,38 +294,34 @@ def first_negative_cut(p: UniPoly, tol: Fraction = Fraction(1, 2**40)) -> Option
     return result
 
 
-def min_first_negativity(
-    family: Iterable[tuple[K, UniPoly]], tol: Fraction
-) -> Optional[tuple[Cut, K]]:
-    """inf{delta > 0 : some member of `family` is negative at delta}.
+def refine(restriction: Callable[[K], UniPoly], fails: Callable[[Fraction], Optional[K]],
+           candidates: Iterable[K], tol: Fraction = DEFAULT_TOL
+           ) -> Optional[tuple[Cut, K, int]]:
+    """sup{delta >= 0 : a monotone exact check holds at delta}.
 
-    `family` holds (key, polynomial) pairs.  Returns None when no member
-    ever turns negative on (0, oo), else the combined cut and the key of
-    the binding member (the smallest key among ties).  A member whose
-    lowest-order nonzero coefficient is negative binds at exactly 0.
-    Otherwise the minimum is exact only when the smallest exact cut is no
-    larger than the `lo` of every interval cut, since an interval cut
-    could hide a first negativity anywhere in (lo, hi].  A nonpositive
-    `tol` raises InputError, as in `first_negative_cut`.
+    The check holds just right of 0, and on [0, delta] wherever it holds at
+    delta; `fails(delta)` is None where it holds, else the key of a
+    restriction negative at delta.  Cuts the first candidate whose
+    restriction turns negative, then, while the check fails at the cut's
+    lower end, the key it names.  Returns (cut, binding key, restrictions
+    cut), or None when no candidate ever turns negative.
     """
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
-    cuts = []
-    for key, p in family:
-        if next((c for c in p.coeffs if c != 0), 0) < 0:
-            return Cut(Fraction(0), Fraction(0), Fraction(0)), key
-        cut = first_negative_cut(p, tol)
+    n_cut = 0
+    for key in candidates:
+        cut, n_cut = first_negative_cut(restriction(key), tol), n_cut + 1
         if cut is not None:
-            cuts.append((cut, key))
-    if not cuts:
+            break
+    else:
         return None
-    exact = min(((c.exact, key) for c, key in cuts if c.exact is not None),
-                default=None)
-    if exact is not None and all(exact[0] <= c.lo for c, _ in cuts
-                                 if c.exact is None):
-        return Cut(exact[0], exact[0], exact[0]), exact[1]
-    upper, key = min((c.upper, key) for c, key in cuts)
-    return Cut(None, min(c.lower for c, _ in cuts), upper), key
+    # A failing key's restriction is negative at cut.lower, so its cut lies
+    # strictly lower: no key repeats and the loop is bounded.
+    while (failing := fails(cut.lower)) is not None:
+        below = first_negative_cut(restriction(failing), tol)
+        if below is None or below.lower >= cut.lower:
+            raise AssertionError(
+                f"restriction {failing} fails at {cut.lower} but its cut is {below}")
+        cut, key, n_cut = below, failing, n_cut + 1
+    return cut, key, n_cut
 
 
 def descend(

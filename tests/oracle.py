@@ -1,12 +1,20 @@
 """Test oracles: `generate_alt`, the P_i from the Neumann expansion of the
 stage equations, independent of `rkpos.polygen.generate` but for the shared
-Sum_i P_i = 1 check, and `coded`, polynomials from tag-set-keyed terms."""
+Sum_i P_i = 1 check; `coded`, polynomials from tag-set-keyed terms; and
+`min_first_negativity`, the first negativity over a whole family of
+univariate polynomials from cutting every member."""
 
 from fractions import Fraction
+from typing import Iterable, Optional, TypeVar
+
+from rkpos.errors import InputError
 
 from rkpos.multilinear import MultilinearPoly, VarTag, canonical_order
 from rkpos.polygen import PropagationSet, StencilSpec, _check_unity
 from rkpos.tableau import ButcherTableau
+from rkpos.univariate import Cut, UniPoly, first_negative_cut
+
+K = TypeVar("K")
 
 # Polynomials {frozenset of VarTag -> Fraction} and operators {d -> poly}.
 _Poly = dict[frozenset, Fraction]
@@ -105,3 +113,37 @@ def generate_alt(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
             nxt.append(acc)
         term = nxt
     return _finalize(t, s, step)
+
+
+def min_first_negativity(
+    family: Iterable[tuple[K, UniPoly]], tol: Fraction
+) -> Optional[tuple[Cut, K]]:
+    """inf{delta > 0 : some member of `family` is negative at delta}.
+
+    `family` holds (key, polynomial) pairs.  Returns None when no member
+    ever turns negative on (0, oo), else the combined cut and the key of
+    the binding member (the smallest key among ties).  A member whose
+    lowest-order nonzero coefficient is negative binds at exactly 0.
+    Otherwise the minimum is exact only when the smallest exact cut is no
+    larger than the `lo` of every interval cut, since an interval cut
+    could hide a first negativity anywhere in (lo, hi].  A nonpositive
+    `tol` raises InputError, as in `first_negative_cut`.
+    """
+    if tol <= 0:
+        raise InputError(f"tolerance must be positive, got {tol}")
+    cuts = []
+    for key, p in family:
+        if next((c for c in p.coeffs if c != 0), 0) < 0:
+            return Cut(Fraction(0), Fraction(0), Fraction(0)), key
+        cut = first_negative_cut(p, tol)
+        if cut is not None:
+            cuts.append((cut, key))
+    if not cuts:
+        return None
+    exact = min(((c.exact, key) for c, key in cuts if c.exact is not None),
+                default=None)
+    if exact is not None and all(exact[0] <= c.lo for c, _ in cuts
+                                 if c.exact is None):
+        return Cut(exact[0], exact[0], exact[0]), exact[1]
+    upper, key = min((c.upper, key) for c, key in cuts)
+    return Cut(None, min(c.lower for c, _ in cuts), upper), key

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import factorial
 
 from hypothesis import example, given, settings
 
@@ -8,7 +9,9 @@ from rkpos.bounds import (_constraint_polys, radius_abs_monotonicity,
 from rkpos.gamma import compute_gamma
 from rkpos.tableau import (ButcherTableau, erk22, erk33_case1, erk33_case2,
                            erk33_case3, forward_euler, rk4_classical)
+from rkpos.univariate import UniPoly
 
+from oracle import min_first_negativity
 from strategies import small_tableaux
 
 
@@ -172,3 +175,40 @@ def test_feasibility_matches_the_constraint_polynomials(t):
     constraints = [p for _, p in _constraint_polys(t)]
     for r in (F(0), F(1, 7), F(1, 2), F(1), F(3, 2), F(3)):
         assert ssp_feasible(t, r) == all(p(r) >= 0 for p in constraints)
+
+
+def _psi_polys(t):
+    """psi_j(r) = phi^(j)(-r) / j!, from repeated derivatives of phi."""
+    out, p = [], stability_polynomial(t)
+    for j in range(p.degree + 1):
+        out.append((f"phi^({j})", UniPoly.from_coeffs(
+            [c * (-1) ** d / factorial(j) for d, c in enumerate(p.coeffs)])))
+        p = p.derivative()
+    return out
+
+
+@settings(max_examples=100)
+@given(small_tableaux())
+def test_bounds_match_exhaustive_cuts(t):
+    """C and R(phi) agree with the minimum over every constraint polynomial
+    cut on its own, and each bound's exact check holds at its lower end."""
+    tol = F(1, 2 ** 40)
+    psi = _psi_polys(t)
+    cases = [
+        (ssp_coefficient(t, tol), _constraint_polys(t),
+         lambda r: ssp_feasible(t, r)),
+        (radius_abs_monotonicity(t, tol), psi,
+         lambda r: all(p(r) >= 0 for _, p in psi)),
+    ]
+    for res, family, holds in cases:
+        found = min_first_negativity(family, tol)
+        assert res.unbounded == (found is None)
+        # At a zero bound the feasible set may be empty.
+        assert res.lower == 0 or holds(res.lower)
+        if found is None:
+            continue
+        ref, _ = found
+        assert res.upper - res.lower <= tol and ref.upper - ref.lower <= tol
+        assert res.lower <= ref.upper and ref.lower <= res.upper
+        if res.exact is not None and ref.exact is not None:
+            assert res.exact == ref.exact

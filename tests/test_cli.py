@@ -226,6 +226,9 @@ GENERIC6_TABLEAU = json.dumps({
     ["gamma", "--tableau-file", "{missing}"],
     ["gamma", "--tableau-file", "{directory}"],
     ["gamma", "--tableau-file", "{binary}"],
+    ["simulate", "--method", "erk22:1", "--tol", "0"],
+    ["polys", "--method", "fe", "--tol", "1/2"],
+    ["adversary", "--method", "erk22:1/4", "--stencil", "heat"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejected_input_exits_2(tmp_path, argv):
     files = {"float_tableau": FLOAT_TABLEAU, "generic6_tableau": GENERIC6_TABLEAU,

@@ -11,9 +11,8 @@ from rkpos.multilinear import MultilinearPoly, VarTag
 from rkpos.polygen import PropagationSet, centered, generate, heat, upwind
 from rkpos.tableau import (ButcherTableau, erk22, erk33_case1, erk33_case2,
                            erk33_case3, forward_euler, rk4_classical)
-from rkpos.univariate import min_first_negativity
 
-from oracle import coded
+from oracle import coded, min_first_negativity
 from strategies import small_tableaux
 
 

@@ -524,9 +524,16 @@ class _Clocked:
                          for k, v in enumerate(u.tolist())])
 
 
+class _ClockedList(_Clocked):
+    """The same outside provider, returning q as a plain list."""
+
+    def q(self, u, t):
+        return super().q(u, t).tolist()
+
+
 @pytest.mark.parametrize("provider", [
-    advection(lambda t: 1 + t, minmod, a_sup=3), _Clocked()],
-    ids=["advection-a(t)", "outside"])
+    advection(lambda t: 1 + t, minmod, a_sup=3), _Clocked(), _ClockedList()],
+    ids=["advection-a(t)", "outside", "outside-list"])
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_run_steps_as_chained_erk_step(provider, mode):
     """run's final state is that of chained erk_step calls, t0 advancing by
