@@ -19,10 +19,12 @@ Expected values are evaluated through the propagation polynomials and
 then cross-checked against `molsim.erk_step` -- two independent code
 paths agreeing exactly in rational arithmetic.
 
-The schedules key q on (cell, stage time).  Methods with coincident
-stage times can still be handled as long as the coincidences do not
-assign conflicting values or destroy the negativity; when they do, a
-precondition error points at the offending stage times.
+Each schedule is a `molsim.ScriptedQ` (re-exported here), the scripted
+q provider: q keyed on (cell, exact stage time), checked nonnegative
+when it is built.  Methods with coincident stage times can still be
+handled as long as the coincidences do not assign conflicting values or
+destroy the negativity; when they do, a precondition error points at the
+offending stage times.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, PreconditionError
-from .molsim import SemiDiscreteProblem, erk_step, scripted
+from .molsim import ScriptedQ, SemiDiscreteProblem, erk_step
 from .multilinear import VarTag
 from .polygen import PropagationSet, StencilSpec, generate, upwind
 from .tableau import ButcherTableau, chain_weights, rk4_classical
@@ -43,21 +45,6 @@ __all__ = [
     "negative_entry_counterexample",
     "rk4_counterexample",
 ]
-
-
-@dataclass(frozen=True)
-class ScriptedQ:
-    """A q schedule keyed on (cell index, exact time); unlisted keys are 0."""
-
-    table: dict
-
-    def __post_init__(self):
-        for (k, t), v in self.table.items():
-            if v < 0:
-                raise InputError(f"scripted q[{k}, t={t}] = {v} is negative")
-
-    def value(self, k: int, t) -> Fraction:
-        return self.table.get((k, Fraction(t)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -75,16 +62,13 @@ class CounterexampleReport:
     expected_value: Fraction
     boundary: bool
     description: str
-    # Attached after construction via object.__setattr__ (frozen dataclass).
-    _tableau: ButcherTableau = None
-    _stencil: StencilSpec = None
+    tableau: ButcherTableau
+    stencil: StencilSpec
 
     def resimulate(self) -> tuple:
         """Re-run the problem through the simulator; returns u1."""
-        p = SemiDiscreteProblem(
-            self.n, self.dx, self._stencil, scripted(self.script), self.u0
-        )
-        return erk_step(p, self._tableau, self.dt, self.u0).u_next
+        p = SemiDiscreteProblem(self.n, self.dx, self.stencil, self.script, self.u0)
+        return erk_step(p, self.tableau, self.dt, self.u0).u_next
 
 
 def _scripted_point(
@@ -112,7 +96,7 @@ def _poly_u1(ps, script, cell, n, u0, dt, dx) -> Fraction:
 def _build_report(t, stencil, n, dt, u0, script, locus, description):
     ps = generate(t, stencil)
     expect = _poly_u1(ps, script, locus, n, u0, dt, Fraction(1))
-    p = SemiDiscreteProblem(n, Fraction(1), stencil, scripted(script), u0)
+    p = SemiDiscreteProblem(n, Fraction(1), stencil, script, u0)
     trace = erk_step(p, t, dt, u0)
     got = trace.u_next[locus]
     if got != expect:
@@ -121,20 +105,18 @@ def _build_report(t, stencil, n, dt, u0, script, locus, description):
             f"polynomial prediction {expect}"
         )
     boundary = expect == 0
-    report = CounterexampleReport(
+    return CounterexampleReport(
         method=t.name, n=n, dx=Fraction(1), dt=dt, u0=u0, script=script,
         stages=trace.stages, u1=trace.u_next,
         negative_index=None if boundary else locus,
         negative_value=None if boundary else got,
         expected_value=expect, boundary=boundary, description=description,
+        tableau=t, stencil=stencil,
     )
-    object.__setattr__(report, "_tableau", t)
-    object.__setattr__(report, "_stencil", stencil)
-    return report
 
 
-def _schedule(t: ButcherTableau, entries, dt: Fraction = Fraction(1)) -> dict:
-    """Schedule table from (cell, stage index, value) triples, rejecting
+def _schedule(t: ButcherTableau, entries, dt: Fraction = Fraction(1)) -> ScriptedQ:
+    """Schedule from (cell, stage index, value) triples, rejecting
     coincident-stage-time conflicts.  Keys use the scaled times c_j * dt
     seen by the stepper."""
     table = {}
@@ -147,7 +129,7 @@ def _schedule(t: ButcherTableau, entries, dt: Fraction = Fraction(1)) -> dict:
                 f"the schedule cannot give them different q values at cell {cell}"
             )
         table[key] = Fraction(value)
-    return table
+    return ScriptedQ(table)
 
 
 def first_step_counterexample(
@@ -175,12 +157,11 @@ def first_step_counterexample(
     u0 = tuple(
         Fraction(k == (target - offset_i) % n) for k in range(n)
     )
-    table = _schedule(
+    script = _schedule(
         t,
         [((target + tag.offset) % n, tag.stage, val)
          for tag, val in assignment.items() if val != 0],
     )
-    script = ScriptedQ(table)
     requested = {v: Fraction(assignment.get(v, 0)) for v in ps.vars}
     effective = _scripted_point(ps, script, target, n, Fraction(1), Fraction(1))
     if ps.polys[offset_i].eval(requested) < 0 <= ps.polys[offset_i].eval(effective):
@@ -284,8 +265,7 @@ def negative_entry_counterexample(t: ButcherTableau) -> CounterexampleReport:
         (p_cell + 1 + step, stage + 1, Fraction(1))
         for step, stage in enumerate(chain)
     ]
-    table = _schedule(t, entries)
-    script = ScriptedQ(table)
+    script = _schedule(t, entries)
     locus = p_cell + len(chain)
     report = _build_report(
         t, upwind, n, Fraction(1), u0, script, locus,
@@ -319,11 +299,10 @@ def rk4_counterexample(eps: Fraction) -> CounterexampleReport:
     u0 = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     # q = 1 at: cell 2 for stage 1, cell 3 for stages 2 and 3 (coincident
     # abscissae share the time key), cell 4 for stage 4; cells 1-based.
-    table = _schedule(
+    script = _schedule(
         t, [(1, 1, Fraction(1)), (2, 2, Fraction(1)), (2, 3, Fraction(1)),
             (3, 4, Fraction(1))], dt=eps,
     )
-    script = ScriptedQ(table)
     report = _build_report(
         t, upwind, n, eps, u0, script, 3,
         "four-stage schedule forcing a negative fourth cell at the first step",

@@ -35,6 +35,13 @@ def _frac(text: str) -> Fraction:
             f"zero denominator in {text!r}") from None
 
 
+def _positive(text: str) -> Fraction:
+    value = _frac(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 # 10**600 has fewer digits than the lowest int-to-str limit Python allows
 # (640), so each chunk below converts under any limit setting.
 _CHUNK_DIGITS = 600
@@ -199,7 +206,12 @@ def cmd_adversary(args, out) -> int:
         raise InputError(f"adversary: --construction {args.construction} "
                          "is upwind only; --stencil needs first-step")
     if args.construction == "rk4":
-        rep = rk4_counterexample(args.eps)
+        if args.method or args.tableau_file:
+            raise InputError("adversary: --construction rk4 takes no "
+                             "--method or --tableau-file")
+        rep = rk4_counterexample(Fraction(1) if args.eps is None else args.eps)
+    elif args.eps is not None:
+        raise InputError("adversary: --eps needs --construction rk4")
     elif not (args.method or args.tableau_file):
         raise InputError("adversary: --method or --tableau-file required "
                          "unless --construction rk4")
@@ -380,7 +392,7 @@ def _add_common(p, stencil=True, tol=True):
         p.add_argument("--stencil", choices=sorted(BUILTIN_STENCILS),
                        default="upwind")
     if tol:
-        p.add_argument("--tol", type=_frac, default=DEFAULT_TOL)
+        p.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -444,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction",
                    choices=("first-step", "negative-entry", "rk4"),
                    default="negative-entry")
-    p.add_argument("--eps", type=_frac, default=Fraction(1))
+    p.add_argument("--eps", type=_frac, help="rk4 step size ratio (default 1)")
     p.set_defaults(fn=cmd_adversary)
 
     p = sub.add_parser("simulate", help="method-of-lines run with monitoring")

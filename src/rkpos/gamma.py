@@ -21,6 +21,7 @@ path and no sampling fallback.  A set whose tables exceed the byte budget
 of `rkpos.multilinear` raises CapacityError before any table is built.
 """
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -98,6 +99,10 @@ class GammaCertificate:
         return f"gamma in [{self.lower}, {self.upper}]"
 
 
+# Each set's tables, built on its first check and dropped with the set.
+_TABLES = weakref.WeakKeyDictionary()
+
+
 def _poly_tables(ps: PropagationSet):
     """(offset, support, scale, table) per polynomial, ascending offset.
 
@@ -107,6 +112,8 @@ def _poly_tables(ps: PropagationSet):
     tables' total size is checked against the byte budget before the first
     one is built.
     """
+    if ps in _TABLES:
+        return _TABLES[ps]
     recoded = []
     for offset in ps.offsets:
         poly = ps.polys[offset]
@@ -129,12 +136,19 @@ def _poly_tables(ps: PropagationSet):
     for offset, support, poly in recoded:
         scale, table = poly.vertex_table()
         out.append((offset, support, scale, table.astype(object, copy=False)))
+    _TABLES[ps] = out
     return out
 
 
-def _zero_witness(ps: PropagationSet, tables) -> Optional[NegativityWitness]:
-    """gamma_zero_test over prebuilt `_poly_tables(ps)`."""
-    for offset, support, _scale, table in tables:
+def gamma_zero_test(ps: PropagationSet) -> Optional[NegativityWitness]:
+    """Decide gamma > 0 without computing gamma.
+
+    gamma > 0 iff for every vertex restriction g_{i,S} the lowest-order
+    nonzero coefficient is positive (then g > 0 on some (0, eps)).
+    Returns None when gamma > 0, otherwise a witness evaluated at a
+    concrete small delta where the polynomial is negative.
+    """
+    for offset, support, _scale, table in _poly_tables(ps):
         settled = table[0] != 0
         bad = table[0] < 0
         for row in table[1:]:
@@ -149,34 +163,26 @@ def _zero_witness(ps: PropagationSet, tables) -> Optional[NegativityWitness]:
     return None
 
 
-def gamma_zero_test(ps: PropagationSet) -> Optional[NegativityWitness]:
-    """Decide gamma > 0 without computing gamma.
-
-    gamma > 0 iff for every vertex restriction g_{i,S} the lowest-order
-    nonzero coefficient is positive (then g > 0 on some (0, eps)).
-    Returns None when gamma > 0, otherwise a witness evaluated at a
-    concrete small delta where the polynomial is negative.
-    """
-    return _zero_witness(ps, _poly_tables(ps))
-
-
-def _negative_vertex(
-    tables, delta: Union[Fraction, int]
+def condition_at(
+    ps: PropagationSet, delta: Union[Fraction, int]
 ) -> Optional[NegativityWitness]:
-    """condition_at over prebuilt `_poly_tables(ps)`.
+    """Check `every P_i >= 0 on [0, delta]^n` exactly at one delta.
 
-    Every column is evaluated exactly, as g_S(delta) * scale * den**maxdeg
-    in Python ints.  Column bit k is the k-th support variable, so ascending
-    columns are ascending global subsets, and a global subset takes the
-    value of its intersection with the support, a subset no larger than
-    itself.  The first negative column is therefore the first negative
-    global subset, and it is reported by its global code.
+    Returns None when the condition holds, else a witness vertex with a
+    negative value.  Exact: vertices suffice because the polynomials are
+    multilinear, and every column is evaluated as g_S(delta) * scale *
+    den**maxdeg in Python ints.  Column bit k is the k-th support
+    variable, so ascending columns are ascending global subsets, and a
+    global subset takes the value of its intersection with the support, a
+    subset no larger than itself.  The first negative column is therefore
+    the first negative global subset, and it is reported by its global
+    code.
     """
     delta = Fraction(delta)
     if delta < 0:
         raise ParameterDomainError("delta must be nonnegative")
     num, den = delta.numerator, delta.denominator
-    for offset, support, scale, table in tables:
+    for offset, support, scale, table in _poly_tables(ps):
         maxdeg = len(table) - 1
         values = sum(row * (num**d * den ** (maxdeg - d))
                      for d, row in enumerate(table))
@@ -186,18 +192,6 @@ def _negative_vertex(
             value = Fraction(values[at], scale * den**maxdeg)
             return NegativityWitness(offset, move_bits(at, support), delta, value)
     return None
-
-
-def condition_at(
-    ps: PropagationSet, delta: Union[Fraction, int]
-) -> Optional[NegativityWitness]:
-    """Check `every P_i >= 0 on [0, delta]^n` exactly at one delta.
-
-    Returns None when the condition holds, else a witness vertex with a
-    negative value.  Exact: vertices suffice because the polynomials are
-    multilinear.
-    """
-    return _negative_vertex(_poly_tables(ps), delta)
 
 
 def compute_gamma(
@@ -218,16 +212,15 @@ def compute_gamma(
         raise InputError(f"tolerance must be positive, got {tol}")
     ps = source if isinstance(source, PropagationSet) else generate(source, stencil)
     sizes = dict(n_vars=len(ps.vars), n_polys=len(ps.polys))
-    tables = _poly_tables(ps)
 
-    zero = _zero_witness(ps, tables)
+    zero = gamma_zero_test(ps)
     if zero is not None:
         return GammaCertificate(
             lower=Fraction(0), upper=Fraction(0), exact=Fraction(0), unbounded=False,
             witness=zero, n_distinct_restrictions=0, **sizes)
 
     def failing_key(delta):
-        failing = _negative_vertex(tables, delta)
+        failing = condition_at(ps, delta)
         return None if failing is None else (failing.offset, failing.subset)
 
     negative_terms = ((offset, code) for offset in ps.offsets
@@ -241,7 +234,7 @@ def compute_gamma(
     cut, _, n_cut = found
     # An interval answer's upper bound is itself a negative point; an exact
     # one is probed from tol above.
-    witness = descend(lambda delta: _negative_vertex(tables, delta),
+    witness = descend(lambda delta: condition_at(ps, delta),
                       cut.lower, cut.upper - cut.lower or tol)
     return GammaCertificate(
         lower=cut.lower, upper=cut.upper, exact=cut.exact, unbounded=False,
@@ -360,8 +353,7 @@ def region_scan(
             cells.append(RegionCell(alpha, beta, member, None, None, str(exc)))
             continue
         ps = generate(t, stencil)
-        tables = _poly_tables(ps)
-        holds = _negative_vertex(tables, delta) is None
-        positive = _zero_witness(ps, tables) is None
+        holds = condition_at(ps, delta) is None
+        positive = gamma_zero_test(ps) is None
         cells.append(RegionCell(alpha, beta, member, holds, positive, None))
     return cells

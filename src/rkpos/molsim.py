@@ -7,21 +7,23 @@ The semi-discrete systems all take the form
 with a nonnegative coefficient q_k, where S is a difference stencil
 ((S u)_k = sum_o c_o u_{k-o}) and p its dx power.  The q coefficient can
 come from a flux-limited advection or conservation-law discretization, a
-per-cell diffusion coefficient, a constant, or an externally scripted
-table.  Explicit Runge-Kutta stepping keeps the increment structure
-explicit, so runs can be exact or floating point with the same code path:
-one array kernel over a 1-D state.  A float64 array runs in float
-arithmetic, with the tableau, stencil, limiter and q constants converted
-to float once per step or q evaluation; every elementwise operation keeps
-the order of the per-cell definition, so float results are the same bits
-it gives.  An exact state is a RationalArray: coprime Python-int
-numerators and positive denominators in two object arrays, with every
-+ - * / reduced as it happens, for all cells at once, by the gcd splits
-Fraction uses.  The kernel's numpy calls reach it through numpy's
-__array_ufunc__ / __array_function__ protocols.  What callers see is
-unchanged: StepTrace and RunReport hold Fractions, a provider called with
-exact values returns an object array of Fractions, and a provider,
-psi_fn or f' written for Fractions is handed Fractions.
+per-cell diffusion coefficient, a constant, or a scripted table
+(`ScriptedQ`).  Explicit Runge-Kutta stepping keeps the increment
+structure explicit, so runs can be exact or floating point with the same
+code path: one array kernel over a 1-D state.  A step is exact when dt,
+dx and every data value are ints or Fractions, and float otherwise.  A
+float64 array runs in float arithmetic, with the tableau, stencil,
+limiter and q constants converted to float once per step or q
+evaluation; every elementwise operation keeps the order of the per-cell
+definition, so float results are the same bits it gives.  An exact state
+is a RationalArray: coprime Python-int numerators and positive
+denominators in two object arrays, with every + - * / reduced as it
+happens, for all cells at once, by the gcd splits Fraction uses.  The
+kernel's numpy calls reach it through numpy's __array_ufunc__ /
+__array_function__ protocols.  What callers see is unchanged: StepTrace
+and RunReport hold Fractions, a provider called with exact values
+returns an object array of Fractions, and a provider, psi_fn or f'
+written for Fractions is handed Fractions.
 """
 
 import warnings
@@ -41,6 +43,7 @@ __all__ = [
     "LIMITERS",
     "MONITORS",
     "RunReport",
+    "ScriptedQ",
     "SemiDiscreteProblem",
     "StepTrace",
     "advection",
@@ -229,6 +232,11 @@ def _parts(x):
     raise TypeError(f"no exact arithmetic with {type(x).__name__} {x!r}")
 
 
+def _all_exact(*values) -> bool:
+    """The one rule for the arithmetic: exact iff all are ints or Fractions."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
 def _state(u):
     """u as a 1-D state: a RationalArray when every value is an int or
     Fraction, a float64 array otherwise.  States of either kind pass as is."""
@@ -236,7 +244,7 @@ def _state(u):
             isinstance(u, np.ndarray) and u.dtype == np.float64):
         return u
     values = u.tolist() if isinstance(u, np.ndarray) else list(u)
-    if all(isinstance(v, (int, Fraction)) for v in values):
+    if _all_exact(*values):
         return RationalArray.of(values)
     return np.array(values, dtype=np.float64)
 
@@ -362,34 +370,16 @@ def _first_negative(q) -> Optional[int]:
     return int(negative[0]) if negative.size else None
 
 
-def q_advection(u: Sequence[Number], t: Number, a, limiter: Limiter) -> np.ndarray:
-    """q_k = a(t) * (1 - psi(theta_{k-1}) + psi(theta_k)/theta_k).
-
-    Periodic indexing.  A negative q_k means the limiter left the
-    positivity contract (possible for MC) and raises.
-    """
-    x = _state(u)
-    at = _num(x)(a(t) if callable(a) else a)
-    value, ratio, _ = _limiter_terms(limiter, x)
-    q = at * ((1 - np.roll(value, 1)) + ratio)
-    k = _first_negative(q)
-    if k is not None:
-        raise LimiterContractError(
-            f"limiter {limiter.name!r} produced q[{k}] = {q.tolist()[k]} < 0; "
-            f"psi lies outside the positivity contract for this data"
-        )
-    return _returned(u, q)
-
-
 # --- q providers ------------------------------------------------------------
-#
-# Each provider's q(u, t) takes a state array (or a sequence, read as by
-# erk_step) and returns q as an array in the state's arithmetic; an exact
-# sequence or object array gets q back as an object array of Fractions.
 
 
 class _Provider:
-    """The providers below, which compute q on the kernel's own arrays."""
+    """q(u, t) takes a state array or a sequence, read as by erk_step, and
+    returns q in the state's arithmetic (an object array of Fractions for an
+    exact sequence); each provider implements _q(x, t) on a state array."""
+
+    def q(self, u, t):
+        return _returned(u, self._q(_state(u), t))
 
 
 class _Advection(_Provider):
@@ -400,8 +390,17 @@ class _Advection(_Provider):
             a_sup = a
         self.q_bound = None if a_sup is None else (limiter.mu + 1) * a_sup
 
-    def q(self, u, t):
-        return q_advection(u, t, self.a, self.limiter)
+    def _q(self, x, t):
+        at = _num(x)(self.a(t) if callable(self.a) else self.a)
+        value, ratio, _ = _limiter_terms(self.limiter, x)
+        q = at * ((1 - np.roll(value, 1)) + ratio)
+        k = _first_negative(q)
+        if k is not None:
+            raise LimiterContractError(
+                f"limiter {self.limiter.name!r} produced q[{k}] = {q.tolist()[k]} < 0; "
+                f"psi lies outside the positivity contract for this data"
+            )
+        return q
 
 
 def advection(a, limiter: Limiter, a_sup: Optional[Number] = None) -> _Advection:
@@ -410,16 +409,23 @@ def advection(a, limiter: Limiter, a_sup: Optional[Number] = None) -> _Advection
     return _Advection(a, limiter, a_sup)
 
 
+def q_advection(u: Sequence[Number], t: Number, a, limiter: Limiter) -> np.ndarray:
+    """q_k = a(t) * (1 - psi(theta_{k-1}) + psi(theta_k)/theta_k).
+
+    Periodic indexing.  A negative q_k means the limiter left the
+    positivity contract (possible for MC) and raises.
+    """
+    return advection(a, limiter).q(u, t)
+
+
 class _ConservationLaw(_Provider):
-    def __init__(self, f, fprime, limiter, fprime_sup=None):
-        self.f = f
+    def __init__(self, fprime, limiter, fprime_sup=None):
         self.fprime = fprime
         self.limiter = limiter
         self.fprime_sup = fprime_sup
         self.q_bound = None if fprime_sup is None else (limiter.mu + 1) * fprime_sup
 
-    def q(self, u, t):
-        x = _state(u)
+    def _q(self, x, t):
         value, ratio, d = _limiter_terms(self.limiter, x)
         # f' (a scalar function) at the interface states
         # u_{k+1/2} = u_k + psi(theta_k)(u_{k+1} - u_k).  The local wave
@@ -437,36 +443,35 @@ class _ConservationLaw(_Provider):
             raise LimiterContractError(
                 f"limiter {self.limiter.name!r} produced q[{k}] = {q.tolist()[k]} < 0"
             )
-        return _returned(u, q)
+        return q
 
 
 def conservation_law(f, fprime, limiter: Limiter, fprime_sup=None) -> _ConservationLaw:
-    return _ConservationLaw(f, fprime, limiter, fprime_sup)
+    """q for u_t + f(u)_x = 0 needs only f' >= 0; the flux f is unused."""
+    return _ConservationLaw(fprime, limiter, fprime_sup)
 
 
-class _Scripted(_Provider):
-    def __init__(self, script):
-        # `script` is a mapping {(cell index, time): value} or an object
-        # with a .value(k, t) method (see the counterexample tooling).
-        self.script = script
-        self.q_bound = None
+@dataclass(frozen=True)
+class ScriptedQ(_Provider):
+    """A q schedule keyed on (cell index, exact time); unlisted keys are 0.
+    Every value is checked to be nonnegative once, when it is built."""
 
-    def _value(self, k, t):
-        if hasattr(self.script, "value"):
-            return self.script.value(k, t)
-        return self.script.get((k, t), Fraction(0))
+    table: dict
 
-    def q(self, u, t):
-        x = _state(u)
-        values = [self._value(k, t) for k in range(len(x))]
-        k = _first_negative(np.array(values, dtype=object))
-        if k is not None:
-            raise InputError(f"scripted q[{k}] = {values[k]} is negative")
-        return _returned(u, _like(x, values))
+    def __post_init__(self):
+        for (k, t), v in self.table.items():
+            if v < 0:
+                raise InputError(f"scripted q[{k}, t={t}] = {v} is negative")
+
+    def value(self, k: int, t) -> Fraction:
+        return self.table.get((k, t), Fraction(0))
+
+    def _q(self, x, t):
+        return _like(x, [self.value(k, t) for k in range(len(x))])
 
 
-def scripted(script) -> _Scripted:
-    return _Scripted(script)
+def scripted(table: dict) -> ScriptedQ:
+    return ScriptedQ(table)
 
 
 class _Constant(_Provider):
@@ -476,9 +481,8 @@ class _Constant(_Provider):
         self.value = value
         self.q_bound = value
 
-    def q(self, u, t):
-        x = _state(u)
-        return _returned(u, _like(x, [self.value] * len(x)))
+    def _q(self, x, t):
+        return _like(x, [self.value] * len(x))
 
 
 def constant_q(value) -> _Constant:
@@ -494,15 +498,14 @@ class _Heat(_Provider):
         self._float = np.array(self.kappa, dtype=np.float64)
         self._exact = None  # kappa as a RationalArray, on first exact use
 
-    def q(self, u, t):
-        x = _state(u)
+    def _q(self, x, t):
         if len(x) != len(self.kappa):
             raise InputError("per-cell kappa length does not match the grid")
         if not isinstance(x, RationalArray):
             return self._float.copy()
         if self._exact is None:
             self._exact = RationalArray.of(self.kappa)
-        return _returned(u, self._exact)
+        return self._exact
 
 
 def heat_q(kappa: Sequence[Number]) -> _Heat:
@@ -566,19 +569,17 @@ def _provider_q(provider, y, t):
 @dataclass(frozen=True)
 class StepTrace:
     stages: tuple          # y^1 .. y^m, each a tuple of cell values
-    xis: tuple             # per stage: tuple of dt*q_k/dx^pow
     u_next: tuple
 
 
 def _step(p: SemiDiscreteProblem, t: ButcherTableau, dt: Number, u, t0: Number):
-    """The kernel of `erk_step` on a state array u: (stages, xis, u_next),
-    the stage states and xi vectors as lists of arrays in u's arithmetic."""
+    """The kernel of `erk_step` on a state array u: (stages, u_next), the
+    stage states as a list of arrays in u's arithmetic."""
     num = _num(u)
     coeffs = [(o, num(c)) for o, c in p.stencil.coeffs.items()]
     dtn, scale = num(dt), num(p.dx ** p.stencil.dx_power)
     increments = []
     stages = []
-    xis = []
     abscissae = t.c
     for j in range(t.m):
         y = u
@@ -590,12 +591,11 @@ def _step(p: SemiDiscreteProblem, t: ButcherTableau, dt: Number, u, t0: Number):
         sy = sum(c * np.roll(y, o) for o, c in coeffs)
         increments.append(xi * sy)
         stages.append(y)
-        xis.append(xi)
     u1 = u
     for j in range(t.m):
         if t.b[j] != 0:
             u1 = u1 + num(t.b[j]) * increments[j]
-    return stages, xis, u1
+    return stages, u1
 
 
 def erk_step(
@@ -610,15 +610,15 @@ def erk_step(
     Stage j's coefficient vector is xi^j_k = dt * q_k(y^j, t0 + c_j dt)
     / dx^pow, and every state is u plus a combination of the per-stage
     increments xi^j * (S y^j) -- so flat regions are preserved exactly in
-    either arithmetic.  The state is exact (a RationalArray) when every
-    u_k is an int or Fraction, float64 otherwise; the trace holds Fractions
-    or floats.
+    either arithmetic.  The state is exact (a RationalArray) when dt, dx
+    and every u_k are ints or Fractions, float64 otherwise; the trace holds
+    Fractions or floats.
     """
     if dt <= 0:
         raise PreconditionError("step size must be positive")
-    stages, xis, u1 = _step(p, t, dt, _state(u), t0)
-    return StepTrace(tuple(tuple(y.tolist()) for y in stages),
-                     tuple(tuple(xi.tolist()) for xi in xis), tuple(u1.tolist()))
+    x = _state(u) if _all_exact(dt, p.dx) else np.array(u, dtype=np.float64)
+    stages, u1 = _step(p, t, dt, x, t0)
+    return StepTrace(tuple(tuple(y.tolist()) for y in stages), tuple(u1.tolist()))
 
 
 @dataclass
@@ -696,14 +696,14 @@ def run(
         raise InputError(
             f"unknown monitor {unknown[0]!r}; choose from {', '.join(MONITORS)}"
         )
-    exact = all(isinstance(v, (Fraction, int)) for v in (dt, *p.u0))
+    exact = _all_exact(dt, p.dx, *p.u0)
     if mode is None:
         mode = "rational" if exact else "float"
     if mode not in ("rational", "float"):
         raise InputError(f"unknown mode {mode!r}; choose rational or float")
     if mode == "rational" and not exact:
-        raise InputError(
-            "rational mode needs int or Fraction initial data and step size")
+        raise InputError("rational mode needs int or Fraction initial data, "
+                         "step size and grid spacing")
     if mode == "float":
         p, dt = _as_float(p), float(dt)
     u = _state(p.u0)
@@ -712,7 +712,7 @@ def run(
     violation = None
     now = t_start if mode == "rational" else float(t_start)
     for step in range(1, steps + 1):
-        u = _step(p, t, dt, u, now)[2]
+        u = _step(p, t, dt, u, now)[1]
         now = now + dt
         if isinstance(u, RationalArray) and u.max_den_bits() > _RATIONAL_BIT_LIMIT:
             warnings.warn(

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, ParameterDomainError
 
@@ -34,6 +34,8 @@ FAMILY_KINDS = ("ERK22", "ERK33_CaseI", "ERK33_CaseII", "ERK33_CaseIII")
 
 
 def _frac(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise InputError(f"float {x!r} not accepted; pass an exact rational")
     return Fraction(x)
@@ -44,6 +46,7 @@ class ButcherTableau:
     """An explicit RK method (A, b) with exact rational entries.
 
     A must be strictly lower triangular; c is the vector of row sums of A.
+    Entries are stored as Fractions; a float entry raises InputError.
     """
 
     a: tuple[tuple[Fraction, ...], ...]
@@ -51,6 +54,8 @@ class ButcherTableau:
     name: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "a", tuple(tuple(map(_frac, row)) for row in self.a))
+        object.__setattr__(self, "b", tuple(map(_frac, self.b)))
         m = len(self.b)
         if len(self.a) != m or any(len(row) != m for row in self.a):
             raise InputError("A must be m x m with m = len(b)")
@@ -119,17 +124,12 @@ def chain_weights(t: ButcherTableau) -> Iterator[tuple[tuple[int, ...], Fraction
                 yield stages, weight
 
 
-def _tableau(a_rows: Iterable[Iterable], b: Iterable, name: str) -> ButcherTableau:
-    a = tuple(tuple(_frac(x) for x in row) for row in a_rows)
-    return ButcherTableau(a=a, b=tuple(_frac(x) for x in b), name=name)
-
-
 def erk22(alpha) -> ButcherTableau:
     """The one-parameter family of all two-stage second-order ERK methods."""
     alpha = _frac(alpha)
     if alpha == 0:
         raise ParameterDomainError("ERK22 requires alpha != 0")
-    return _tableau(
+    return ButcherTableau(
         [[0, 0], [alpha, 0]],
         [1 - 1 / (2 * alpha), 1 / (2 * alpha)],
         f"ERK22(alpha={alpha})",
@@ -149,7 +149,7 @@ def erk33_case1(alpha, beta) -> ButcherTableau:
     b1 = (6 * alpha * beta - 3 * alpha - 3 * beta + 2) / (6 * alpha * beta)
     b2 = (2 - 3 * beta) / (6 * alpha * (alpha - beta))
     b3 = (3 * alpha - 2) / (6 * beta * (alpha - beta))
-    return _tableau(
+    return ButcherTableau(
         [[0, 0, 0], [alpha, 0, 0], [beta - a32, a32, 0]],
         [b1, b2, b3],
         f"ERK33-I(alpha={alpha},beta={beta})",
@@ -162,7 +162,7 @@ def erk33_case2(alpha) -> ButcherTableau:
     if alpha == 0:
         raise ParameterDomainError("ERK33 Case II requires alpha != 0")
     q = 1 / (4 * alpha)
-    return _tableau(
+    return ButcherTableau(
         [[0, 0, 0], [Fraction(2, 3), 0, 0], [Fraction(2, 3) - q, q, 0]],
         [Fraction(1, 4), Fraction(3, 4) - alpha, alpha],
         f"ERK33-II(alpha={alpha})",
@@ -175,7 +175,7 @@ def erk33_case3(alpha) -> ButcherTableau:
     if alpha == 0:
         raise ParameterDomainError("ERK33 Case III requires alpha != 0")
     q = 1 / (4 * alpha)
-    return _tableau(
+    return ButcherTableau(
         [[0, 0, 0], [Fraction(2, 3), 0, 0], [-q, q, 0]],
         [Fraction(1, 4) - alpha, Fraction(3, 4), alpha],
         f"ERK33-III(alpha={alpha})",
@@ -183,7 +183,7 @@ def erk33_case3(alpha) -> ButcherTableau:
 
 
 def rk4_classical() -> ButcherTableau:
-    return _tableau(
+    return ButcherTableau(
         [
             [0, 0, 0, 0],
             [Fraction(1, 2), 0, 0, 0],
@@ -196,7 +196,7 @@ def rk4_classical() -> ButcherTableau:
 
 
 def forward_euler() -> ButcherTableau:
-    return _tableau([[0]], [1], "FE")
+    return ButcherTableau([[0]], [1], "FE")
 
 
 _FAMILIES = {  # kind -> (builder, parameter count)
@@ -279,7 +279,7 @@ def tableau_from_json(text: str) -> ButcherTableau:
             raise InputError("field 'm' disagrees with len(b)")
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"malformed tableau file: {exc}") from exc
-    return _tableau(a, b, "from-file")
+    return ButcherTableau(a, b, "from-file")
 
 
 _SHORTHAND = {

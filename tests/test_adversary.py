@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import rkpos.molsim
 from rkpos.adversary import (ScriptedQ, first_step_counterexample,
                              negative_entry_counterexample, rk4_counterexample)
 from rkpos.errors import InputError, PreconditionError
@@ -26,6 +27,10 @@ def witness_point(ps, w):
 def test_scripted_q_rejects_negative():
     with pytest.raises(InputError):
         ScriptedQ({(0, F(0)): F(-1)})
+
+
+def test_scripted_schedule_is_the_molsim_provider():
+    assert ScriptedQ is rkpos.molsim.ScriptedQ
 
 
 def test_first_step_erk22_just_past_gamma():

@@ -229,6 +229,9 @@ GENERIC6_TABLEAU = json.dumps({
     ["simulate", "--method", "erk22:1", "--tol", "0"],
     ["polys", "--method", "fe", "--tol", "1/2"],
     ["adversary", "--method", "erk22:1/4", "--stencil", "heat"],
+    ["adversary", "--construction", "rk4", "--method", "erk22:1"],
+    ["adversary", "--method", "erk33c3:1", "--eps", "5"],
+    ["simulate", "--method", "erk22:1", "--dt", "1/1000", "--tol", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejected_input_exits_2(tmp_path, argv):
     files = {"float_tableau": FLOAT_TABLEAU, "generic6_tableau": GENERIC6_TABLEAU,

@@ -326,6 +326,18 @@ def test_zero_witness_names_the_global_vertex():
     assert compute_gamma(ps).witness == w
 
 
+def test_each_set_builds_its_tables_once(monkeypatch):
+    built = []
+    build = MultilinearPoly.vertex_table
+    monkeypatch.setattr(MultilinearPoly, "vertex_table",
+                        lambda poly: built.append(poly) or build(poly))
+    ps = generate(erk33_case2(F(9, 16)), upwind)
+    gamma_zero_test(ps)
+    condition_at(ps, 1)
+    assert compute_gamma(ps).exact == 1
+    assert len(built) == len(ps.polys)
+
+
 def test_condition_at_tiny_delta_on_int64_tables():
     # A zero row (the constant row of an off-centre P_i) still multiplies
     # den^maxdeg, which passes int64 at a 2^-32 denominator.

@@ -99,8 +99,7 @@ def test_polynomial_simulator_agreement(t, stencil):
     for k in range(n):
         for cj in set(t.c):
             table[(k, F(cj) * F(1, 2))] = F(rng.randint(0, 5), rng.randint(1, 4))
-    sq = scripted(type("S", (), {"value": staticmethod(
-        lambda k, tm: table.get((k, F(tm)), F(0)))})())
+    sq = scripted(table)
     dt, dx = F(1, 2), F(1)
     p = SemiDiscreteProblem(n, dx, stencil, sq, u0)
     trace = erk_step(p, t, dt, u0)
@@ -213,10 +212,24 @@ def test_run_rejects_unknown_monitor():
 
 
 def test_scripted_negative_q_rejected():
-    p = SemiDiscreteProblem(3, F(1), upwind, scripted({(0, F(0)): F(-1)}),
-                            (F(1),) * 3)
     with pytest.raises(InputError):
-        erk_step(p, forward_euler(), F(1), p.u0)
+        scripted({(0, F(0)): F(-1)})
+
+
+def test_erk_step_with_a_float_dx_runs_in_float():
+    u0 = (F(0), F(1, 2), F(1), F(1, 4))
+    p = SemiDiscreteProblem(4, 0.25, upwind, advection(F(1), minmod), u0)
+    trace = erk_step(p, erk22(F(1)), F(1, 16), u0)
+    assert trace == erk_step(p, erk22(F(1)), 1 / 16, tuple(map(float, u0)))
+    assert all(type(v) is float for v in trace.u_next)
+
+
+def test_run_with_a_float_dx_runs_in_float():
+    u0 = (F(0), F(1, 2), F(1), F(1, 4))
+    p = SemiDiscreteProblem(4, 0.25, upwind, advection(F(1), minmod), u0)
+    assert run(p, erk22(F(1)), F(1, 16), 3).mode == "float"
+    with pytest.raises(InputError, match="rational mode"):
+        run(p, erk22(F(1)), F(1, 16), 3, mode="rational")
 
 
 def test_limiters_registry():

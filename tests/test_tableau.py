@@ -125,6 +125,13 @@ def test_validation_rejects_nonsquare():
         ButcherTableau(a=((F(0),),), b=(F(1), F(1)), name="bad")
 
 
+def test_validation_rejects_float_entries():
+    with pytest.raises(InputError):
+        ButcherTableau(a=((0, 0), (0.5, 0)), b=(0, 1))
+    t = ButcherTableau(a=((0, 0), (1, 0)), b=(F(1, 2), F(1, 2)))
+    assert all(type(x) is F for x in t.a[0] + t.a[1] + t.b)
+
+
 def test_dj_irreducible():
     assert erk22(F(1)).is_dj_irreducible()
     assert rk4_classical().is_dj_irreducible()
