@@ -20,7 +20,7 @@ fails just above.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable, Optional
 
 from .errors import InputError
@@ -119,56 +119,40 @@ def radius_abs_monotonicity(
 
 
 def _k_matrix(t: ButcherTableau) -> list[list[Fraction]]:
-    m = t.m
-    k = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
-    for i in range(m):
-        for j in range(m):
-            k[i][j] = t.a[i][j]
-    for j in range(m):
-        k[m][j] = t.b[j]
-    return k
-
-
-def _mat_mul(x, y):
-    # K (A with the row b below it) and its powers are strictly lower
-    # triangular, so most x[i][k] are 0: skip them.
-    n = len(x)
-    out = []
-    for row in x:
-        nonzero = [(k, v) for k, v in enumerate(row) if v]
-        out.append([sum((v * y[k][j] for k, v in nonzero), Fraction(0))
-                    for j in range(n)])
-    return out
+    """K = [[A, 0], [b^T, 0]]."""
+    return [[*row, Fraction(0)] for row in (*t.a, t.b)]
 
 
 def _constraint_polys(t: ButcherTableau) -> list[tuple[str, UniPoly]]:
     """Entries of K(I+rK)^{-1} and (I+rK)^{-1}e as polynomials in r.
 
-    Uses (I+rK)^{-1} = sum_t (-r)^t K^t; K^{m+1} = 0.
+    Uses (I+rK)^{-1} = sum_t (-r)^t K^t; K^{m+1} = 0.  The powers are
+    those of the integer matrix LK, L the lcm of K's denominators, and
+    each entry is divided by L^t once.
     """
     m1 = t.m + 1
     k = _k_matrix(t)
-    powers = [[[Fraction(i == j) for j in range(m1)] for i in range(m1)]]
+    scale = lcm(*[v.denominator for row in k for v in row])
+    k = [[v.numerator * (scale // v.denominator) for v in row] for row in k]
+    powers = [[[int(i == j) for j in range(m1)] for i in range(m1)]]
     while True:
-        nxt = _mat_mul(powers[-1], k)
-        if all(v == 0 for row in nxt for v in row):
+        # K and its powers are strictly lower triangular: skip their zeros.
+        nxt = [[sum(v * k[c][j] for c, v in enumerate(row) if v) for j in range(m1)]
+               for row in powers[-1]]
+        if not any(map(any, nxt)):
             break
         powers.append(nxt)
     labeled = []
     for i in range(m1):
         for j in range(m1):
             # K(I+rK)^{-1} entry: coefficient of r^d is (-1)^d (K^{d+1})_{ij}.
-            km = [
-                (-1) ** d * powers[d + 1][i][j]
-                for d in range(len(powers) - 1)
-            ]
+            km = [Fraction((-1) ** d * powers[d + 1][i][j], scale ** (d + 1))
+                  for d in range(len(powers) - 1)]
             p = UniPoly.from_coeffs(km)
             if not p.is_zero():
                 labeled.append((f"K(I+rK)^-1[{i},{j}]", p))
-        me = [
-            (-1) ** d * sum(powers[d][i][j] for j in range(m1))
-            for d in range(len(powers))
-        ]
+        me = [Fraction((-1) ** d * sum(powers[d][i]), scale**d)
+              for d in range(len(powers))]
         labeled.append((f"(I+rK)^-1 e[{i}]", UniPoly.from_coeffs(me)))
     return labeled
 

@@ -144,18 +144,15 @@ def gamma_zero_test(ps: PropagationSet) -> Optional[NegativityWitness]:
     """Decide gamma > 0 without computing gamma.
 
     gamma > 0 iff for every vertex restriction g_{i,S} the lowest-order
-    nonzero coefficient is positive (then g > 0 on some (0, eps)).
-    Returns None when gamma > 0, otherwise a witness evaluated at a
-    concrete small delta where the polynomial is negative.
+    nonzero coefficient, its column's first nonzero row, is positive (then
+    g > 0 on some (0, eps)).  Returns None when gamma > 0, otherwise a
+    witness evaluated at a concrete small delta where it is negative.
     """
     for offset, support, _scale, table in _poly_tables(ps):
-        settled = table[0] != 0
-        bad = table[0] < 0
-        for row in table[1:]:
-            bad |= ~settled & (row < 0)
-            settled |= row != 0
-        if bad.any():
-            subset = move_bits(int(np.flatnonzero(bad)[0]), support)
+        lowest = table[(table != 0).argmax(axis=0), np.arange(table.shape[1])]
+        bad = np.flatnonzero(lowest < 0)
+        if bad.size:
+            subset = move_bits(int(bad[0]), support)
             g = ps.polys[offset].vertex_restriction(subset)
             delta = descend(lambda d: d if g(d) < 0 else None,
                             Fraction(0), Fraction(1))
@@ -170,13 +167,13 @@ def condition_at(
 
     Returns None when the condition holds, else a witness vertex with a
     negative value.  Exact: vertices suffice because the polynomials are
-    multilinear, and every column is evaluated as g_S(delta) * scale *
-    den**maxdeg in Python ints.  Column bit k is the k-th support
-    variable, so ascending columns are ascending global subsets, and a
-    global subset takes the value of its intersection with the support, a
-    subset no larger than itself.  The first negative column is therefore
-    the first negative global subset, and it is reported by its global
-    code.
+    multilinear, and each column's g_S(delta) * scale * den**maxdeg is one
+    dot of the row [num**d * den**(maxdeg - d)] with the table, in Python
+    ints.  Column bit k is the k-th support variable, so ascending columns
+    are ascending global subsets, and a global subset takes the value of
+    its intersection with the support, a subset no larger than itself.
+    The first negative column is therefore the first negative global
+    subset, and it is reported by its global code.
     """
     delta = Fraction(delta)
     if delta < 0:
@@ -184,8 +181,8 @@ def condition_at(
     num, den = delta.numerator, delta.denominator
     for offset, support, scale, table in _poly_tables(ps):
         maxdeg = len(table) - 1
-        values = sum(row * (num**d * den ** (maxdeg - d))
-                     for d, row in enumerate(table))
+        powers = [num**d * den ** (maxdeg - d) for d in range(maxdeg + 1)]
+        values = np.array(powers, dtype=object).dot(table)
         bad = np.flatnonzero(values < 0)
         if bad.size:
             at = int(bad[0])
@@ -336,8 +333,13 @@ def region_scan(
     positivity condition at step-size ratio `delta`.
 
     Default grid: [lo, hi]^2 at `spacing`.  Singular parameter points
-    are kept as skipped cells.
+    are kept as skipped cells; a negative `delta` raises first.  The
+    condition is checked only where gamma > 0 or delta = 0, as gamma = 0
+    puts negative points in every box [0, delta]^n with delta > 0.
     """
+    delta = Fraction(delta)
+    if delta < 0:
+        raise ParameterDomainError("delta must be nonnegative")
     if points is None:
         points = [
             (a, b)
@@ -353,7 +355,7 @@ def region_scan(
             cells.append(RegionCell(alpha, beta, member, None, None, str(exc)))
             continue
         ps = generate(t, stencil)
-        holds = condition_at(ps, delta) is None
         positive = gamma_zero_test(ps) is None
+        holds = (positive or delta == 0) and condition_at(ps, delta) is None
         cells.append(RegionCell(alpha, beta, member, holds, positive, None))
     return cells

@@ -29,7 +29,8 @@ written for Fractions is handed Fractions.
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.mixins import NDArrayOperatorsMixin
@@ -454,11 +455,12 @@ def conservation_law(f, fprime, limiter: Limiter, fprime_sup=None) -> _Conservat
 @dataclass(frozen=True)
 class ScriptedQ(_Provider):
     """A q schedule keyed on (cell index, exact time); unlisted keys are 0.
-    Every value is checked to be nonnegative once, when it is built."""
+    The table is a read-only copy, checked to be nonnegative when built."""
 
-    table: dict
+    table: Mapping
 
     def __post_init__(self):
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
         for (k, t), v in self.table.items():
             if v < 0:
                 raise InputError(f"scripted q[{k}, t={t}] = {v} is negative")

@@ -119,14 +119,16 @@ class MultilinearPoly:
         the lcm of the coefficient denominators, so each term enters as the
         integer numerator * (scale // denominator), computed once and used
         both for the magnitude bound and for the fill.  A per-degree zeta
-        (subset-sum) transform then sums the terms below each vertex:
-        O(2**n * n) adds instead of the naive O(4**n).  Entries are exact:
-        int64 when the magnitude bound allows, arbitrary-precision objects
-        otherwise.  CapacityError is raised before allocation when the
+        (subset-sum) transform, one pair-add per variable k on the view
+        (degree, high bits, bit k, low bits), then sums the terms below
+        each vertex: O(2**n * n) adds instead of the naive O(4**n).  Entries
+        are exact: int64 when the magnitude bound allows, arbitrary-precision
+        objects otherwise.  CapacityError is raised before allocation when the
         table exceeds TABLE_BYTES.
         """
         n = self.n
-        nbytes = self.table_bytes()
+        maxdeg = max((c.bit_count() for c in self.terms), default=0)
+        nbytes = 8 * (maxdeg + 1) << n  # as table_bytes() counts them
         if nbytes > TABLE_BYTES:
             raise CapacityError(
                 f"the vertex table over {n} variables needs {nbytes} bytes, "
@@ -135,19 +137,14 @@ class MultilinearPoly:
         scale = lcm(*[c.denominator for c in self.terms.values()])
         numerators = {code: c.numerator * (scale // c.denominator)
                       for code, c in self.terms.items()}
-        maxdeg = max((c.bit_count() for c in self.terms), default=0)
         magnitude = sum(abs(v) for v in numerators.values())
         dtype = np.int64 if magnitude < 2**62 else object
         table = np.zeros((maxdeg + 1, 1 << n), dtype=dtype)
         for code, v in numerators.items():
             table[code.bit_count(), code] = v
-        shaped = table.reshape((maxdeg + 1,) + (2,) * n)
-        for axis in range(1, n + 1):
-            index_hi = [slice(None)] * (n + 1)
-            index_lo = [slice(None)] * (n + 1)
-            index_hi[axis] = 1
-            index_lo[axis] = 0
-            shaped[tuple(index_hi)] += shaped[tuple(index_lo)]
+        for k in range(n):
+            pairs = table.reshape(maxdeg + 1, -1, 2, 1 << k)
+            pairs[:, :, 1] += pairs[:, :, 0]
         return scale, table
 
     def _by_tags(self) -> dict[tuple[VarTag, ...], Fraction]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import PreconditionError
 from .multilinear import MultilinearPoly, VarTag, move_bits
@@ -91,11 +92,12 @@ class PropagationSet:
 
 
 def _check_unity(s: StencilSpec, polys, stacklevel: int = 3) -> None:
-    """Check Sum_i P_i = 1 on codes; an inconsistent custom stencil only warns."""
-    total: dict[int, Fraction] = {}
-    for code, coeff in (item for terms in polys for item in terms.items()):
-        total[code] = total.get(code, 0) + coeff
-    if {code: c for code, c in total.items() if c} != {0: 1}:
+    """Check Sum_i P_i = 1 on integer numerators; inconsistent stencils warn."""
+    scale = lcm(*[c.denominator for terms in polys for c in terms.values()])
+    total: dict[int, int] = {}
+    for code, c in (item for terms in polys for item in terms.items()):
+        total[code] = total.get(code, 0) + c.numerator * (scale // c.denominator)
+    if {code: v for code, v in total.items() if v} != {0: scale}:
         if s.is_consistent():
             raise AssertionError("propagation polynomials do not sum to 1")
         warnings.warn("sum of propagation polynomials is not 1: the stencil is not "
@@ -110,11 +112,14 @@ def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
     r - 1 by a leading shift, so the k-th stage from a chain's end takes
     the offsets that end the rows of length k.  A (chain, row) pair is one
     monomial: the stages and offsets fix all shifts but the first, and the
-    displacement the first, so no subset code repeats (checked).
+    displacement the first, so no subset code repeats (checked).  A row's
+    product is an integer over q**r, q the stencil's common denominator.
     """
-    shift_rows = [[((), 0, Fraction(1))]]
+    q = lcm(*[c.denominator for c in s.coeffs.values()])
+    ints = {j: c.numerator * (q // c.denominator) for j, c in s.coeffs.items()}
+    shift_rows = [[((), 0, 1)]]
     for _ in range(t.m):
-        shift_rows.append([(offsets + (-d,), d + j, cprod * c) for j, c in s.coeffs.items()
+        shift_rows.append([(offsets + (-d,), d + j, cprod * c) for j, c in ints.items()
                            for offsets, d, cprod in shift_rows[-1]])
     chains = [([st + 1 for st in reversed(chain)], w) for chain, w in chain_weights(t)]
     reach = [{offsets[-1] for offsets, _, _ in rows} for rows in shift_rows[1:]]
@@ -123,9 +128,11 @@ def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
     bit = {tag: 1 << i for i, tag in enumerate(vars)}
     terms: dict[int, dict[int, Fraction]] = {0: {0: Fraction(1)}}
     for stages, weight in chains:
-        for offsets, d, cprod in shift_rows[len(stages)]:
+        rows, den = shift_rows[len(stages)], weight.denominator * q ** len(stages)
+        coeff = {c: Fraction(weight.numerator * c, den) for c in {c for *_, c in rows}}
+        for offsets, d, cprod in rows:
             code = sum(map(bit.__getitem__, zip(stages, offsets)))
-            terms.setdefault(d, {})[code] = weight * cprod
+            terms.setdefault(d, {})[code] = coeff[cprod]
     if sum(map(len, terms.values())) != 1 + sum(len(shift_rows[len(c)]) for c, _ in chains):
         raise AssertionError("a subset code of generate repeats")
     _check_unity(s, terms.values())

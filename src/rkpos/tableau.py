@@ -38,7 +38,10 @@ def _frac(x) -> Fraction:
         return x
     if isinstance(x, float):
         raise InputError(f"float {x!r} not accepted; pass an exact rational")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise InputError(f"entry {x!r} is not a number: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -145,10 +148,13 @@ def erk33_case1(alpha, beta) -> ButcherTableau:
         raise ParameterDomainError("ERK33 Case I requires alpha != 2/3")
     if alpha == beta:
         raise ParameterDomainError("ERK33 Case I requires alpha != beta")
-    a32 = (alpha - beta) * beta / (alpha * (3 * alpha - 2))
-    b1 = (6 * alpha * beta - 3 * alpha - 3 * beta + 2) / (6 * alpha * beta)
-    b2 = (2 - 3 * beta) / (6 * alpha * (alpha - beta))
-    b3 = (3 * alpha - 2) / (6 * beta * (alpha - beta))
+    # Each entry as one quotient of integers, from alpha = p/q and beta = r/s.
+    p, q, r, s = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    d, e = p * s - r * q, 3 * p - 2 * q
+    a32 = Fraction(d * r * q, s * s * p * e)
+    b1 = Fraction(6 * p * r - 3 * p * s - 3 * r * q + 2 * q * s, 6 * p * r)
+    b2 = Fraction((2 * s - 3 * r) * q * q, 6 * p * d)
+    b3 = Fraction(e * s * s, 6 * r * d)
     return ButcherTableau(
         [[0, 0, 0], [alpha, 0, 0], [beta - a32, a32, 0]],
         [b1, b2, b3],

@@ -75,43 +75,46 @@ class UniPoly:
         return " + ".join(parts)
 
 
-def _divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """(quotient, remainder) of f by g: dense coefficient lists, g nonzero."""
-    f = f[:]
-    while f and f[-1] == 0:
-        f.pop()
-    dg = len(g) - 1
-    quotient = [Fraction(0)] * max(len(f) - dg, 0)
+def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of |lc(g)|**k * f by g, k >= 0, for integer
+    lists, f without trailing zeros and g nonzero.  Scaling by |lc(g)|, not
+    lc(g), flips no sign: both are positive multiples of the Euclidean ones
+    (Collins, JACM 14, 1967; Brown & Traub, JACM 18, 1971)."""
+    scale, sign, dg = abs(g[-1]), (g[-1] > 0) - (g[-1] < 0), len(g) - 1
+    quotient = [0] * max(len(f) - dg, 0)
     while len(f) > dg:
-        q = f[-1] / g[-1]
-        shift = len(f) - 1 - dg
-        quotient[shift] = q
+        c, shift = f[-1] * sign, len(f) - 1 - dg
+        quotient = [scale * x for x in quotient]
+        quotient[shift] += c
+        f = [scale * x for x in f]
         for i, gi in enumerate(g):
-            f[shift + i] -= q * gi
-        f.pop()
+            f[shift + i] -= c * gi
         while f and f[-1] == 0:
             f.pop()
     return quotient, f
 
 
-def _sturm_chain(p: UniPoly) -> list[UniPoly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        _, r = _divmod(list(chain[-2].coeffs), list(chain[-1].coeffs))
-        chain.append(UniPoly.from_coeffs([-c for c in r]))
-    return chain[:-1]
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients; p nonzero."""
+    content = gcd(*p)
+    return [c // content for c in p]
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """The Sturm chain p, p', -rem(p, p'), ... of a primitive p, each member
+    primitive and a positive multiple of the Euclidean one."""
+    chain, nxt = [p], [d * c for d, c in enumerate(p)][1:]
+    while nxt:
+        chain.append(_primitive(nxt))
+        nxt = [-c for c in _pseudo_divmod(chain[-2], chain[-1])[1]]
+    return chain
 
 
 def _integer_multiple(coeffs: Sequence[Fraction]) -> list[int]:
-    """Coprime integer coefficients of a positive multiple of the polynomial.
-
-    The multiple has the polynomial's sign at every point.  `coeffs` must
-    not be all zero.
-    """
+    """Coprime integer coefficients of a positive multiple of the polynomial,
+    which has its sign at every point; `coeffs` must not be all zero."""
     scale = lcm(*[c.denominator for c in coeffs])
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
-    content = gcd(*ints)
-    return [c // content for c in ints]
+    return _primitive([c.numerator * (scale // c.denominator) for c in coeffs])
 
 
 def _sign(ints: Sequence[int], num: int, den: int) -> int:
@@ -134,15 +137,16 @@ def _variations(chain: list[list[int]], x: Fraction) -> int:
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
-def _squarefree(p: UniPoly) -> UniPoly:
-    # p / gcd(p, p'); same distinct roots, all simple.
-    g = list(p.coeffs)
-    h = list(p.derivative().coeffs)
+def _squarefree(p: list[int]) -> list[int]:
+    """p / gcd(p, p') for a primitive p, primitive and a positive multiple of
+    the Euclidean quotient: the same distinct roots, all simple."""
+    g, h = p, [d * c for d, c in enumerate(p)][1:]
     while h:
-        g, h = h, _divmod(g, h)[1]
+        h = _primitive(h)
+        g, h = h, _pseudo_divmod(g, h)[1]
     if len(g) <= 1:
         return p
-    return UniPoly.from_coeffs(_divmod(list(p.coeffs), g)[0])
+    return _primitive(_pseudo_divmod(p, g)[0])
 
 
 def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -213,14 +217,12 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
         return None  # identically zero
     if coeffs[k] < 0:
         raise ValueError("polynomial is negative immediately right of 0")
-    h = UniPoly.from_coeffs(coeffs[k:])  # delta^k factor dropped; h(0) > 0
-    if all(c >= 0 for c in h.coeffs):
+    h_ints = _integer_multiple(coeffs[k:])  # delta^k factor dropped; h(0) > 0
+    if all(c >= 0 for c in h_ints):
         return None
-    hs = _squarefree(h)
-    chain = [_integer_multiple(q.coeffs) for q in _sturm_chain(hs)]
-    h_ints, hs_ints = _integer_multiple(h.coeffs), chain[0]
-    lead = h.coeffs[-1]
-    bound = 1 + max(abs(c / lead) for c in h.coeffs)  # all real roots < bound
+    chain = _sturm_chain(_squarefree(h_ints))
+    hs_ints, lead = chain[0], h_ints[-1]
+    bound = Fraction(abs(lead) + max(map(abs, h_ints)), abs(lead))  # > every real root
 
     def nroots(a: Fraction, b: Fraction) -> int:
         # Distinct roots of h in (a, b); endpoints must not be roots.

@@ -2,7 +2,10 @@
 stage equations, independent of `rkpos.polygen.generate` but for the shared
 Sum_i P_i = 1 check; `coded`, polynomials from tag-set-keyed terms; and
 `min_first_negativity`, the first negativity over a whole family of
-univariate polynomials from cutting every member."""
+univariate polynomials from cutting every member; and `_divmod`,
+`_sturm_chain` and `_squarefree`, the Euclidean Sturm chain and squarefree
+part over Fraction that the integer pseudo-remainder sequences of
+`rkpos.univariate` must match up to positive factors."""
 
 from fractions import Fraction
 from typing import Iterable, Optional, TypeVar
@@ -147,3 +150,41 @@ def min_first_negativity(
         return Cut(exact[0], exact[0], exact[0]), exact[1]
     upper, key = min((c.upper, key) for c, key in cuts)
     return Cut(None, min(c.lower for c, _ in cuts), upper), key
+
+
+def _divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """(quotient, remainder) of f by g: dense coefficient lists, g nonzero."""
+    f = f[:]
+    while f and f[-1] == 0:
+        f.pop()
+    dg = len(g) - 1
+    quotient = [Fraction(0)] * max(len(f) - dg, 0)
+    while len(f) > dg:
+        q = f[-1] / g[-1]
+        shift = len(f) - 1 - dg
+        quotient[shift] = q
+        for i, gi in enumerate(g):
+            f[shift + i] -= q * gi
+        f.pop()
+        while f and f[-1] == 0:
+            f.pop()
+    return quotient, f
+
+
+def _sturm_chain(p: UniPoly) -> list[UniPoly]:
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero():
+        _, r = _divmod(list(chain[-2].coeffs), list(chain[-1].coeffs))
+        chain.append(UniPoly.from_coeffs([-c for c in r]))
+    return chain[:-1]
+
+
+def _squarefree(p: UniPoly) -> UniPoly:
+    # p / gcd(p, p'); same distinct roots, all simple.
+    g = list(p.coeffs)
+    h = list(p.derivative().coeffs)
+    while h:
+        g, h = h, _divmod(g, h)[1]
+    if len(g) <= 1:
+        return p
+    return UniPoly.from_coeffs(_divmod(list(p.coeffs), g)[0])

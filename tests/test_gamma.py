@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rkpos.bounds import radius_abs_monotonicity
+from rkpos.errors import ParameterDomainError
 from rkpos.gamma import (compute_gamma, condition_at, gamma_zero_test,
                          in_bowtie, region_scan, subset_bits, sweep)
 from rkpos.multilinear import MultilinearPoly, VarTag
 from rkpos.polygen import PropagationSet, centered, generate, heat, upwind
 from rkpos.tableau import (ButcherTableau, erk22, erk33_case1, erk33_case2,
-                           erk33_case3, forward_euler, rk4_classical)
+                           erk33_case3, forward_euler, make_family,
+                           rk4_classical)
 
 from oracle import coded, min_first_negativity
 from strategies import small_tableaux
@@ -316,6 +318,34 @@ def test_condition_at_matches_naive_evaluation(ps, delta):
             assert witness_triple(ps, d) == naive_condition(ps, d), d
 
 
+def naive_zero_test(ps):
+    """(offset, subset) of the first vertex restriction, over every global
+    subset, whose lowest nonzero coefficient is negative, or None."""
+    for offset in ps.offsets:
+        poly = ps.polys[offset]
+        for s in range(2 ** len(ps.vars)):
+            lowest = next((c for c in poly.vertex_restriction(s).coeffs if c), 0)
+            if lowest < 0:
+                return offset, s
+    return None
+
+
+@settings(max_examples=150)
+@given(multilinear_sets())
+# 2 - x1 x3 + x0 x1 x3: the support (1, 3) of the negative term is gapped.
+@example(_gapped_set({0b0000: F(2), 0b1010: F(-1), 0b1011: F(1)}))
+@example(_gapped_set({0b0100: F(1), 0b0101: F(-1)}))
+def test_zero_test_matches_naive_scan(ps):
+    """gamma_zero_test names the first restriction, in global subset order,
+    whose lowest nonzero coefficient is negative, and its witness is
+    negative there."""
+    w = gamma_zero_test(ps)
+    assert (None if w is None else (w.offset, w.subset)) == naive_zero_test(ps)
+    if w is not None:
+        g = ps.polys[w.offset].vertex_restriction(w.subset)
+        assert w.delta > 0 and g(w.delta) == w.value < 0
+
+
 def test_zero_witness_names_the_global_vertex():
     # x3 - x0 x2: the vertex {x0, x2} is column 0b11 of the support table
     # (variables 0, 2, 3) and global subset 0b0101.
@@ -386,3 +416,37 @@ def test_region_scan_examples():
     c = cells[(F(1), F(1, 4))]
     assert not c.in_region and not c.condition_holds
     assert cells[(F(1, 2), F(1, 2))].skipped is not None  # alpha = beta
+
+
+# Case I points: gamma > 0 with the condition holding or failing at 1,
+# gamma = 0, beta = 2/3 (b2 = 0, so fewer variables) and singular points.
+CASE1_POINTS = [(F(1), F(1, 2)), (F(7, 8), F(1, 2)), (F(1, 2), F(5, 8)),
+                (F(5, 8), F(3, 4)), (F(1, 2), F(2, 3)), (F(3, 4), F(2, 3)),
+                (F(1), F(2, 3)), (F(1, 2), F(1, 2)), (F(2, 3), F(1, 2))]
+
+
+@pytest.mark.parametrize("delta", [F(0), F(1, 3), F(1), F(2)])
+def test_region_cells_match_both_checks(delta):
+    cells = region_scan(points=CASE1_POINTS, delta=delta)
+    assert [(c.alpha, c.beta) for c in cells] == CASE1_POINTS
+    kinds = set()
+    for c in cells:
+        if c.skipped is not None:
+            assert c.condition_holds is None and c.gamma_positive is None
+            continue
+        ps = generate(make_family("ERK33_CaseI", (c.alpha, c.beta)), upwind)
+        holds = condition_at(ps, delta) is None
+        positive = gamma_zero_test(ps) is None
+        assert (c.condition_holds, c.gamma_positive) == (holds, positive)
+        kinds.add((holds, positive))
+    if delta == 1:
+        assert kinds == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("points", [
+    [(F(1, 2), F(1, 2)), (F(2, 3), F(1, 2))],  # every point singular
+    [(F(1, 2), F(1, 2)), (F(1, 2), F(5, 8))],  # the valid point has gamma = 0
+])
+def test_region_scan_rejects_negative_delta(points):
+    with pytest.raises(ParameterDomainError):
+        region_scan(points=points, delta=F(-1))

@@ -216,6 +216,17 @@ def test_scripted_negative_q_rejected():
         scripted({(0, F(0)): F(-1)})
 
 
+def test_scripted_table_is_read_only():
+    table = {(0, F(0)): F(1)}
+    s = scripted(table)
+    with pytest.raises(TypeError):
+        s.table[(0, F(0))] = F(-1)
+    table[(0, F(0))] = F(-1)  # the caller's dict is not the schedule
+    assert s.value(0, F(0)) == 1
+    p = SemiDiscreteProblem(3, F(1), upwind, scripted({}), (F(1), F(0), F(0)))
+    assert erk_step(p, forward_euler(), F(1), p.u0).u_next == (1, 0, 0)
+
+
 def test_erk_step_with_a_float_dx_runs_in_float():
     u0 = (F(0), F(1, 2), F(1), F(1, 4))
     p = SemiDiscreteProblem(4, 0.25, upwind, advection(F(1), minmod), u0)

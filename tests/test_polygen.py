@@ -1,3 +1,4 @@
+import inspect
 import warnings
 from fractions import Fraction as F
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from rkpos.errors import InputError
 from rkpos.multilinear import MultilinearPoly
 from rkpos.polygen import (BUILTIN_STENCILS, PropagationSet, StencilSpec,
-                           centered, generate, heat, symmetry_report, upwind,
-                           x_labels)
+                           _check_unity, centered, generate, heat,
+                           symmetry_report, upwind, x_labels)
 from rkpos.tableau import (erk22, erk33_case1, erk33_case2, erk33_case3,
                            forward_euler, rk4_classical)
 
@@ -94,6 +95,29 @@ def test_inconsistent_stencil_warns_at_the_caller(coeffs):
                           "polynomials is not 1") as record:
             test_two_generators_agree(t, StencilSpec(coeffs))
         assert [w.filename for w in record] == [__file__] * 2
+
+
+def test_inconsistent_stencil_warns_at_the_calling_line():
+    with pytest.warns(UserWarning, match="sum of propagation") as record:
+        line = inspect.currentframe().f_lineno + 1
+        generate(erk22(F(3, 4)), StencilSpec({2: 1, 0: -3, -1: 1}))
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
+
+
+@pytest.mark.parametrize("polys", [
+    [{0: F(1, 3)}, {0: F(2, 3) + F(1, 10**30)}],
+    [{0: F(1)}, {5: F(1, 7)}, {5: F(-1, 6)}],
+    [{0: F(1)}, {3: F(1, 2)}],
+    [{0: F(1, 2)}],
+])
+def test_unity_check_raises_for_a_broken_sum(polys):
+    with pytest.raises(AssertionError, match="do not sum to 1"):
+        _check_unity(upwind, polys)
+
+
+def test_unity_check_sums_over_the_common_denominator():
+    _check_unity(upwind, [{0: F(1, 3), 5: F(1, 7)}, {0: F(2, 3)},
+                          {5: F(-1, 14)}, {5: F(-1, 14)}, {6: F(0)}])
 
 
 def test_consistent_custom_stencil_does_not_warn():

@@ -80,8 +80,15 @@ def test_singular_parameters_raise():
 
 
 def test_case1_tableau_values():
-    a, b = F(1, 2), F(3, 4)
+    for a, b in [(F(1, 2), F(3, 4)), (F(3, 4), F(5, 8)), (F(1, 2), F(2, 3)),
+                 (F(7, 5), F(-2, 9)), (F(-1, 3), F(5, 7)), (F(-4), F(-6, 11)),
+                 (F(1), F(1, 2)), (F(22, 21), F(13, 64))]:
+        _check_case1_values(a, b)
+
+
+def _check_case1_values(a, b):
     t = erk33_case1(a, b)
+    assert _order_ok(t, 3)
     assert t.a[1][0] == a
     assert t.a[2][1] == (a - b) * b / (a * (3 * a - 2))
     assert t.a[2][0] == b - t.a[2][1]
@@ -130,6 +137,14 @@ def test_validation_rejects_float_entries():
         ButcherTableau(a=((0, 0), (0.5, 0)), b=(0, 1))
     t = ButcherTableau(a=((0, 0), (1, 0)), b=(F(1, 2), F(1, 2)))
     assert all(type(x) is F for x in t.a[0] + t.a[1] + t.b)
+
+
+@pytest.mark.parametrize("entry", ["x", None])
+def test_validation_rejects_non_number_entries(entry):
+    with pytest.raises(InputError, match="not a number"):
+        ButcherTableau(a=((0,),), b=(entry,))
+    with pytest.raises(InputError, match="not a number"):
+        ButcherTableau(a=((0, 0), (entry, 0)), b=(0, 1))
 
 
 def test_dj_irreducible():

@@ -7,7 +7,10 @@ from hypothesis import given, strategies as st
 
 from rkpos.univariate import (DESCENT_LIMIT, Cut, UniPoly, descend,
                               first_negative_cut)
-from rkpos.univariate import _integer_multiple, _sign, _simplest_between
+from rkpos.univariate import (_integer_multiple, _sign, _simplest_between,
+                              _squarefree, _sturm_chain, _variations)
+
+import oracle
 
 TOL = F(1, 2 ** 40)
 
@@ -103,6 +106,33 @@ def test_integer_sign_matches_exact_value(coeffs, x, roots):
         value = p(point)
         assert _sign(ints, point.numerator, point.denominator) == (
             (value > 0) - (value < 0))
+
+
+SMALL_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@given(st.lists(SMALL_RATIONALS, min_size=1, max_size=5).filter(any),
+       st.lists(SMALL_RATIONALS, max_size=3), st.integers(1, 3),
+       st.lists(RATIONALS, max_size=4))
+def test_integer_sturm_chain_matches_fraction_chain(coeffs, roots, power, points):
+    """The integer squarefree part is the reference one up to a positive
+    factor, and the integer Sturm chain gives the reference chain's sign
+    variations, at drawn points and at the roots multiplied in."""
+    for r in roots:
+        for _ in range(power):
+            coeffs = _mul(coeffs, [-r, F(1)])
+    p = UniPoly.from_coeffs(coeffs)
+    ref = oracle._squarefree(p)
+    squarefree = _squarefree(_integer_multiple(p.coeffs))
+    # Both sides are primitive with the reference's sign: a positive multiple.
+    assert squarefree == _integer_multiple(ref.coeffs)
+    ref_chain = oracle._sturm_chain(ref)
+    chain = _sturm_chain(squarefree)
+    assert len(chain) == len(ref_chain)
+    for x in [*points, *roots]:
+        signs = [s for s in ((q(x) > 0) - (q(x) < 0) for q in ref_chain) if s]
+        ref_variations = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        assert _variations(chain, x) == ref_variations
 
 
 def _pinned_corpus():
