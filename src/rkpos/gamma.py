@@ -29,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import CapacityError, InputError, ParameterDomainError
-from .multilinear import TABLE_BYTES, MultilinearPoly, move_bits
+from .multilinear import TABLE_BYTES, move_bits
 from .polygen import PropagationSet, StencilSpec, generate, upwind
 from .tableau import ButcherTableau, make_family
 from .univariate import DEFAULT_TOL, descend, refine
@@ -106,36 +106,26 @@ _TABLES = weakref.WeakKeyDictionary()
 def _poly_tables(ps: PropagationSet):
     """(offset, support, scale, table) per polynomial, ascending offset.
 
-    `support` lists, ascending, the positions of the variables that
-    P_offset uses.  The table is P_offset's `vertex_table()` after re-coding
-    the polynomial over its support alone, converted to Python ints.  The
-    tables' total size is checked against the byte budget before the first
-    one is built.
+    `support` is P_offset's support, and scale and table are its
+    `vertex_table()`, converted to Python ints: column k is the vertex
+    whose variables are the global positions move_bits(k, support).  The
+    tables' total size is checked against the byte budget before the
+    first one is built.
     """
     if ps in _TABLES:
         return _TABLES[ps]
-    recoded = []
-    for offset in ps.offsets:
-        poly = ps.polys[offset]
-        used = 0
-        for code in poly.terms:
-            used |= code
-        support = [k for k in range(poly.n) if used >> k & 1]
-        rank = {k: j for j, k in enumerate(support)}
-        terms = {move_bits(code, rank): c for code, c in poly.terms.items()}
-        recoded.append((offset, support,
-                        MultilinearPoly(tuple(poly.vars[k] for k in support), terms)))
-    total = sum(poly.table_bytes() for _, _, poly in recoded)
+    polys = [(offset, ps.polys[offset]) for offset in ps.offsets]
+    total = sum(poly.table_bytes() for _, poly in polys)
     if total > TABLE_BYTES:
-        offset, support, poly = max(recoded, key=lambda item: item[2].table_bytes())
+        offset, poly = max(polys, key=lambda item: item[1].table_bytes())
         raise CapacityError(
             f"vertex tables need {total} bytes, over the {TABLE_BYTES}-byte "
-            f"budget; the largest, P_{offset}'s over {len(support)} support "
+            f"budget; the largest, P_{offset}'s over {len(poly.support)} support "
             f"variables, needs {poly.table_bytes()} bytes")
     out = []
-    for offset, support, poly in recoded:
+    for offset, poly in polys:
         scale, table = poly.vertex_table()
-        out.append((offset, support, scale, table.astype(object, copy=False)))
+        out.append((offset, poly.support, scale, table.astype(object, copy=False)))
     _TABLES[ps] = out
     return out
 
@@ -295,17 +285,20 @@ def sweep(
     return rows
 
 
+_HALF, _TWO_THIRDS = Fraction(1, 2), Fraction(2, 3)
+
+
 def in_bowtie(alpha: Fraction, beta: Fraction) -> bool:
     """Membership in the positivity parameter region for the two-parameter
     third-order family: two triangles meeting at (2/3, 2/3)."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     left = (
-        Fraction(1, 2) <= alpha < Fraction(2, 3)
-        and Fraction(2, 3) <= beta <= 1 - alpha / 2
+        _HALF <= alpha < _TWO_THIRDS
+        and _TWO_THIRDS <= beta <= 1 - alpha / 2
     )
     right = (
-        Fraction(2, 3) < alpha <= 1
-        and 1 - alpha / 2 <= beta <= Fraction(2, 3)
+        _TWO_THIRDS < alpha <= 1
+        and 1 - alpha / 2 <= beta <= _TWO_THIRDS
     )
     return left or right
 

@@ -93,10 +93,12 @@ class PropagationSet:
 
 def _check_unity(s: StencilSpec, polys, stacklevel: int = 3) -> None:
     """Check Sum_i P_i = 1 on integer numerators; inconsistent stencils warn."""
-    scale = lcm(*[c.denominator for terms in polys for c in terms.values()])
+    scale = lcm(*[p.scale for p in polys])
     total: dict[int, int] = {}
-    for code, c in (item for terms in polys for item in terms.items()):
-        total[code] = total.get(code, 0) + c.numerator * (scale // c.denominator)
+    for p in polys:
+        factor = scale // p.scale
+        for code, c in p.terms.items():
+            total[code] = total.get(code, 0) + c * factor
     if {code: v for code, v in total.items() if v} != {0: scale}:
         if s.is_consistent():
             raise AssertionError("propagation polynomials do not sum to 1")
@@ -113,7 +115,9 @@ def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
     the offsets that end the rows of length k.  A (chain, row) pair is one
     monomial: the stages and offsets fix all shifts but the first, and the
     displacement the first, so no subset code repeats (checked).  A row's
-    product is an integer over q**r, q the stencil's common denominator.
+    product is an integer over q**r, q the stencil's common denominator, so
+    every numerator is written over one scale, the lcm over the chains of
+    the weight's denominator times q**r; each polynomial reduces its own.
     """
     q = lcm(*[c.denominator for c in s.coeffs.values()])
     ints = {j: c.numerator * (q // c.denominator) for j, c in s.coeffs.items()}
@@ -126,18 +130,18 @@ def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
     vars = tuple(map(VarTag._make, sorted(
         {(st, o) for stages, _ in chains for st, offs in zip(stages, reach) for o in offs})))
     bit = {tag: 1 << i for i, tag in enumerate(vars)}
-    terms: dict[int, dict[int, Fraction]] = {0: {0: Fraction(1)}}
+    scale = lcm(*[w.denominator * q ** len(stages) for stages, w in chains])
+    terms: dict[int, dict[int, int]] = {0: {0: scale}}
     for stages, weight in chains:
-        rows, den = shift_rows[len(stages)], weight.denominator * q ** len(stages)
-        coeff = {c: Fraction(weight.numerator * c, den) for c in {c for *_, c in rows}}
-        for offsets, d, cprod in rows:
+        factor = weight.numerator * (scale // (weight.denominator * q ** len(stages)))
+        for offsets, d, cprod in shift_rows[len(stages)]:
             code = sum(map(bit.__getitem__, zip(stages, offsets)))
-            terms.setdefault(d, {})[code] = coeff[cprod]
+            terms.setdefault(d, {})[code] = factor * cprod
     if sum(map(len, terms.values())) != 1 + sum(len(shift_rows[len(c)]) for c, _ in chains):
         raise AssertionError("a subset code of generate repeats")
-    _check_unity(s, terms.values())
-    return PropagationSet(tableau=t, stencil=s, vars=vars,
-                          polys={d: MultilinearPoly(vars, p) for d, p in terms.items()})
+    polys = {d: MultilinearPoly(vars, p, scale) for d, p in terms.items()}
+    _check_unity(s, polys.values())
+    return PropagationSet(tableau=t, stencil=s, vars=vars, polys=polys)
 
 
 def symmetry_report(ps: PropagationSet) -> dict[int, bool]:
@@ -158,8 +162,9 @@ def symmetry_report(ps: PropagationSet) -> dict[int, bool]:
         pj, pmj = ps.polys[j], ps.polys.get(-j, zero)
         pos = {tag: i for i, tag in enumerate(pj.vars)}
         mirror = [pos[VarTag(stage, -offset)] for stage, offset in pmj.vars]
-        report[j] = pj.terms == {move_bits(code, mirror): (-1) ** code.bit_count() * c
-                                 for code, c in pmj.terms.items()}
+        report[j] = pj.scale == pmj.scale and pj.terms == {
+            move_bits(code, mirror): (-1) ** code.bit_count() * c
+            for code, c in pmj.terms.items()}
     return report
 
 

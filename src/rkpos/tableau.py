@@ -276,13 +276,23 @@ def _reject_float(text: str):
     raise InputError(f"float {text} not accepted; write it as a string like \"1/10\"")
 
 
+def _json_entries(field: str, value) -> list[Fraction]:
+    """The entries of a row of A, or of b, in a tableau file: a JSON list of
+    strings and non-bool integers."""
+    if type(value) is not list or any(type(x) not in (str, int) for x in value):
+        raise InputError(f"{field} must be a list of strings and integers")
+    return [Fraction(x) for x in value]
+
+
 def tableau_from_json(text: str) -> ButcherTableau:
     try:
         obj = json.loads(text, parse_float=_reject_float)
-        a = [[Fraction(x) for x in row] for row in obj["A"]]
-        b = [Fraction(x) for x in obj["b"]]
-        if obj["m"] != len(b):
-            raise InputError("field 'm' disagrees with len(b)")
+        if type(obj["A"]) is not list:
+            raise InputError("A must be a list of rows")
+        a = [_json_entries("each row of A", row) for row in obj["A"]]
+        b = _json_entries("b", obj["b"])
+        if type(obj["m"]) is not int or obj["m"] != len(b):
+            raise InputError("field 'm' must be an integer equal to len(b)")
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"malformed tableau file: {exc}") from exc
     return ButcherTableau(a, b, "from-file")

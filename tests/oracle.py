@@ -1,13 +1,16 @@
 """Test oracles: `generate_alt`, the P_i from the Neumann expansion of the
 stage equations, independent of `rkpos.polygen.generate` but for the shared
-Sum_i P_i = 1 check; `coded`, polynomials from tag-set-keyed terms; and
-`min_first_negativity`, the first negativity over a whole family of
-univariate polynomials from cutting every member; and `_divmod`,
-`_sturm_chain` and `_squarefree`, the Euclidean Sturm chain and squarefree
-part over Fraction that the integer pseudo-remainder sequences of
-`rkpos.univariate` must match up to positive factors."""
+Sum_i P_i = 1 check; `coded`, polynomials from tag-set-keyed rational
+terms, and `scaled`, which writes rational terms as the integer numerators
+over one scale that `MultilinearPoly` stores; `min_first_negativity`, the
+first negativity over a whole family of univariate polynomials from cutting
+every member; and `_divmod`, `_sturm_chain` and `_squarefree`, the
+Euclidean Sturm chain and squarefree part over Fraction that the integer
+pseudo-remainder sequences of `rkpos.univariate` must match up to positive
+factors."""
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, TypeVar
 
 from rkpos.errors import InputError
@@ -33,7 +36,14 @@ def coded(vars, terms) -> MultilinearPoly:
     for tags, coeff in terms.items():
         code = sum(1 << pos[tag] for tag in tags)
         out[code] = out.get(code, Fraction(0)) + Fraction(coeff)
-    return MultilinearPoly(order, {c: v for c, v in out.items() if v != 0})
+    return MultilinearPoly(order, *scaled({c: v for c, v in out.items() if v != 0}))
+
+
+def scaled(terms: dict) -> tuple[dict, int]:
+    """(numerators, scale): rational `terms` as integers over the lcm of
+    their denominators."""
+    scale = lcm(*[Fraction(c).denominator for c in terms.values()])
+    return {key: int(c * scale) for key, c in terms.items()}, scale
 
 
 def _padd(dst: _Poly, src: _Poly, factor: Fraction) -> None:
@@ -76,7 +86,7 @@ def _apply_stencil(op: _LatticeOp, stencil: StencilSpec) -> _LatticeOp:
 def _finalize(t: ButcherTableau, s: StencilSpec, raw: _LatticeOp) -> PropagationSet:
     tags = canonical_order(tag for poly in raw.values() for tags in poly for tag in tags)
     polys = {d: coded(tags, p) for d, p in raw.items() if p}
-    _check_unity(s, [p.terms for p in polys.values()], stacklevel=4)
+    _check_unity(s, polys.values(), stacklevel=4)
     return PropagationSet(tableau=t, stencil=s, vars=tags, polys=polys)
 
 

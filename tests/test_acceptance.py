@@ -206,7 +206,7 @@ def test_criterion_09_consistency_identities(report):
             total = {}
             for poly in ps.polys.values():
                 for code, coeff in poly.terms.items():
-                    total[code] = total.get(code, F(0)) + coeff
+                    total[code] = total.get(code, F(0)) + F(coeff, poly.scale)
             ok = ok and {c: v for c, v in total.items() if v != 0} == {0: F(1)}
             alt = generate_alt(t, stencil)
             ok = ok and all(ps.polys[i] == alt.polys[i] for i in ps.offsets)

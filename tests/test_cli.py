@@ -193,6 +193,23 @@ def test_one_parser_serves_many_calls(capsys, monkeypatch):
         assert run_main(capsys, argv) == got, argv
 
 
+@pytest.mark.parametrize("text", [
+    '{"m": 2, "A": ["00", "10"], "b": "01"}',
+    '{"m": 2, "A": [[0, 0], [1, 0]], "b": [true, false]}',
+    '{"m": true, "A": [["0"]], "b": ["1"]}',
+])
+def test_tableau_file_entries_must_be_strings_or_integers(tmp_path, capsys, text):
+    """A string where a list belongs, or a JSON boolean, is rejected rather
+    than read character by character or as 1/0."""
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    for command in ("polys", "ssp"):
+        code, out, err = run_main(capsys, [command, "--tableau-file", str(path)])
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 FLOAT_TABLEAU = '{"m": 2, "A": [[0, 0], [0.1, 0]], "b": ["1/2", "1/2"]}'
 ZERO_DEN_TABLEAU = '{"m": 1, "A": [["0"]], "b": ["1/0"]}'
 # The generic 6-stage tableau a_ij = 1/(2+i+j), b = 1/6.  Its heat-stencil

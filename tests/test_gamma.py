@@ -14,7 +14,7 @@ from rkpos.tableau import (ButcherTableau, erk22, erk33_case1, erk33_case2,
                            erk33_case3, forward_euler, make_family,
                            rk4_classical)
 
-from oracle import coded, min_first_negativity
+from oracle import coded, min_first_negativity, scaled
 from strategies import small_tableaux
 
 
@@ -265,7 +265,8 @@ def multilinear_sets(draw):
     for offset in range(draw(st.integers(1, 3))):
         terms = draw(st.dictionaries(st.integers(0, 2**n - 1), coeff,
                                      max_size=8))
-        polys[offset] = MultilinearPoly(tags, {c: v for c, v in terms.items() if v})
+        polys[offset] = MultilinearPoly(
+            tags, *scaled({c: v for c, v in terms.items() if v}))
     return PropagationSet(forward_euler(), upwind, tags, polys)
 
 
@@ -287,8 +288,8 @@ def _pell_delta():
 def _cubic_set():
     tags = tuple(VarTag(1, k) for k in range(3))
     return PropagationSet(forward_euler(), upwind, tags, {
-        0: MultilinearPoly(tags, {0b001: F(1), 0b010: F(1)}),
-        1: MultilinearPoly(tags, {0b111: F(-1)}),
+        0: MultilinearPoly(tags, {0b001: 1, 0b010: 1}),
+        1: MultilinearPoly(tags, {0b111: -1}),
     })
 
 
@@ -296,7 +297,7 @@ def _gapped_set(terms):
     """One polynomial over four variables, given as {subset code: coeff}."""
     tags = tuple(VarTag(1, k) for k in range(4))
     return PropagationSet(forward_euler(), upwind, tags,
-                          {0: MultilinearPoly(tags, terms)})
+                          {0: MultilinearPoly(tags, *scaled(terms))})
 
 
 @settings(max_examples=150)

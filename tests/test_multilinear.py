@@ -14,11 +14,14 @@ def tags(n):
     return tuple(VarTag(1, s) for s in range(n))
 
 
-def random_poly(rng, n, terms=12):
+def random_poly(rng, n, terms=12, used=None):
+    """Random terms over `n` variables; `used` limits them to those
+    positions."""
     vs = tags(n)
     table = {}
     for _ in range(terms):
-        sub = frozenset(v for v in vs if rng.random() < 0.4)
+        sub = frozenset(v for k, v in enumerate(vs)
+                        if rng.random() < 0.4 and (used is None or k in used))
         table[sub] = table.get(sub, 0) + F(rng.randint(-9, 9), rng.randint(1, 5))
     return coded(vs, table)
 
@@ -60,14 +63,24 @@ def test_vertex_restriction_matches_eval():
 
 
 def test_vertex_table_matches_restrictions():
+    """Column k is the restriction at the vertex move_bits(k, support), and
+    every global subset restricts as its intersection with the support."""
     rng = random.Random(11)
-    for n in (2, 4, 6, 9):
-        p = random_poly(rng, n, terms=20)
+    cases = [(2, None), (4, None), (6, None), (9, None),
+             # unused variables, with gaps inside the support's range
+             (6, (1, 4)), (9, (0, 2, 3, 7)), (5, (4,)), (3, ())]
+    for n, used in cases:
+        p = random_poly(rng, n, terms=20, used=used)
+        if used is not None:
+            assert p.support == used
         scale, table = p.vertex_table()
+        assert table.shape[1] == 2 ** len(p.support)
         maxdeg = table.shape[0] - 1
         for subset in range(2 ** n):
+            column = sum(1 << j for j, k in enumerate(p.support) if subset >> k & 1)
             g = p.vertex_restriction(subset)
-            coeffs = [F(int(table[d, subset]), scale) for d in range(maxdeg + 1)]
+            assert p.vertex_restriction(move_bits(column, p.support)) == g
+            coeffs = [F(int(table[d, column]), scale) for d in range(maxdeg + 1)]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             assert tuple(coeffs) == g.coeffs
@@ -109,9 +122,27 @@ def test_equality_is_canonical():
     q = coded((b, a), {frozenset([a]): F(4, 2)})
     assert p == q
     # the same terms over the variables in the other order
-    r = MultilinearPoly((b, a), {0b10: F(2)})
+    r = MultilinearPoly((b, a), {0b10: 2})
     assert p == r and hash(p) == hash(r)
-    assert p != MultilinearPoly((b, a), {0b01: F(2)})
+    assert p != MultilinearPoly((b, a), {0b01: 2})
+
+
+def test_terms_are_stored_in_lowest_terms():
+    a, b = tags(2)
+    p = MultilinearPoly((a, b), {0b00: 4, 0b11: -6}, 10)
+    assert (p.terms, p.scale) == ({0b00: 2, 0b11: -3}, 5)
+    assert p == coded((a, b), {frozenset(): F(2, 5), frozenset([a, b]): F(-3, 5)})
+    assert p.format_terms() == "(2/5) + (-3/5)·xi[1,+0]·xi[1,+1]"
+
+
+@pytest.mark.parametrize("terms, scale", [
+    ({0: F(1, 2)}, 1), ({0: F(2)}, 1), ({0: 0.5}, 1), ({0: True}, 1),
+    ({0: 1}, 0), ({0: 1}, -2), ({0: 1}, F(2)), ({0: 1}, 2.0), ({0: 1}, True),
+    ({0b10: 1}, 1), ({-1: 1}, 1),
+])
+def test_coefficients_must_be_int_numerators_over_a_positive_scale(terms, scale):
+    with pytest.raises(InputError):
+        MultilinearPoly(tags(1), terms, scale)
 
 
 def test_move_bits():

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rkpos.errors import InputError
-from rkpos.multilinear import MultilinearPoly
+from rkpos.multilinear import MultilinearPoly, VarTag
 from rkpos.polygen import (BUILTIN_STENCILS, PropagationSet, StencilSpec,
                            _check_unity, centered, generate, heat,
                            symmetry_report, upwind, x_labels)
 from rkpos.tableau import (erk22, erk33_case1, erk33_case2, erk33_case3,
                            forward_euler, rk4_classical)
 
-from oracle import generate_alt
+from oracle import generate_alt, scaled
 from strategies import small_tableaux
 
 METHODS = [
@@ -63,7 +63,7 @@ def test_partition_of_unity(t, s):
     total = {}
     for poly in ps.polys.values():
         for code, coeff in poly.terms.items():
-            total[code] = total.get(code, F(0)) + coeff
+            total[code] = total.get(code, F(0)) + F(coeff, poly.scale)
     assert {c: v for c, v in total.items() if v != 0} == {0: F(1)}
 
 
@@ -112,12 +112,18 @@ def test_inconsistent_stencil_warns_at_the_calling_line():
 ])
 def test_unity_check_raises_for_a_broken_sum(polys):
     with pytest.raises(AssertionError, match="do not sum to 1"):
-        _check_unity(upwind, polys)
+        _check_unity(upwind, coded3(polys))
+
+
+def coded3(polys):
+    """MultilinearPolys over three variables from {subset code: Fraction}."""
+    tags = tuple(VarTag(1, k) for k in range(3))
+    return [MultilinearPoly(tags, *scaled(terms)) for terms in polys]
 
 
 def test_unity_check_sums_over_the_common_denominator():
-    _check_unity(upwind, [{0: F(1, 3), 5: F(1, 7)}, {0: F(2, 3)},
-                          {5: F(-1, 14)}, {5: F(-1, 14)}, {6: F(0)}])
+    _check_unity(upwind, coded3([{0: F(1, 3), 5: F(1, 7)}, {0: F(2, 3)},
+                                 {5: F(-1, 14)}, {5: F(-1, 14)}, {6: F(0)}]))
 
 
 def test_consistent_custom_stencil_does_not_warn():
@@ -249,8 +255,13 @@ def test_symmetry_report_detects_a_broken_term():
         ps = generate(t, centered)
         p1 = ps.polys[1]
         code = min(p1.terms)
-        broken = dict(ps.polys)
-        broken[1] = MultilinearPoly(p1.vars, {**p1.terms, code: 2 * p1.terms[code]})
-        rep = symmetry_report(PropagationSet(t, centered, ps.vars, broken))
-        assert rep[1] is False
-        assert all(v for j, v in rep.items() if j != 1)
+        # One doubled numerator, then every coefficient halved through the
+        # scale alone: the numerators still mirror those of P_{-1}.
+        half = MultilinearPoly(p1.vars, p1.terms, 2 * p1.scale)
+        assert half.terms == p1.terms and half.scale != p1.scale
+        for p in (MultilinearPoly(p1.vars, {**p1.terms, code: 2 * p1.terms[code]},
+                                  p1.scale), half):
+            broken = PropagationSet(t, centered, ps.vars, {**ps.polys, 1: p})
+            rep = symmetry_report(broken)
+            assert rep[1] is False
+            assert all(v for j, v in rep.items() if j != 1)
