@@ -228,7 +228,7 @@ def _closed_negativity_witness(ps: PropagationSet):
                 if pick >> i & 1:
                     subset |= mask
             g = poly.vertex_restriction(subset)
-            lead = next((c for c in g.coeffs if c != 0), None)
+            lead = next((c for c in g.ints if c), None)
             if lead is None or lead >= 0:
                 continue
             delta = descend(lambda d: d if g(d) < 0 else None,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Optional
 
-from .errors import InputError
+from .errors import InputError, rational
 from .tableau import ButcherTableau
 from .univariate import DEFAULT_TOL, Cut, UniPoly, descend, refine
 
@@ -67,6 +67,7 @@ def _min_bound(labeled: list[tuple[str, UniPoly]], holds: Callable[[Fraction], b
     labeled polynomial is >= 0 on [0, r].  A label whose lowest nonzero
     coefficient is negative binds at 0; otherwise `refine` cuts the labels
     in family order.  Every finite bound is confirmed to fail just above."""
+    tol = rational(tol)
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
 
@@ -80,7 +81,7 @@ def _min_bound(labeled: list[tuple[str, UniPoly]], holds: Callable[[Fraction], b
 
     polys = dict(labeled)
     zero = next((label for label, p in labeled
-                 if next((c for c in p.coeffs if c), 0) < 0), None)
+                 if next((c for c in p.ints if c), 0) < 0), None)
     found = (refine(polys.__getitem__, fails, polys, tol) if zero is None
              else (Cut(Fraction(0), Fraction(0), Fraction(0)), zero, 0))
     if found is None:
@@ -90,19 +91,31 @@ def _min_bound(labeled: list[tuple[str, UniPoly]], holds: Callable[[Fraction], b
     return BoundResult(cut.lower, cut.upper, cut.exact, False, witness=label)
 
 
+def _lk(t: ButcherTableau) -> tuple[int, list[list[int]]]:
+    """(L, LK): L the lcm of the denominators of K = [[A, 0], [b^T, 0]],
+    and the rows of the integer matrix LK."""
+    rows = (*t.a, t.b)
+    scale = lcm(*[v.denominator for row in rows for v in row])
+    return scale, [[v.numerator * (scale // v.denominator) for v in row] + [0]
+                   for row in rows]
+
+
+def _orbit(k: list[list[int]], v: list[int]) -> list[list[int]]:
+    """v, LK v, ..., (LK)^m v for the integer rows k of LK; K^(m+1) = 0."""
+    out = [v]
+    for _ in range(len(v) - 1):
+        out.append([sum(x * y for x, y in zip(row, out[-1]) if x) for row in k])
+    return out
+
+
 def stability_polynomial(t: ButcherTableau) -> UniPoly:
     """phi(z) = 1 + sum_r (b . A^(r-1) e) z^r, the scalar-test-problem
-    amplification polynomial.  The z^r coefficient is the sum of the
-    weights of the r-stage chains; w_r[j], the sum over the r-stage chains
-    ending at stage j without the factor b_j, follows from w_1 = e and
-    w_r[j] = sum_{i<j} a_ji w_(r-1)[i], in O(m^3) operations."""
-    w = [Fraction(1)] * t.m
-    coeffs = [Fraction(1)]
-    for _ in range(t.m):
-        coeffs.append(sum((bj * wj for bj, wj in zip(t.b, w)), Fraction(0)))
-        w = [sum((t.a[j][i] * w[i] for i in range(j)), Fraction(0))
-             for j in range(t.m)]
-    return UniPoly.from_coeffs(coeffs)
+    amplification polynomial.  b . A^(r-1) e, the sum of the weights of
+    the r-stage chains, is the last entry of K^r e, so phi's numerators
+    over L^m are those of the orbit of e under LK: O(m^3) operations."""
+    scale, k = _lk(t)
+    ints = [v[-1] * scale ** (t.m - d) for d, v in enumerate(_orbit(k, [1] * (t.m + 1)))]
+    return UniPoly(tuple(ints), scale**t.m)
 
 
 def radius_abs_monotonicity(
@@ -110,50 +123,36 @@ def radius_abs_monotonicity(
 ) -> BoundResult:
     """R(phi): the largest r with phi and all its derivatives nonnegative
     on [-r, 0], expressed through psi_j(r) = phi^(j)(-r) / j!.  Every
-    psi_j >= 0 at r implies it on [0, r], by Taylor expansion about -r."""
-    c = stability_polynomial(t).coeffs
-    labeled = [(f"phi^({j})", UniPoly.from_coeffs(
-                   [c[k] * comb(k, j) * (-1) ** (k - j) for k in range(j, len(c))]))
+    psi_j >= 0 at r implies it on [0, r], by Taylor expansion about -r.
+    psi_j's numerators follow from phi's, over phi's scale."""
+    phi = stability_polynomial(t)
+    c = phi.ints
+    labeled = [(f"phi^({j})", UniPoly(tuple(
+                   c[k] * comb(k, j) * (-1) ** (k - j) for k in range(j, len(c))), phi.scale))
                for j in range(len(c))]
     return _min_bound(labeled, lambda r: all(p(r) >= 0 for _, p in labeled), tol)
-
-
-def _k_matrix(t: ButcherTableau) -> list[list[Fraction]]:
-    """K = [[A, 0], [b^T, 0]]."""
-    return [[*row, Fraction(0)] for row in (*t.a, t.b)]
 
 
 def _constraint_polys(t: ButcherTableau) -> list[tuple[str, UniPoly]]:
     """Entries of K(I+rK)^{-1} and (I+rK)^{-1}e as polynomials in r.
 
-    Uses (I+rK)^{-1} = sum_t (-r)^t K^t; K^{m+1} = 0.  The powers are
-    those of the integer matrix LK, L the lcm of K's denominators, and
-    each entry is divided by L^t once.
+    Uses (I+rK)^{-1} = sum_d (-r)^d K^d; K^{m+1} = 0.  Column j of K^d is
+    (LK)^d e_j / L^d, from the orbit of e_j under LK, and every entry is
+    written over L^m: the numerator of (-r K)^d's coefficient is
+    (-1)^d (LK)^d L^(m-d).
     """
-    m1 = t.m + 1
-    k = _k_matrix(t)
-    scale = lcm(*[v.denominator for row in k for v in row])
-    k = [[v.numerator * (scale // v.denominator) for v in row] for row in k]
-    powers = [[[int(i == j) for j in range(m1)] for i in range(m1)]]
-    while True:
-        # K and its powers are strictly lower triangular: skip their zeros.
-        nxt = [[sum(v * k[c][j] for c, v in enumerate(row) if v) for j in range(m1)]
-               for row in powers[-1]]
-        if not any(map(any, nxt)):
-            break
-        powers.append(nxt)
+    m1, (scale, k) = t.m + 1, _lk(t)
+    signed = [(-1) ** d * scale ** (t.m - d) for d in range(m1)]
+    cols = [_orbit(k, [int(i == j) for i in range(m1)]) for j in range(m1)]
     labeled = []
     for i in range(m1):
         for j in range(m1):
-            # K(I+rK)^{-1} entry: coefficient of r^d is (-1)^d (K^{d+1})_{ij}.
-            km = [Fraction((-1) ** d * powers[d + 1][i][j], scale ** (d + 1))
-                  for d in range(len(powers) - 1)]
-            p = UniPoly.from_coeffs(km)
-            if not p.is_zero():
+            # K(I+rK)^{-1} entry: the r^(d-1) coefficient is (-1)^(d-1) (K^d)_ij.
+            p = UniPoly(tuple(-signed[d] * cols[j][d][i] for d in range(1, m1)), scale**t.m)
+            if p.ints:
                 labeled.append((f"K(I+rK)^-1[{i},{j}]", p))
-        me = [Fraction((-1) ** d * sum(powers[d][i]), scale**d)
-              for d in range(len(powers))]
-        labeled.append((f"(I+rK)^-1 e[{i}]", UniPoly.from_coeffs(me)))
+        me = tuple(signed[d] * sum(col[d][i] for col in cols) for d in range(m1))
+        labeled.append((f"(I+rK)^-1 e[{i}]", UniPoly(me, scale**t.m)))
     return labeled
 
 
@@ -161,19 +160,25 @@ def ssp_feasible(t: ButcherTableau, r: Fraction) -> bool:
     """Direct exact check of the SSP feasibility conditions at one r.
 
     Independent of the polynomial route in `ssp_coefficient`: I + rK is
-    unit lower triangular, so forward substitution over Fraction solves
-    (I + rK) X = [K | e] row by row, X = (I + rK)^{-1} [K | e].
+    unit lower triangular, so forward substitution solves (I + rK) X =
+    [K | e] row by row, X = (I + rK)^{-1} [K | e].  Only signs are read,
+    so it runs on the integer rows of LK: with r = num/den, row i of X
+    scaled by L (den L)^i is
+        (den L)^i [LK_i | L] - sum_{j<i} num LK_ij (den L)^(i-j-1) (row j scaled).
     """
-    r = Fraction(r)
+    r = rational(r)
+    scale, k = _lk(t)
+    num, dl = r.numerator, r.denominator * scale
     sol = []
-    for row in _k_matrix(t):
-        x = row + [Fraction(1)]
+    for i, row in enumerate(k):
+        y = [dl**i * v for v in (*row, scale)]
         for j, kij in enumerate(row):
             if kij:
-                x = [v - r * kij * w for v, w in zip(x, sol[j])]
-        sol.append(x)
+                f = num * kij * dl ** (i - j - 1)
+                y = [v - f * w for v, w in zip(y, sol[j])]
+        sol.append(y)
     # K (I+rK)^{-1} = (I+rK)^{-1} K because K and (I+rK)^{-1} commute.
-    return all(v >= 0 for x in sol for v in x)
+    return all(v >= 0 for y in sol for v in y)
 
 
 def ssp_coefficient(

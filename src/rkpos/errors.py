@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `rational`, the one
+converter of the exact numbers the public functions take."""
+
+from fractions import Fraction
 
 
 class RkposError(Exception):
@@ -31,3 +34,15 @@ class LimiterContractError(RkposError):
 
 class InputError(RkposError, ValueError):
     """Malformed user input (missing variable values, bad shorthand, ...)."""
+
+
+def rational(x) -> Fraction:
+    """x as a Fraction; a float, a bool or a non-number raises InputError."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (float, bool)):
+        raise InputError(f"{type(x).__name__} {x!r} not accepted; pass an exact rational")
+    try:
+        return Fraction(x)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise InputError(f"entry {x!r} is not a number: {exc}") from exc

@@ -28,7 +28,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import CapacityError, InputError, ParameterDomainError
+from .bounds import ssp_coefficient
+from .errors import CapacityError, InputError, ParameterDomainError, rational
 from .multilinear import TABLE_BYTES, move_bits
 from .polygen import PropagationSet, StencilSpec, generate, upwind
 from .tableau import ButcherTableau, make_family
@@ -165,7 +166,7 @@ def condition_at(
     The first negative column is therefore the first negative global
     subset, and it is reported by its global code.
     """
-    delta = Fraction(delta)
+    delta = rational(delta)
     if delta < 0:
         raise ParameterDomainError("delta must be nonnegative")
     num, den = delta.numerator, delta.denominator
@@ -195,6 +196,7 @@ def compute_gamma(
     then negative at the upper bound or just above it.  `tol` must be
     positive.
     """
+    tol = rational(tol)
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
     ps = source if isinstance(source, PropagationSet) else generate(source, stencil)
@@ -247,9 +249,9 @@ class SweepRow:
 
 
 def _frange(lo: Fraction, hi: Fraction, step: Fraction):
+    x, hi, step = rational(lo), rational(hi), rational(step)
     if step <= 0:
         raise InputError(f"grid step must be positive, got {step}")
-    x = Fraction(lo)
     while x <= hi:
         yield x
         x += step
@@ -270,10 +272,8 @@ def sweep(
     the output as skipped rows with the reason.  `with_ssp` additionally
     computes the exact SSP coefficient per row.
     """
-    from .bounds import ssp_coefficient
-
     rows = []
-    for alpha in _frange(Fraction(lo), Fraction(hi), Fraction(step)):
+    for alpha in _frange(lo, hi, step):
         try:
             t = make_family(kind, (alpha,))
         except ParameterDomainError as exc:
@@ -291,7 +291,7 @@ _HALF, _TWO_THIRDS = Fraction(1, 2), Fraction(2, 3)
 def in_bowtie(alpha: Fraction, beta: Fraction) -> bool:
     """Membership in the positivity parameter region for the two-parameter
     third-order family: two triangles meeting at (2/3, 2/3)."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = rational(alpha), rational(beta)
     left = (
         _HALF <= alpha < _TWO_THIRDS
         and _TWO_THIRDS <= beta <= 1 - alpha / 2
@@ -330,7 +330,7 @@ def region_scan(
     condition is checked only where gamma > 0 or delta = 0, as gamma = 0
     puts negative points in every box [0, delta]^n with delta > 0.
     """
-    delta = Fraction(delta)
+    delta = rational(delta)
     if delta < 0:
         raise ParameterDomainError("delta must be nonnegative")
     if points is None:

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, rational
 from .univariate import UniPoly
 
 __all__ = [
@@ -70,13 +70,15 @@ class MultilinearPoly:
     is the lcm of the coefficients' denominators.  A numerator that is not
     an int (a Fraction, a float or a bool), a subset code outside the
     variables or a nonpositive scale raises InputError.  `support` lists,
-    ascending, the positions of the variables the terms use.
+    ascending, the positions of the variables the terms use, and `maxdeg`
+    is the largest degree of a term (0 for no terms).
     """
 
     vars: tuple[VarTag, ...]
     terms: dict[int, int]
     scale: int = 1
     support: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    maxdeg: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.scale) is not int or self.scale <= 0:
@@ -95,6 +97,7 @@ class MultilinearPoly:
             object.__setattr__(self, "scale", self.scale // common)
         object.__setattr__(self, "support", tuple(
             k for k in range(used.bit_length()) if used >> k & 1))
+        object.__setattr__(self, "maxdeg", max(map(int.bit_count, self.terms), default=0))
 
     @property
     def n(self) -> int:
@@ -106,7 +109,7 @@ class MultilinearPoly:
         for v in self.vars:
             if v not in point:
                 raise InputError(f"no value supplied for variable {v}")
-            vals.append(Fraction(point[v]))
+            vals.append(rational(point[v]))
         total = Fraction(0)
         for code, coeff in self.terms.items():
             prod = coeff
@@ -133,15 +136,13 @@ class MultilinearPoly:
                 continue
             d = code.bit_count()
             coeffs[d] = coeffs.get(d, 0) + c
-        maxd = max(coeffs, default=-1)
-        return UniPoly.from_coeffs([Fraction(coeffs.get(d, 0), self.scale)
-                                    for d in range(maxd + 1)])
+        return UniPoly(tuple(coeffs.get(d, 0) for d in range(max(coeffs, default=-1) + 1)),
+                       self.scale)
 
     def table_bytes(self) -> int:
         """Bytes of the (maxdeg + 1, 2**|support|) array `vertex_table`
         allocates."""
-        maxdeg = max((c.bit_count() for c in self.terms), default=0)
-        return 8 * (maxdeg + 1) << len(self.support)
+        return 8 * (self.maxdeg + 1) << len(self.support)
 
     def vertex_table(self) -> tuple[int, "np.ndarray"]:
         """All vertex polynomials at once, as scaled-integer coefficient rows.
@@ -159,9 +160,7 @@ class MultilinearPoly:
         objects otherwise.  CapacityError is raised before allocation when the
         table exceeds TABLE_BYTES.
         """
-        n = len(self.support)
-        maxdeg = max((c.bit_count() for c in self.terms), default=0)
-        nbytes = 8 * (maxdeg + 1) << n  # as table_bytes() counts them
+        n, maxdeg, nbytes = len(self.support), self.maxdeg, self.table_bytes()
         if nbytes > TABLE_BYTES:
             raise CapacityError(
                 f"the vertex table over {n} variables needs {nbytes} bytes, "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import PreconditionError
+from .errors import PreconditionError, rational
 from .multilinear import MultilinearPoly, VarTag, move_bits
 from .tableau import ButcherTableau, chain_weights
 
@@ -51,9 +51,8 @@ class StencilSpec:
     dx_power: int = 1
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", {j: Fraction(c) for j, c in self.coeffs.items() if c != 0}
-        )
+        coeffs = {j: rational(c) for j, c in self.coeffs.items()}
+        object.__setattr__(self, "coeffs", {j: c for j, c in coeffs.items() if c})
         if self.name != "custom" and sum(self.coeffs.values()) != 0:
             raise PreconditionError(f"built-in stencil {self.name} must be consistent")
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .errors import InputError, ParameterDomainError
+from .errors import InputError, ParameterDomainError, rational
 
 __all__ = [
     "ButcherTableau",
@@ -33,17 +33,6 @@ __all__ = [
 FAMILY_KINDS = ("ERK22", "ERK33_CaseI", "ERK33_CaseII", "ERK33_CaseIII")
 
 
-def _frac(x) -> Fraction:
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, float):
-        raise InputError(f"float {x!r} not accepted; pass an exact rational")
-    try:
-        return Fraction(x)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"entry {x!r} is not a number: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class ButcherTableau:
     """An explicit RK method (A, b) with exact rational entries.
@@ -57,8 +46,8 @@ class ButcherTableau:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(tuple(map(_frac, row)) for row in self.a))
-        object.__setattr__(self, "b", tuple(map(_frac, self.b)))
+        object.__setattr__(self, "a", tuple(tuple(map(rational, row)) for row in self.a))
+        object.__setattr__(self, "b", tuple(map(rational, self.b)))
         m = len(self.b)
         if len(self.a) != m or any(len(row) != m for row in self.a):
             raise InputError("A must be m x m with m = len(b)")
@@ -129,7 +118,7 @@ def chain_weights(t: ButcherTableau) -> Iterator[tuple[tuple[int, ...], Fraction
 
 def erk22(alpha) -> ButcherTableau:
     """The one-parameter family of all two-stage second-order ERK methods."""
-    alpha = _frac(alpha)
+    alpha = rational(alpha)
     if alpha == 0:
         raise ParameterDomainError("ERK22 requires alpha != 0")
     return ButcherTableau(
@@ -141,7 +130,7 @@ def erk22(alpha) -> ButcherTableau:
 
 def erk33_case1(alpha, beta) -> ButcherTableau:
     """Generic (two-parameter) three-stage third-order methods, Case I."""
-    alpha, beta = _frac(alpha), _frac(beta)
+    alpha, beta = rational(alpha), rational(beta)
     if alpha == 0 or beta == 0:
         raise ParameterDomainError("ERK33 Case I requires alpha, beta != 0")
     if alpha == Fraction(2, 3):
@@ -164,7 +153,7 @@ def erk33_case1(alpha, beta) -> ButcherTableau:
 
 def erk33_case2(alpha) -> ButcherTableau:
     """One-parameter Case II family of ERK(3,3) methods."""
-    alpha = _frac(alpha)
+    alpha = rational(alpha)
     if alpha == 0:
         raise ParameterDomainError("ERK33 Case II requires alpha != 0")
     q = 1 / (4 * alpha)
@@ -177,7 +166,7 @@ def erk33_case2(alpha) -> ButcherTableau:
 
 def erk33_case3(alpha) -> ButcherTableau:
     """One-parameter Case III family of ERK(3,3) methods."""
-    alpha = _frac(alpha)
+    alpha = rational(alpha)
     if alpha == 0:
         raise ParameterDomainError("ERK33 Case III requires alpha != 0")
     q = 1 / (4 * alpha)
@@ -215,7 +204,7 @@ _FAMILIES = {  # kind -> (builder, parameter count)
 
 def make_family(kind: str, params: Sequence) -> ButcherTableau:
     """Build a tableau from one of the named parametric families."""
-    params = [_frac(p) for p in params]
+    params = [rational(p) for p in params]
     if kind not in _FAMILIES:
         raise InputError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
     build, arity = _FAMILIES[kind]

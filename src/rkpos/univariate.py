@@ -3,13 +3,14 @@
 Houses the vertex-restriction polynomials g_S(delta) and the machinery for
 locating the first point on (0, oo) where such a polynomial turns negative:
 Sturm-chain root counting, sign-variation bisection, and rational-root
-snapping.  The search needs only signs: each polynomial it evaluates is
-scaled once to integer coefficients, and its sign at num/den is that of
-the integer den**deg * p(num/den), computed by homogeneous Horner.  The
-bisection that narrows a bracket to `tol` runs on integer numerators over
-one shared denominator and builds Fractions only for the `Cut` it
-returns.  `refine` finds the sup of a monotone exact check by cutting only
-the restrictions that the check names.  No floating point anywhere.
+snapping.  A `UniPoly` holds integer numerators over one positive scale,
+so the search reads signs straight from them: the sign of p at num/den is
+that of the integer den**deg * p(num/den), computed by homogeneous Horner,
+which evaluation shares.  The bisection that narrows a bracket to `tol`
+runs on integer numerators over one shared denominator and builds
+Fractions only for the `Cut` it returns.  `refine` finds the sup of a
+monotone exact check by cutting only the restrictions that the check
+names.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
-from .errors import InputError
+from .errors import InputError, rational
 
 __all__ = ["UniPoly", "Cut", "DEFAULT_TOL", "descend", "first_negative_cut", "refine"]
 
@@ -37,42 +38,58 @@ DEFAULT_TOL = Fraction(1, 2**40)
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Dense polynomial in one variable; coeffs[d] is the degree-d coefficient."""
+    """Dense polynomial in one variable: p(x) = sum_d ints[d] x**d / scale.
 
-    coeffs: tuple[Fraction, ...]
+    `ints` are integer numerators, without trailing zeros, and `scale` is a
+    positive integer; construction reduces them to lowest terms.  A
+    numerator that is not an int (a Fraction, a float or a bool) or a
+    nonpositive scale raises InputError.  `from_coeffs` takes rationals,
+    and `coeffs` gives them back.
+    """
+
+    ints: tuple[int, ...]
+    scale: int = 1
+
+    def __post_init__(self):
+        ints, scale = list(self.ints), self.scale
+        if type(scale) is not int or scale <= 0 or any(type(c) is not int for c in ints):
+            raise InputError(f"need int numerators over a positive int scale, got "
+                             f"{ints!r} over {scale!r}")
+        while ints and ints[-1] == 0:
+            ints.pop()
+        common = gcd(scale, *ints)
+        object.__setattr__(self, "ints", tuple(c // common for c in ints))
+        object.__setattr__(self, "scale", scale // common)
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[Union[int, Fraction]]) -> "UniPoly":
-        c = [Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        return UniPoly(tuple(c))
+        """The polynomial with coefficients coeffs[d], exact rationals."""
+        c = [rational(x) for x in coeffs]
+        scale = lcm(*[x.denominator for x in c])
+        return UniPoly(tuple(x.numerator * (scale // x.denominator) for x in c), scale)
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """coeffs[d] is the degree-d coefficient."""
+        return tuple(Fraction(c, self.scale) for c in self.ints)
 
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        x = rational(x)
+        value = _horner(self.ints, x.numerator, x.denominator)
+        return Fraction(value, self.scale * x.denominator ** max(len(self.ints) - 1, 0))
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly.from_coeffs([d * c for d, c in enumerate(self.coeffs)][1:])
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append(f"({c})*d^{d}" if d else f"({c})")
-        return " + ".join(parts)
+def _horner(ints: Sequence[int], num: int, den: int) -> int:
+    """den**deg * p(num / den) for den > 0, where ints[d] is p's degree-d
+    coefficient: homogeneous Horner sums ints[d] * num**d * den**(deg - d).
+    It has the sign of p(num / den)."""
+    if not ints:
+        return 0
+    acc, power = ints[-1], 1
+    for c in ints[-2::-1]:
+        power *= den
+        acc = acc * num + c * power
+    return acc
 
 
 def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
@@ -102,7 +119,10 @@ def _primitive(p: list[int]) -> list[int]:
 
 def _sturm_chain(p: list[int]) -> list[list[int]]:
     """The Sturm chain p, p', -rem(p, p'), ... of a primitive p, each member
-    primitive and a positive multiple of the Euclidean one."""
+    primitive and a positive multiple of the Euclidean one.  For p not
+    squarefree the chain ends at a multiple of gcd(p, p'); its sign
+    variations still count the distinct roots of p between two points
+    that are not roots."""
     chain, nxt = [p], [d * c for d, c in enumerate(p)][1:]
     while nxt:
         chain.append(_primitive(nxt))
@@ -110,43 +130,10 @@ def _sturm_chain(p: list[int]) -> list[list[int]]:
     return chain
 
 
-def _integer_multiple(coeffs: Sequence[Fraction]) -> list[int]:
-    """Coprime integer coefficients of a positive multiple of the polynomial,
-    which has its sign at every point; `coeffs` must not be all zero."""
-    scale = lcm(*[c.denominator for c in coeffs])
-    return _primitive([c.numerator * (scale // c.denominator) for c in coeffs])
-
-
-def _sign(ints: Sequence[int], num: int, den: int) -> int:
-    """Sign (-1, 0 or 1) of p(num / den) for den > 0; ints[d] is p's degree-d
-    coefficient.
-
-    Homogeneous Horner computes sum_d ints[d] * num**d * den**(deg - d),
-    which is den**deg * p(num / den) and so has the same sign.
-    """
-    acc = ints[-1]
-    power = 1
-    for c in reversed(ints[:-1]):
-        power *= den
-        acc = acc * num + c * power
-    return (acc > 0) - (acc < 0)
-
-
 def _variations(chain: list[list[int]], x: Fraction) -> int:
-    signs = [s for s in (_sign(p, x.numerator, x.denominator) for p in chain) if s]
+    values = (_horner(p, x.numerator, x.denominator) for p in chain)
+    signs = [v > 0 for v in values if v]
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
-
-
-def _squarefree(p: list[int]) -> list[int]:
-    """p / gcd(p, p') for a primitive p, primitive and a positive multiple of
-    the Euclidean quotient: the same distinct roots, all simple."""
-    g, h = p, [d * c for d, c in enumerate(p)][1:]
-    while h:
-        h = _primitive(h)
-        g, h = h, _pseudo_divmod(g, h)[1]
-    if len(g) <= 1:
-        return p
-    return _primitive(_pseudo_divmod(p, g)[0])
 
 
 def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -207,22 +194,24 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
     first); violating that raises ValueError.  A nonpositive `tol` raises
     InputError, since bisection to it would never end.
     """
+    tol = rational(tol)
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
-    coeffs = list(p.coeffs)
-    k = 0
-    while k < len(coeffs) and coeffs[k] == 0:
-        k += 1
-    if k == len(coeffs):
+    k = next((k for k, c in enumerate(p.ints) if c), None)
+    if k is None:
         return None  # identically zero
-    if coeffs[k] < 0:
+    if p.ints[k] < 0:
         raise ValueError("polynomial is negative immediately right of 0")
-    h_ints = _integer_multiple(coeffs[k:])  # delta^k factor dropped; h(0) > 0
-    if all(c >= 0 for c in h_ints):
+    h = _primitive(list(p.ints[k:]))  # delta^k factor dropped; h(0) > 0
+    if all(c >= 0 for c in h):
         return None
-    chain = _sturm_chain(_squarefree(h_ints))
-    hs_ints, lead = chain[0], h_ints[-1]
-    bound = Fraction(abs(lead) + max(map(abs, h_ints)), abs(lead))  # > every real root
+    # One chain, of h itself: h has the zeros of its squarefree part.
+    chain, lead = _sturm_chain(h), h[-1]
+    bound = Fraction(abs(lead) + max(map(abs, h)), abs(lead))  # > every real root
+
+    def value(x: Fraction) -> int:
+        # A positive multiple of h(x).
+        return _horner(h, x.numerator, x.denominator)
 
     def nroots(a: Fraction, b: Fraction) -> int:
         # Distinct roots of h in (a, b); endpoints must not be roots.
@@ -230,7 +219,7 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
 
     def nonroot_between(a: Fraction, b: Fraction) -> Fraction:
         t = (a + b) / 2
-        while _sign(hs_ints, t.numerator, t.denominator) == 0:
+        while value(t) == 0:
             t = (a + t) / 2
         return t
 
@@ -244,7 +233,7 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
         while (hi - lo) * tol.denominator > tol.numerator * den:
             mid = lo + hi
             den *= 2
-            sign = _sign(h_ints, mid, den)
+            sign = _horner(h, mid, den)
             if sign == 0:
                 root = Fraction(mid, den)
                 return Cut(exact=root, lo=root, hi=root)
@@ -257,7 +246,7 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
         # in a tight enough bracket; accept the candidate only if it is
         # genuinely a root.
         cand = _simplest_between(a, neg)
-        if _sign(h_ints, cand.numerator, cand.denominator) == 0:
+        if value(cand) == 0:
             return Cut(exact=cand, lo=cand, hi=cand)
         return Cut(exact=None, lo=a, hi=neg)
 
@@ -265,12 +254,12 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
         # Exactly one distinct root r of h in (a, b); h(a) > 0, endpoints non-roots.
         while True:
             mid = (a + b) / 2
-            if _sign(hs_ints, mid.numerator, mid.denominator) == 0:
-                after = nonroot_between(mid, b)
-                if _sign(h_ints, after.numerator, after.denominator) < 0:
+            sign = value(mid)
+            if sign == 0:
+                if value(nonroot_between(mid, b)) < 0:
                     return Cut(exact=mid, lo=mid, hi=mid)
                 return None  # touches zero, stays nonnegative
-            if _sign(h_ints, mid.numerator, mid.denominator) < 0:
+            if sign < 0:
                 return refine_bracket(a, mid)
             if nroots(a, mid) == 1:
                 # Root lies left of mid with h(mid) > 0: an even touch.
@@ -336,7 +325,7 @@ def descend(
     (point, point + eta), so the descent ends; past DESCENT_LIMIT
     halvings it raises AssertionError naming the point and the step.
     """
-    step = Fraction(step)
+    point, step = rational(point), rational(step)
     for _ in range(DESCENT_LIMIT):
         failure = fails(point + step)
         if failure is not None:

@@ -4,10 +4,11 @@ Sum_i P_i = 1 check; `coded`, polynomials from tag-set-keyed rational
 terms, and `scaled`, which writes rational terms as the integer numerators
 over one scale that `MultilinearPoly` stores; `min_first_negativity`, the
 first negativity over a whole family of univariate polynomials from cutting
-every member; and `_divmod`, `_sturm_chain` and `_squarefree`, the
-Euclidean Sturm chain and squarefree part over Fraction that the integer
-pseudo-remainder sequences of `rkpos.univariate` must match up to positive
-factors."""
+every member; `derivative`, `_divmod`, `_sturm_chain` and `_squarefree`, the
+Euclidean Sturm chain and squarefree part over Fraction, whose root counts the
+integer Sturm chain of `rkpos.univariate` must match; and `ssp_feasible`,
+the SSP feasibility check by forward substitution over Fraction, the
+reference for the integer one of `rkpos.bounds`."""
 
 from fractions import Fraction
 from math import lcm
@@ -181,9 +182,13 @@ def _divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[
     return quotient, f
 
 
+def derivative(p: UniPoly) -> UniPoly:
+    return UniPoly.from_coeffs([d * c for d, c in enumerate(p.coeffs)][1:])
+
+
 def _sturm_chain(p: UniPoly) -> list[UniPoly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
+    chain = [p, derivative(p)]
+    while chain[-1].ints:
         _, r = _divmod(list(chain[-2].coeffs), list(chain[-1].coeffs))
         chain.append(UniPoly.from_coeffs([-c for c in r]))
     return chain[:-1]
@@ -192,9 +197,23 @@ def _sturm_chain(p: UniPoly) -> list[UniPoly]:
 def _squarefree(p: UniPoly) -> UniPoly:
     # p / gcd(p, p'); same distinct roots, all simple.
     g = list(p.coeffs)
-    h = list(p.derivative().coeffs)
+    h = list(derivative(p).coeffs)
     while h:
         g, h = h, _divmod(g, h)[1]
     if len(g) <= 1:
         return p
     return UniPoly.from_coeffs(_divmod(list(p.coeffs), g)[0])
+
+
+def ssp_feasible(t: ButcherTableau, r: Fraction) -> bool:
+    """Every entry of X = (I + rK)^{-1} [K | e] is >= 0, K = [[A, 0],
+    [b^T, 0]]: I + rK is unit lower triangular, so forward substitution
+    over Fraction solves (I + rK) X = [K | e] row by row."""
+    sol = []
+    for row in (*t.a, t.b):
+        x = [*row, Fraction(0), Fraction(1)]
+        for j, kij in enumerate(row):
+            if kij:
+                x = [v - r * kij * w for v, w in zip(x, sol[j])]
+        sol.append(x)
+    return all(v >= 0 for x in sol for v in x)

@@ -11,6 +11,7 @@ from rkpos.tableau import (ButcherTableau, erk22, erk33_case1, erk33_case2,
                            erk33_case3, forward_euler, rk4_classical)
 from rkpos.univariate import UniPoly
 
+import oracle
 from oracle import min_first_negativity
 from strategies import small_tableaux
 
@@ -177,13 +178,20 @@ def test_feasibility_matches_the_constraint_polynomials(t):
         assert ssp_feasible(t, r) == all(p(r) >= 0 for p in constraints)
 
 
+@settings(max_examples=100)
+@given(small_tableaux())
+def test_integer_feasibility_matches_fraction_substitution(t):
+    for r in (F(0), F(1, 7), F(1, 2), F(1), F(3, 2), F(3), F(10)):
+        assert ssp_feasible(t, r) == oracle.ssp_feasible(t, r)
+
+
 def _psi_polys(t):
     """psi_j(r) = phi^(j)(-r) / j!, from repeated derivatives of phi."""
     out, p = [], stability_polynomial(t)
-    for j in range(p.degree + 1):
+    for j in range(len(p.ints)):
         out.append((f"phi^({j})", UniPoly.from_coeffs(
             [c * (-1) ** d / factorial(j) for d, c in enumerate(p.coeffs)])))
-        p = p.derivative()
+        p = oracle.derivative(p)
     return out
 
 

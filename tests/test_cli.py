@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -22,6 +23,26 @@ def invoke(capsys, *argv):
 
 def rows(out):
     return list(csv.DictReader(io.StringIO(out)))
+
+
+# sha256 of the concatenated stdout of `ssp`, `rphi` and `gamma` on every
+# stencil for these methods, recorded before UniPoly held integer
+# numerators; a change of number format must not move an output byte.
+GOLDEN_METHODS = ["fe", "rk4", "erk22:1", "erk22:1/4", "erk22:3/2",
+                  "erk33c1:1/2,3/4", "erk33c2:9/16", "erk33c2:1/2", "erk33c3:1"]
+GOLDEN_STDOUT = "a5beb389af96204d8e594e8ee5583d7f42b6250c8ba5f8d191696cb5e2a4b8f5"
+
+
+def test_certificate_stdout_is_pinned(capsys):
+    hasher = hashlib.sha256()
+    for m in GOLDEN_METHODS:
+        for argv in (["ssp", "--method", m], ["rphi", "--method", m],
+                     *(["gamma", "--method", m, "--stencil", s]
+                       for s in ("upwind", "centered", "heat"))):
+            code, out = invoke(capsys, *argv)
+            assert code == 0, argv
+            hasher.update(out.encode())
+    assert hasher.hexdigest() == GOLDEN_STDOUT
 
 
 def test_gamma_csv(capsys):

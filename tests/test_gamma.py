@@ -4,15 +4,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rkpos.bounds import radius_abs_monotonicity
-from rkpos.errors import ParameterDomainError
+from rkpos.bounds import radius_abs_monotonicity, ssp_feasible
+from rkpos.errors import CapacityError, InputError, ParameterDomainError
 from rkpos.gamma import (compute_gamma, condition_at, gamma_zero_test,
                          in_bowtie, region_scan, subset_bits, sweep)
 from rkpos.multilinear import MultilinearPoly, VarTag
-from rkpos.polygen import PropagationSet, centered, generate, heat, upwind
+from rkpos.polygen import (PropagationSet, StencilSpec, centered, generate,
+                           heat, upwind)
 from rkpos.tableau import (ButcherTableau, erk22, erk33_case1, erk33_case2,
                            erk33_case3, forward_euler, make_family,
                            rk4_classical)
+from rkpos.univariate import UniPoly
 
 from oracle import coded, min_first_negativity, scaled
 from strategies import small_tableaux
@@ -367,6 +369,35 @@ def test_each_set_builds_its_tables_once(monkeypatch):
     condition_at(ps, 1)
     assert compute_gamma(ps).exact == 1
     assert len(built) == len(ps.polys)
+
+
+def test_set_budget_is_checked_before_any_table(monkeypatch):
+    def refuse(poly):
+        raise AssertionError("vertex_table called")
+
+    monkeypatch.setattr(MultilinearPoly, "vertex_table", refuse)
+    ps = generate(generic(6), centered)
+    with pytest.raises(CapacityError, match="P_0's over 23 support variables"):
+        condition_at(ps, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: condition_at(generate(erk22(1), upwind), 0.5),
+    lambda: region_scan(points=[(F(1), F(1, 2))], delta=0.5),
+    lambda: ssp_feasible(erk22(1), 0.5),
+    lambda: StencilSpec({1: 0.5, 0: -0.5}),
+    lambda: UniPoly.from_coeffs([0.5, 1]),
+    lambda: in_bowtie(0.6, 0.7),
+    lambda: sweep("ERK22", 0.5, 1, 0.25),
+    lambda: compute_gamma(erk22(1), upwind, tol=1e-12),
+    lambda: condition_at(generate(erk22(1), upwind), True),
+    lambda: in_bowtie(F(3, 4), "x"),
+], ids=["condition_at", "region_scan", "ssp_feasible", "StencilSpec",
+        "from_coeffs", "in_bowtie", "sweep", "compute_gamma-tol",
+        "condition_at-bool", "in_bowtie-text"])
+def test_public_functions_take_exact_rationals_only(call):
+    with pytest.raises(InputError):
+        call()
 
 
 def test_condition_at_tiny_delta_on_int64_tables():

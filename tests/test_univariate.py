@@ -1,14 +1,16 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rkpos.errors import InputError
 from rkpos.univariate import (DESCENT_LIMIT, Cut, UniPoly, descend,
                               first_negative_cut)
-from rkpos.univariate import (_integer_multiple, _sign, _simplest_between,
-                              _squarefree, _sturm_chain, _variations)
+from rkpos.univariate import (_horner, _primitive, _simplest_between,
+                              _sturm_chain, _variations)
 
 import oracle
 
@@ -26,6 +28,39 @@ def test_eval_and_normalization():
     p = UniPoly.from_coeffs([1, 2, 0, 0])
     assert p.coeffs == (F(1), F(2))
     assert p(F(3)) == 7
+    q = UniPoly.from_coeffs([F(1, 2), F(3, 4), 0])
+    assert (q.ints, q.scale) == ((2, 3), 4)
+    assert UniPoly((6, 9, 0), 12) == q
+
+
+def _fraction_horner(coeffs, x):
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@given(st.lists(st.integers(-10 ** 9, 10 ** 9), max_size=7),
+       st.integers(1, 10 ** 9), RATIONALS)
+def test_unipoly_ints_over_one_scale(ints, scale, x):
+    """ints and scale round-trip through from_coeffs, and evaluation is the
+    Fraction Horner over the coefficients ints[d] / scale."""
+    p = UniPoly(tuple(ints), scale)
+    coeffs = [F(c, scale) for c in ints]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    assert p.coeffs == tuple(coeffs)
+    q = UniPoly.from_coeffs(p.coeffs)
+    assert (q.ints, q.scale) == (p.ints, p.scale) and q == p
+    assert p(x) == _fraction_horner(coeffs, x)
+
+
+@pytest.mark.parametrize("ints, scale", [
+    ((1, F(1, 2)), 1), ((1, 2.0), 1), ((True, 1), 1), ((1, 2), 0),
+    ((1, 2), -3), ((1, 2), True), ((1, 2), 2.0)])
+def test_numerators_must_be_ints_over_a_positive_scale(ints, scale):
+    with pytest.raises(InputError):
+        UniPoly(ints, scale)
 
 
 def test_no_negativity_returns_none():
@@ -101,11 +136,10 @@ def test_integer_sign_matches_exact_value(coeffs, x, roots):
     for r in roots:
         coeffs = _mul(coeffs, [-r, F(1)])
     p = UniPoly.from_coeffs(coeffs)
-    ints = _integer_multiple(p.coeffs)
     for point in [x, *roots]:
-        value = p(point)
-        assert _sign(ints, point.numerator, point.denominator) == (
-            (value > 0) - (value < 0))
+        value = _fraction_horner(coeffs, point)
+        sign = _horner(p.ints, point.numerator, point.denominator)
+        assert (sign > 0) - (sign < 0) == (value > 0) - (value < 0)
 
 
 SMALL_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -115,24 +149,26 @@ SMALL_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
        st.lists(SMALL_RATIONALS, max_size=3), st.integers(1, 3),
        st.lists(RATIONALS, max_size=4))
 def test_integer_sturm_chain_matches_fraction_chain(coeffs, roots, power, points):
-    """The integer squarefree part is the reference one up to a positive
-    factor, and the integer Sturm chain gives the reference chain's sign
-    variations, at drawn points and at the roots multiplied in."""
+    """The integer Sturm chain of a polynomial with repeated roots counts
+    the distinct roots between two non-roots as the reference chain of its
+    squarefree part does: at drawn points and at points beside the roots
+    multiplied in."""
     for r in roots:
         for _ in range(power):
             coeffs = _mul(coeffs, [-r, F(1)])
     p = UniPoly.from_coeffs(coeffs)
-    ref = oracle._squarefree(p)
-    squarefree = _squarefree(_integer_multiple(p.coeffs))
-    # Both sides are primitive with the reference's sign: a positive multiple.
-    assert squarefree == _integer_multiple(ref.coeffs)
-    ref_chain = oracle._sturm_chain(ref)
-    chain = _sturm_chain(squarefree)
-    assert len(chain) == len(ref_chain)
-    for x in [*points, *roots]:
+    ref_chain = oracle._sturm_chain(oracle._squarefree(p))
+    chain = _sturm_chain(_primitive(list(p.ints)))
+
+    def ref_variations(x):
         signs = [s for s in ((q(x) > 0) - (q(x) < 0) for q in ref_chain) if s]
-        ref_variations = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-        assert _variations(chain, x) == ref_variations
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    near = [r + e for r in roots for e in (F(-1, 10 ** 3), F(1, 10 ** 3))]
+    xs = sorted({x for x in [*points, *near, F(-10 ** 7), F(10 ** 7)] if p(x) != 0})
+    for a, b in combinations(xs, 2):
+        assert (_variations(chain, a) - _variations(chain, b)
+                == ref_variations(a) - ref_variations(b))
 
 
 def _pinned_corpus():
