@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, rational
 from .molsim import ScriptedQ, SemiDiscreteProblem, erk_step
 from .multilinear import VarTag
 from .polygen import PropagationSet, StencilSpec, generate, upwind
@@ -121,14 +121,14 @@ def _schedule(t: ButcherTableau, entries, dt: Fraction = Fraction(1)) -> Scripte
     seen by the stepper."""
     table = {}
     for cell, stage, value in entries:
-        key = (cell, Fraction(t.c[stage - 1]) * dt)
+        key, value = (cell, Fraction(t.c[stage - 1]) * dt), rational(value)
         if key in table and table[key] != value:
             clash = [j + 1 for j in range(t.m) if t.c[j] == t.c[stage - 1]]
             raise PreconditionError(
                 f"{t.name}: stages {clash} share abscissa {t.c[stage - 1]}; "
                 f"the schedule cannot give them different q values at cell {cell}"
             )
-        table[key] = Fraction(value)
+        table[key] = value
     return ScriptedQ(table)
 
 
@@ -146,6 +146,7 @@ def first_step_counterexample(
     unit vector feeding only the P_i term of the observed cell.
     """
     offset_i, assignment = witness
+    assignment = {v: rational(x) for v, x in assignment.items()}
     ps = generate(t, stencil)
     if offset_i not in ps.polys:
         raise InputError(f"no propagation polynomial with offset {offset_i}")
@@ -162,7 +163,7 @@ def first_step_counterexample(
         [((target + tag.offset) % n, tag.stage, val)
          for tag, val in assignment.items() if val != 0],
     )
-    requested = {v: Fraction(assignment.get(v, 0)) for v in ps.vars}
+    requested = {v: assignment.get(v, Fraction(0)) for v in ps.vars}
     effective = _scripted_point(ps, script, target, n, Fraction(1), Fraction(1))
     if ps.polys[offset_i].eval(requested) < 0 <= ps.polys[offset_i].eval(effective):
         raise PreconditionError(
@@ -291,7 +292,7 @@ def rk4_counterexample(eps: Fraction) -> CounterexampleReport:
     """Negative value for the classical fourth-order method at any step
     size ratio eps = dt/dx > 0, via the explicit four-cell schedule whose
     output is u1 = (1, eps/6, (2 eps^2 - eps^3)/12, -eps^4/24)."""
-    eps = Fraction(eps)
+    eps = rational(eps)
     if eps <= 0:
         raise InputError("step size ratio must be positive")
     t = rk4_classical()

@@ -15,7 +15,8 @@ class ParameterDomainError(RkposError, ValueError):
 class CapacityError(RkposError):
     """Vertex tables would exceed their byte budget.
 
-    A polynomial's vertex table has 2**|support| columns.  Above the budget
+    A polynomial's vertex table has (k + 1) * 2**(|support| - k) columns, k
+    the size of its eliminated block.  Above the budget
     (rkpos.multilinear.TABLE_BYTES) the exact vertex check is refused before
     anything is allocated; there is no sampling fallback.
     """

@@ -14,16 +14,20 @@ answer is exact, and a certificate carries witnesses that can be
 re-verified by direct evaluation.
 
 P_i depends only on the variables its terms use, its support, and the
-value at a vertex S is the value at S intersected with the support.  So
-P_i's vertex table spans its support alone, 2^|support| columns, and a
-vertex check evaluates every column exactly in Python ints; there is one
-path and no sampling fallback.  A set whose tables exceed the byte budget
-of `rkpos.multilinear` raises CapacityError before any table is built.
+value at a vertex S is the value at S intersected with the support.  Its
+vertex table eliminates one block of k support variables exactly, the
+variables of one stage, no two in a term: (k + 1) * 2^(|support| - k)
+columns in place of 2^|support|.  A vertex check evaluates every column
+exactly in Python ints and takes the least value over the block's
+vertices per column; there is one path and no sampling fallback.  A set
+whose tables exceed the byte budget of `rkpos.multilinear` raises
+CapacityError before any table is built.
 """
 
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Optional, Union
 
 import numpy as np
@@ -105,13 +109,14 @@ _TABLES = weakref.WeakKeyDictionary()
 
 
 def _poly_tables(ps: PropagationSet):
-    """(offset, support, scale, table) per polynomial, ascending offset.
+    """(offset, support, lo, k, scale, table, exact) per polynomial,
+    ascending offset.
 
-    `support` is P_offset's support, and scale and table are its
-    `vertex_table()`, converted to Python ints: column k is the vertex
-    whose variables are the global positions move_bits(k, support).  The
-    tables' total size is checked against the byte budget before the
-    first one is built.
+    `support` is P_offset's support, support[lo:lo + k] its eliminated
+    block, and scale and table are its `vertex_table()`; `exact` is the
+    table as Python ints, for the checks at a delta, while the zero test
+    compares the table's own entries.  The tables' total size is checked
+    against the byte budget before the first one is built.
     """
     if ps in _TABLES:
         return _TABLES[ps]
@@ -126,24 +131,87 @@ def _poly_tables(ps: PropagationSet):
     out = []
     for offset, poly in polys:
         scale, table = poly.vertex_table()
-        out.append((offset, poly.support, scale, table.astype(object, copy=False)))
+        out.append((offset, poly.support, *poly.block, scale, table,
+                    table.astype(object, copy=False)))
     _TABLES[ps] = out
     return out
+
+
+# 2**62, ..., 2, 1: weights that turn a column of signs into one number
+# with the sign of the column's first nonzero entry.  A table within the
+# byte budget has far fewer rows: maxdeg <= |support| - k + 1.
+_WEIGHTS = 1 << np.arange(62, -1, -1)
+
+
+def _germs(rows):
+    """Per column, a number with the sign of its lowest-order nonzero entry
+    (0 where there is none): the sign of the germ at 0+ that its
+    coefficient rows give, lowest degree first.  One row is its own germ."""
+    if len(rows) == 1:
+        return rows[0]
+    return _WEIGHTS[-len(rows):] @ np.sign(rows)
+
+
+def _first_negative(rows, lo: int, k: int):
+    """The first vertex, in support subset order, with a negative germ:
+    (support code, germ as a list of rows), or None.
+
+    `rows` is one table evaluated at a delta (one row) or its coefficient
+    rows, a cell of k + 1 slices per subset of the other support variables
+    (see `vertex_table`).  A vertex's germ at 0+ is its column of rows,
+    and lexicographic order on the rows, lowest degree first, is a group
+    order, so the least germ over a cell's block vertices is slice 0 plus
+    every slice whose germ is negative; for one row it is the least value.
+    Support subset order is (high bits, block, low bits) order, the high
+    bits being the variables above the block, so the first failing vertex
+    has the high index of the first failing cell.  Its block subset is
+    fixed from the top bit down, in Python lists, which compare
+    lexicographically: a bit is clear if some vertex with the bits above
+    fixed and the bits below free still fails there.
+    """
+    cells = rows.reshape(len(rows), -1, k + 1)
+    take = _germs(rows).reshape(-1, k + 1) < 0
+    take[:, 0] = True  # slice 0, the terms without a block variable
+    bad = _germs(np.where(take, cells, 0).sum(axis=2)) < 0
+    c = int(bad.argmax())
+    if not bad[c]:
+        return None
+    high = c >> lo
+    part = cells[:, high << lo:high + 1 << lo]
+    zero = [0] * len(rows)
+    columns = part.transpose(1, 2, 0).tolist()  # per low index, k + 1 germs
+    free = []  # free[l][o]: the least germ of the block bits below o
+    for _, *slopes in columns:
+        below = [zero]
+        for b in slopes:
+            below.append(_plus(below[-1], b) if b < zero else below[-1])
+        free.append(below)
+    least, code = [column[0] for column in columns], 0
+    for o in reversed(range(k)):
+        if not any(_plus(g, f[o]) < zero for g, f in zip(least, free)):
+            least = [_plus(g, column[o + 1]) for g, column in zip(least, columns)]
+            code |= 1 << o
+    at = next(l for l, g in enumerate(least) if g < zero)
+    return (high << k | code) << lo | at, least[at]
+
+
+def _plus(u: list, v: list) -> list:
+    return list(map(add, u, v))
 
 
 def gamma_zero_test(ps: PropagationSet) -> Optional[NegativityWitness]:
     """Decide gamma > 0 without computing gamma.
 
     gamma > 0 iff for every vertex restriction g_{i,S} the lowest-order
-    nonzero coefficient, its column's first nonzero row, is positive (then
-    g > 0 on some (0, eps)).  Returns None when gamma > 0, otherwise a
-    witness evaluated at a concrete small delta where it is negative.
+    nonzero coefficient is positive (then g > 0 on some (0, eps)).  Returns
+    None when gamma > 0, otherwise a witness at the first such vertex in
+    offset, then global subset order (see `condition_at`), evaluated at a
+    concrete small delta where it is negative.
     """
-    for offset, support, _scale, table in _poly_tables(ps):
-        lowest = table[(table != 0).argmax(axis=0), np.arange(table.shape[1])]
-        bad = np.flatnonzero(lowest < 0)
-        if bad.size:
-            subset = move_bits(int(bad[0]), support)
+    for offset, support, lo, k, _scale, table, _exact in _poly_tables(ps):
+        found = _first_negative(table, lo, k)
+        if found is not None:
+            subset = move_bits(found[0], support)
             g = ps.polys[offset].vertex_restriction(subset)
             delta = descend(lambda d: d if g(d) < 0 else None,
                             Fraction(0), Fraction(1))
@@ -158,27 +226,27 @@ def condition_at(
 
     Returns None when the condition holds, else a witness vertex with a
     negative value.  Exact: vertices suffice because the polynomials are
-    multilinear, and each column's g_S(delta) * scale * den**maxdeg is one
+    multilinear, and each column's value times scale * den**maxdeg is one
     dot of the row [num**d * den**(maxdeg - d)] with the table, in Python
-    ints.  Column bit k is the k-th support variable, so ascending columns
-    are ascending global subsets, and a global subset takes the value of
-    its intersection with the support, a subset no larger than itself.
-    The first negative column is therefore the first negative global
-    subset, and it is reported by its global code.
+    ints; the least over a cell's block vertices is slice 0 plus the
+    negative slices.  The first negative vertex in support subset order
+    is the first negative global subset, since a global subset takes the
+    value of its intersection with the support, a subset no larger than
+    itself; it is reported by its global code.
     """
     delta = rational(delta)
     if delta < 0:
         raise ParameterDomainError("delta must be nonnegative")
     num, den = delta.numerator, delta.denominator
-    for offset, support, scale, table in _poly_tables(ps):
-        maxdeg = len(table) - 1
-        powers = [num**d * den ** (maxdeg - d) for d in range(maxdeg + 1)]
-        values = np.array(powers, dtype=object).dot(table)
-        bad = np.flatnonzero(values < 0)
-        if bad.size:
-            at = int(bad[0])
-            value = Fraction(values[at], scale * den**maxdeg)
-            return NegativityWitness(offset, move_bits(at, support), delta, value)
+    for offset, support, lo, k, scale, _table, exact in _poly_tables(ps):
+        top = len(exact) - 1
+        powers = [num**d * den ** (top - d) for d in range(top + 1)]
+        values = np.array(powers, dtype=object).dot(exact)
+        found = _first_negative(values[None], lo, k)
+        if found is not None:
+            code, (value,) = found
+            return NegativityWitness(offset, move_bits(code, support), delta,
+                                     Fraction(value, scale * den**top))
     return None
 
 

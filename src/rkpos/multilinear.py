@@ -9,6 +9,7 @@ is structural and vertex enumeration is a subset sweep.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -27,14 +28,13 @@ __all__ = [
     "TABLE_BYTES",
 ]
 
-# Byte budget for the vertex tables of one propagation set, counted as
-# 8-byte entries: a table has one row per degree and one column per subset
-# of its polynomial's support.  Exact evaluation keeps each table as Python
-# ints, which costs a few times more, so the budget stays well below the
-# memory of a small machine.  Generic 7-stage upwind (10.6 M entries over
-# its supports) fits; generic 6-stage heat (302 M) and 8-stage upwind
-# (321 M) do not.
-TABLE_BYTES = 2**28
+# Byte budget for the vertex tables of one propagation set, in the bytes the
+# checks keep (`table_bytes`): per entry a pointer to a Python int, counted
+# at the size of an int as large as the table's magnitude bound, and the
+# int64 entry itself when the table has one.  Generic 6-stage centered
+# (15.9 M entries, 667 MiB) fits; generic 6-stage heat (34 M entries,
+# 1,426 MiB) and 8-stage upwind (85 M entries, 3.9 GiB) do not.
+TABLE_BYTES = 3 << 28
 
 
 class VarTag(NamedTuple):
@@ -60,6 +60,30 @@ def move_bits(code: int, targets) -> int:
     return out
 
 
+def _block(vars, support, terms) -> tuple[int, int]:
+    """(lo, k): the block of support variables support[lo:lo + k] that a
+    vertex table eliminates.
+
+    It is the longest run of consecutive support variables of one stage,
+    the lowest among equally long runs, when no term uses two of its
+    variables: the chain form of generated sets puts at most one variable
+    of each stage in a term.  Otherwise it is the lowest support variable
+    alone, k = 1; k = 0 only for an empty support.
+    """
+    lo = k = start = 0
+    for j in range(1, len(support) + 1):
+        if j == len(support) or vars[support[j]].stage != vars[support[start]].stage:
+            if j - start > k:
+                lo, k = start, j - start
+            start = j
+    if k > 1:
+        mask = sum(1 << pos for pos in support[lo:lo + k])
+        for code in terms:
+            if code & mask & ((code & mask) - 1):
+                return 0, 1
+    return lo, k
+
+
 @dataclass(frozen=True)
 class MultilinearPoly:
     """Multilinear polynomial: the coefficient of the monomial with subset
@@ -70,8 +94,11 @@ class MultilinearPoly:
     is the lcm of the coefficients' denominators.  A numerator that is not
     an int (a Fraction, a float or a bool), a subset code outside the
     variables or a nonpositive scale raises InputError.  `support` lists,
-    ascending, the positions of the variables the terms use, and `maxdeg`
-    is the largest degree of a term (0 for no terms).
+    ascending, the positions of the variables the terms use, `maxdeg` is
+    the largest degree of a term (0 for no terms), `magnitude` is the sum
+    of the numerators' absolute values, which bounds every vertex table
+    entry, and `block` = (lo, k) names the support variables
+    support[lo:lo + k] that `vertex_table` eliminates (see `_block`).
     """
 
     vars: tuple[VarTag, ...]
@@ -79,6 +106,8 @@ class MultilinearPoly:
     scale: int = 1
     support: tuple[int, ...] = field(init=False, repr=False, compare=False)
     maxdeg: int = field(init=False, repr=False, compare=False)
+    magnitude: int = field(init=False, repr=False, compare=False)
+    block: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.scale) is not int or self.scale <= 0:
@@ -98,6 +127,8 @@ class MultilinearPoly:
         object.__setattr__(self, "support", tuple(
             k for k in range(used.bit_length()) if used >> k & 1))
         object.__setattr__(self, "maxdeg", max(map(int.bit_count, self.terms), default=0))
+        object.__setattr__(self, "magnitude", sum(map(abs, self.terms.values())))
+        object.__setattr__(self, "block", _block(self.vars, self.support, self.terms))
 
     @property
     def n(self) -> int:
@@ -140,40 +171,59 @@ class MultilinearPoly:
                        self.scale)
 
     def table_bytes(self) -> int:
-        """Bytes of the (maxdeg + 1, 2**|support|) array `vertex_table`
-        allocates."""
-        return 8 * (self.maxdeg + 1) << len(self.support)
+        """Bytes the checks keep for this polynomial's `vertex_table`: its
+        (maxdeg + 1) * (k + 1) * 2**(|support| - k) entries, each a pointer
+        to an int object no larger than `magnitude`, plus 8 bytes when the
+        table is int64."""
+        k, magnitude = self.block[1], self.magnitude
+        entries = (self.maxdeg + 1) * (k + 1) << (len(self.support) - k)
+        return entries * (8 + sys.getsizeof(magnitude) + 8 * (magnitude < 2**62))
 
     def vertex_table(self) -> tuple[int, "np.ndarray"]:
-        """All vertex polynomials at once, as scaled-integer coefficient rows.
+        """Every vertex restriction at once, with the block of `block`
+        eliminated, as scaled-integer coefficient rows.
 
-        Returns (scale, table) where table has shape (maxdeg + 1,
-        2**|support|): column k is the vertex whose variables are the
-        support positions move_bits(k, support), and table[d, k] / scale is
-        the degree-d coefficient of its restriction.  A global subset S has
-        the restriction of its intersection with the support.  Each
-        numerator enters at its term's support code, and a per-degree zeta
-        (subset-sum) transform, one pair-add per support variable k on the
-        view (degree, high bits, bit k, low bits), then sums the terms below
-        each vertex: O(2**n * n) adds instead of the naive O(4**n).  Entries
-        are exact: int64 when the magnitude bound allows, arbitrary-precision
-        objects otherwise.  CapacityError is raised before allocation when the
-        table exceeds TABLE_BYTES.
+        Returns (scale, table), table of shape (maxdeg + 1, 2**r * (k + 1)),
+        r = |support| - k, with one cell of k + 1 columns, its slices, per
+        subset c of the r other support variables, ascending: column c * (k
+        + 1) + o.  table[d, c * (k + 1) + o] / scale is the degree-d
+        coefficient of the sum of the terms below c that use no block
+        variable (o = 0, A_c) or block variable o (o >= 1, delta * B_o,c,
+        at the term's own degree).  No term uses two block variables, so
+        the vertex c with block subset T restricts to A_c + sum over o in
+        T of delta * B_o,c, and its least value over the block's 2**k
+        vertices is A_c + delta * sum_o min(0, B_o,c): variable
+        elimination (Boros & Hammer, Discrete Appl. Math. 123, 2002) over
+        a whole block.  Each numerator enters at its term's column, and
+        one zeta (subset-sum) transform over the r other variables, stacked
+        over the slices, sums the terms below each cell.  Entries are
+        exact: int64 when the magnitude bound allows, arbitrary-precision
+        objects otherwise.  CapacityError is raised before allocation when
+        `table_bytes` exceeds TABLE_BYTES.
         """
-        n, maxdeg, nbytes = len(self.support), self.maxdeg, self.table_bytes()
+        nbytes = self.table_bytes()
         if nbytes > TABLE_BYTES:
             raise CapacityError(
-                f"the vertex table over {n} variables needs {nbytes} bytes, "
-                f"over the {TABLE_BYTES}-byte budget"
-            )
-        rank = {k: j for j, k in enumerate(self.support)}
-        magnitude = sum(map(abs, self.terms.values()))
-        dtype = np.int64 if magnitude < 2**62 else object
-        table = np.zeros((maxdeg + 1, 1 << n), dtype=dtype)
+                f"the vertex table over {len(self.support)} variables needs "
+                f"{nbytes} bytes, over the {TABLE_BYTES}-byte budget")
+        (lo, k), maxdeg = self.block, self.maxdeg
+        cell = k + 1
+        # A term's column is the sum over its variables of their places:
+        # its block variable's slice, if any, and a bit of c times cell.
+        place = {pos: j - lo + 1 if lo <= j < lo + k
+                 else cell << (j if j < lo else j - k)
+                 for j, pos in enumerate(self.support)}
+        dtype = np.int64 if self.magnitude < 2**62 else object
+        table = np.zeros((maxdeg + 1, cell << len(self.support) - k), dtype=dtype)
         for code, v in self.terms.items():
-            table[code.bit_count(), move_bits(code, rank)] = v
-        for k in range(n):
-            pairs = table.reshape(maxdeg + 1, -1, 2, 1 << k)
+            column, bits = 0, code
+            while bits:
+                low = bits & -bits
+                column += place[low.bit_length() - 1]
+                bits ^= low
+            table[code.bit_count(), column] = v
+        for j in range(len(self.support) - k):
+            pairs = table.reshape(maxdeg + 1, -1, 2, cell << j)
             pairs[:, :, 1] += pairs[:, :, 0]
         return self.scale, table
 

@@ -119,14 +119,18 @@ def _primitive(p: list[int]) -> list[int]:
 
 def _sturm_chain(p: list[int]) -> list[list[int]]:
     """The Sturm chain p, p', -rem(p, p'), ... of a primitive p, each member
-    primitive and a positive multiple of the Euclidean one.  For p not
-    squarefree the chain ends at a multiple of gcd(p, p'); its sign
-    variations still count the distinct roots of p between two points
-    that are not roots."""
+    primitive and a positive multiple of the Euclidean one, then divided
+    by its last member.  For p not squarefree the last member is a
+    multiple of gcd(p, p'), which divides every member, so each primitive
+    pseudo-quotient is the exact quotient; the quotients have lower degree
+    and the same sign variations at every point that is not a root of p,
+    so they count the distinct roots of p between two such points."""
     chain, nxt = [p], [d * c for d, c in enumerate(p)][1:]
     while nxt:
         chain.append(_primitive(nxt))
         nxt = [-c for c in _pseudo_divmod(chain[-2], chain[-1])[1]]
+    if len(chain[-1]) > 1:
+        chain = [_primitive(_pseudo_divmod(f, chain[-1])[0]) for f in chain]
     return chain
 
 

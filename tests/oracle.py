@@ -4,11 +4,12 @@ Sum_i P_i = 1 check; `coded`, polynomials from tag-set-keyed rational
 terms, and `scaled`, which writes rational terms as the integer numerators
 over one scale that `MultilinearPoly` stores; `min_first_negativity`, the
 first negativity over a whole family of univariate polynomials from cutting
-every member; `derivative`, `_divmod`, `_sturm_chain` and `_squarefree`, the
-Euclidean Sturm chain and squarefree part over Fraction, whose root counts the
-integer Sturm chain of `rkpos.univariate` must match; and `ssp_feasible`,
-the SSP feasibility check by forward substitution over Fraction, the
-reference for the integer one of `rkpos.bounds`."""
+every member; `first_negative_root`, the first negativity of a polynomial
+read off its factorization; `derivative`, `_divmod`, `_sturm_chain` and
+`_squarefree`, the Euclidean Sturm chain and squarefree part over Fraction,
+whose root counts the integer Sturm chain of `rkpos.univariate` must match;
+and `ssp_feasible`, the SSP feasibility check by forward substitution over
+Fraction, the reference for the integer one of `rkpos.bounds`."""
 
 from fractions import Fraction
 from math import lcm
@@ -161,6 +162,20 @@ def min_first_negativity(
         return Cut(exact[0], exact[0], exact[0]), exact[1]
     upper, key = min((c.upper, key) for c, key in cuts)
     return Cut(None, min(c.lower for c, _ in cuts), upper), key
+
+
+def first_negative_root(roots: dict[Fraction, int]) -> Optional[Fraction]:
+    """inf{x > 0 : p(x) < 0} for p = c * x**j * prod (r - x)**roots[r]
+    times any factor positive on (0, oo), with c > 0 and every r > 0:
+    right of a root the sign of p is (-1) to the multiplicities up to it,
+    so p turns negative at the least root where they sum to an odd
+    number, and never if there is none."""
+    total = 0
+    for r in sorted(roots):
+        total += roots[r]
+        if total % 2:
+            return r
+    return None
 
 
 def _divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:

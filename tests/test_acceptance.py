@@ -287,7 +287,7 @@ def test_criterion_11_sharpness(report):
 
 def test_criterion_12_performance_five_stage(report):
     # 5 stages, upwind: 15 xi variables, 6 polynomials, each enumerated over
-    # the 2^|support| vertices of the variables it uses
+    # the vertices of the variables it uses, one stage's block eliminated
     a = tuple(
         tuple(F(1, 2 + i + j) if j < i else F(0) for j in range(5))
         for i in range(5)

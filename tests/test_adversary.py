@@ -154,3 +154,23 @@ def test_rk4_requires_positive_eps():
         rk4_counterexample(F(0))
     with pytest.raises(InputError):
         rk4_counterexample(F(-1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rk4_counterexample(0.5),
+    lambda: rk4_counterexample(True),
+    lambda: first_step_counterexample(
+        erk22(F(1)), (1, {generate(erk22(F(1)), upwind).vars[0]: 0.5})),
+    lambda: first_step_counterexample(
+        erk22(F(1)), (1, {generate(erk22(F(1)), upwind).vars[0]: "1/2x"})),
+], ids=["rk4-float", "rk4-bool", "first_step-float", "first_step-text"])
+def test_counterexamples_take_exact_rationals_only(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_schedule_values_take_exact_rationals_only():
+    from rkpos.adversary import _schedule
+    with pytest.raises(InputError):
+        _schedule(forward_euler(), [(0, 1, 0.5)])
+    assert _schedule(forward_euler(), [(0, 1, 1)]).value(0, F(0)) == 1

@@ -333,6 +333,70 @@ def naive_zero_test(ps):
     return None
 
 
+@st.composite
+def staged_sets(draw):
+    """Up to 3 random polynomials over 2 or 3 stages of up to 3 offsets
+    each, with at most one variable of each stage in a term, as in
+    generated sets, so that a whole stage's run of variables is
+    eliminated; in about half of the sets, coefficients of 2**62 and more
+    make object vertex tables."""
+    widths = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(2, 3)))]
+    tags = tuple(VarTag(j, o) for j, w in enumerate(widths, 1) for o in range(w))
+    bit = {tag: 1 << i for i, tag in enumerate(tags)}
+    coeff = st.fractions(-4, 4, max_denominator=12)
+    if draw(st.booleans()):
+        coeff = st.one_of(coeff, st.sampled_from(
+            [F(2**62 + 1), F(-(2**63) - 5), F(-(2**70), 3)]))
+    pick = st.tuples(*[st.sampled_from([None, *range(w)]) for w in widths])
+    polys = {}
+    for offset in range(draw(st.integers(1, 3))):
+        terms = {}
+        for offsets, c in draw(st.lists(st.tuples(pick, coeff), max_size=10)):
+            terms[sum(bit[VarTag(j, o)] for j, o in enumerate(offsets, 1)
+                      if o is not None)] = c
+        polys[offset] = MultilinearPoly(
+            tags, *scaled({c: v for c, v in terms.items() if v}))
+    return PropagationSet(forward_euler(), upwind, tags, polys)
+
+
+def _staged_example():
+    """1 - x y + x z over x = xi[1,0] and y, z = xi[2,0], xi[2,1]: the
+    block {y, z} is eliminated, and the first negative vertex {x, y}
+    lies past the block's all-zero corner."""
+    x, y, z = VarTag(1, 0), VarTag(2, 0), VarTag(2, 1)
+    return PropagationSet(forward_euler(), upwind, (x, y, z), {0: coded(
+        (x, y, z), {frozenset(): F(1), frozenset([x, y]): F(-1),
+                    frozenset([x, z]): F(1)})})
+
+
+@settings(max_examples=150)
+@given(staged_sets(), DELTAS)
+@example(_staged_example(), F(2))
+def test_eliminated_check_matches_every_vertex(ps, delta):
+    """On stage-structured sets, where the checks eliminate blocks of
+    more than one variable, condition_at reports the first negative
+    vertex over every global subset, at a drawn delta and at both ends of
+    gamma's bracket."""
+    cert = compute_gamma(ps)
+    for d in (delta, cert.lower, cert.upper):
+        if d is not None:
+            assert witness_triple(ps, d) == naive_condition(ps, d), d
+
+
+@settings(max_examples=150)
+@given(staged_sets())
+@example(_staged_example())
+def test_eliminated_zero_test_matches_every_vertex(ps):
+    """On stage-structured sets, gamma_zero_test names the first vertex
+    over every global subset whose lowest nonzero coefficient is
+    negative."""
+    w = gamma_zero_test(ps)
+    assert (None if w is None else (w.offset, w.subset)) == naive_zero_test(ps)
+    if w is not None:
+        g = ps.polys[w.offset].vertex_restriction(w.subset)
+        assert w.delta > 0 and g(w.delta) == w.value < 0
+
+
 @settings(max_examples=150)
 @given(multilinear_sets())
 # 2 - x1 x3 + x0 x1 x3: the support (1, 3) of the negative term is gapped.
@@ -376,8 +440,8 @@ def test_set_budget_is_checked_before_any_table(monkeypatch):
         raise AssertionError("vertex_table called")
 
     monkeypatch.setattr(MultilinearPoly, "vertex_table", refuse)
-    ps = generate(generic(6), centered)
-    with pytest.raises(CapacityError, match="P_0's over 23 support variables"):
+    ps = generate(generic(8), upwind)
+    with pytest.raises(CapacityError, match="P_4's over 24 support variables"):
         condition_at(ps, 1)
 
 

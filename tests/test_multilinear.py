@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -62,28 +63,71 @@ def test_vertex_restriction_matches_eval():
                 assert g(delta) == p.eval(point)
 
 
+def staged_poly(rng, stages, terms=12):
+    """Random terms over the variables xi[j, o], j and o in range(stages),
+    using at most one variable of each stage."""
+    vs = tuple(VarTag(j, o) for j in range(1, stages + 1) for o in range(stages))
+    table = {}
+    for _ in range(terms):
+        sub = frozenset(VarTag(j, rng.randrange(stages))
+                        for j in range(1, stages + 1) if rng.random() < 0.5)
+        table[sub] = table.get(sub, 0) + F(rng.randint(-9, 9), rng.randint(1, 5))
+    return coded(vs, table)
+
+
 def test_vertex_table_matches_restrictions():
-    """Column k is the restriction at the vertex move_bits(k, support), and
-    every global subset restricts as its intersection with the support."""
+    """Slice 0 plus the slices of the vertex's block variables, in the
+    cell of its other support variables, is the restriction at the vertex,
+    and every global subset restricts as its intersection with the
+    support."""
     rng = random.Random(11)
-    cases = [(2, None), (4, None), (6, None), (9, None),
-             # unused variables, with gaps inside the support's range
-             (6, (1, 4)), (9, (0, 2, 3, 7)), (5, (4,)), (3, ())]
-    for n, used in cases:
+    polys = []
+    for n, used in [(2, None), (4, None), (6, None), (9, None),
+                    # unused variables, with gaps inside the support's range
+                    (6, (1, 4)), (9, (0, 2, 3, 7)), (5, (4,)), (3, ())]:
         p = random_poly(rng, n, terms=20, used=used)
         if used is not None:
             assert p.support == used
+        polys.append(p)
+    polys += [staged_poly(rng, stages, terms) for stages, terms in
+              [(2, 6), (3, 10), (3, 30), (3, 40)]]
+    blocks = set()
+    for p in polys:
+        lo, k = p.block
+        blocks.add(k)
+        r = len(p.support) - k
         scale, table = p.vertex_table()
-        assert table.shape[1] == 2 ** len(p.support)
+        assert table.shape[1] == (k + 1) << r
         maxdeg = table.shape[0] - 1
-        for subset in range(2 ** n):
-            column = sum(1 << j for j, k in enumerate(p.support) if subset >> k & 1)
+        for subset in range(2 ** p.n):
+            ranks = [j for j, pos in enumerate(p.support) if subset >> pos & 1]
+            column = sum(1 << (j if j < lo else j - k) for j in ranks
+                         if not lo <= j < lo + k)
+            slices = [0] + [j - lo + 1 for j in ranks if lo <= j < lo + k]
             g = p.vertex_restriction(subset)
-            assert p.vertex_restriction(move_bits(column, p.support)) == g
-            coeffs = [F(int(table[d, column]), scale) for d in range(maxdeg + 1)]
+            assert p.vertex_restriction(move_bits(sum(1 << j for j in ranks),
+                                                  p.support)) == g
+            coeffs = [F(sum(int(table[d, column * (k + 1) + o]) for o in slices), scale)
+                      for d in range(maxdeg + 1)]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             assert tuple(coeffs) == g.coeffs
+    assert {0, 1, 2, 3} <= blocks
+
+
+def test_block_is_one_stage_run_without_shared_terms():
+    x, y, z, w = VarTag(1, 0), VarTag(2, -1), VarTag(2, 0), VarTag(3, 0)
+    vs = (x, y, z, w)
+    # Stage 2's run {y, z} is the longest, and no term uses both.
+    p = coded(vs, {frozenset([x, y]): F(1), frozenset([z, w]): F(-1)})
+    assert p.block == (1, 2)
+    # y z in one term: the lowest support variable alone.
+    p = coded(vs, {frozenset([x, y]): F(1), frozenset([y, z]): F(-1)})
+    assert p.block == (0, 1)
+    # Equally long runs: the lowest; no term: nothing to eliminate.
+    p = coded(vs, {frozenset([x]): F(1), frozenset([w]): F(2)})
+    assert p.block == (0, 1)
+    assert coded(vs, {frozenset(): F(1)}).block == (0, 0)
 
 
 def test_multilinear_extrema_on_box_at_vertices():
@@ -104,16 +148,31 @@ def test_multilinear_extrema_on_box_at_vertices():
 
 
 def test_capacity_limit_on_vertex_table():
-    # One term over all n variables: a table of (n + 1) * 2**n 8-byte
-    # entries; n is the smallest count whose table exceeds the budget.
-    n = next(n for n in range(64) if 8 * (n + 1) << n > TABLE_BYTES)
+    # One term over all n variables of one stage: the block is one
+    # variable, so the table has (n + 1) * 2**n entries, each an int64 and
+    # a pointer to an int of the size of 1; n is the smallest count whose
+    # table exceeds the budget.
+    entry = 16 + sys.getsizeof(1)
+    n = next(n for n in range(64) if entry * (n + 1) << n > TABLE_BYTES)
     vs = tuple(VarTag(1, s) for s in range(n))
     p = coded(vs, {frozenset(vs): F(1)})
-    assert p.table_bytes() == 8 * (n + 1) << n
+    assert p.table_bytes() == entry * (n + 1) << n
     with pytest.raises(CapacityError, match=f"{p.table_bytes()} bytes"):
         p.vertex_table()
     # evaluation still works above the budget
     assert p.eval({v: F(1) for v in vs}) == 1
+
+
+def test_table_bytes_count_pointers_and_int_objects():
+    vs = tags(3)
+    small = coded(vs, {frozenset(vs[:2]): F(3), frozenset(): F(1)})
+    big = coded(vs, {frozenset(vs[:2]): F(2**70), frozenset(): F(1)})
+    _, table = small.vertex_table()
+    # (maxdeg + 1) rows, (k + 1) * 2**(s - k) columns, k = 1 of s = 2.
+    assert table.shape == (3, 4)
+    assert small.table_bytes() == 12 * (16 + sys.getsizeof(4))
+    # past int64 the table holds the int objects alone
+    assert big.table_bytes() == 12 * (8 + sys.getsizeof(2**70 + 1))
 
 
 def test_equality_is_canonical():

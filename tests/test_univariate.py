@@ -210,6 +210,38 @@ def test_first_negative_cut_is_pinned():
     assert hasher.hexdigest() == PINNED_CUTS
 
 
+def test_repeated_roots_cut_at_the_factorization_reference():
+    """Roots of multiplicity up to 4, with root-free quadratic factors:
+    the divided Sturm chain still finds the first root of odd cumulative
+    multiplicity, exactly."""
+    rng = random.Random(18)
+    for _ in range(200):
+        roots = {F(rng.randint(1, 40), rng.randint(1, 12)): rng.randint(1, 4)
+                 for _ in range(rng.randint(1, 4))}
+        poly = [F(0)] * rng.randint(0, 2) + [F(rng.randint(1, 9), rng.randint(1, 9))]
+        for r, mult in roots.items():
+            for _ in range(mult):
+                poly = _mul(poly, [r, F(-1)])
+        if rng.random() < 0.5:  # x^2 + b x + c with b^2 < 4c
+            b = F(rng.randint(-6, 6), rng.randint(1, 4))
+            poly = _mul(poly, [b * b / 4 + F(1, rng.randint(1, 9)), b, F(1)])
+        want = oracle.first_negative_root(roots)
+        cut = first_negative_cut(UniPoly.from_coeffs(poly))
+        assert (None if cut is None else cut.exact) == want, roots
+    # (1 - x)^2 (2 - x)^3: the double root is a touch, the triple a cut.
+    p = UniPoly.from_coeffs(_mul(_mul([F(1), F(-2), F(1)], [F(2), F(-1)]),
+                                 _mul([F(2), F(-1)], [F(2), F(-1)])))
+    assert first_negative_cut(p).exact == 2 == oracle.first_negative_root({F(1): 2, F(2): 3})
+
+
+def test_sturm_chain_is_divided_by_its_last_member():
+    # (1 - x)^2 (3 - x): the chain of a polynomial with a double root ends
+    # at a constant once divided by gcd(p, p') = 1 - x.
+    p = [3, -7, 5, -1]
+    chain = _sturm_chain(p)
+    assert len(chain[-1]) == 1 and len(chain[0]) == 3
+
+
 def test_simplest_between():
     assert _simplest_between(F(1, 3), F(1, 2)) == F(2, 5)
     assert _simplest_between(F(2, 7), F(3, 7)) == F(1, 3)
