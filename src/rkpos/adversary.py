@@ -150,6 +150,10 @@ def first_step_counterexample(
     ps = generate(t, stencil)
     if offset_i not in ps.polys:
         raise InputError(f"no propagation polynomial with offset {offset_i}")
+    unknown = [v for v in assignment if v not in ps.vars]
+    if unknown:
+        raise InputError(f"witness keys {', '.join(map(str, unknown))} are not "
+                         f"variables of the propagation set")
     if any(v < 0 for v in assignment.values()):
         raise InputError("witness xi values must be nonnegative")
     r = ps.stencil.radius

@@ -34,9 +34,9 @@ import numpy as np
 
 from .bounds import ssp_coefficient
 from .errors import CapacityError, InputError, ParameterDomainError, rational
-from .multilinear import TABLE_BYTES, move_bits
-from .polygen import PropagationSet, StencilSpec, generate, upwind
-from .tableau import ButcherTableau, make_family
+from .multilinear import GRID_POINTS, TABLE_BYTES, entry_bytes, move_bits
+from .polygen import PropagationSet, StencilSpec, _check_unity, generate, layout, upwind
+from .tableau import ButcherTableau, chain_weights, make_family
 from .univariate import DEFAULT_TOL, descend, refine
 
 __all__ = [
@@ -144,12 +144,33 @@ _WEIGHTS = 1 << np.arange(62, -1, -1)
 
 
 def _germs(rows):
-    """Per column, a number with the sign of its lowest-order nonzero entry
-    (0 where there is none): the sign of the germ at 0+ that its
-    coefficient rows give, lowest degree first.  One row is its own germ."""
-    if len(rows) == 1:
-        return rows[0]
-    return _WEIGHTS[-len(rows):] @ np.sign(rows)
+    """Per set and column, a number with the sign of its lowest-order
+    nonzero entry (0 where there is none): the sign of the germ at 0+ that
+    its coefficient rows give, lowest degree first.  `rows` has shape
+    (sets, rows, columns); one row is its own germ."""
+    if rows.shape[1] == 1:
+        return rows[:, 0]
+    return _WEIGHTS[-rows.shape[1]:] @ np.sign(rows)
+
+
+def _failing_cells(rows, k: int):
+    """Per set of a stack, which cells have a negative least germ over
+    their block vertices: a boolean array of shape (sets, cells), whose
+    first True in a row is that set's first failing cell.
+
+    `rows` has shape (sets, rows, columns): per set, one table evaluated
+    at a delta (one row) or its coefficient rows, a cell of k + 1 slices
+    per subset of the support variables outside the block (see
+    `vertex_table`).  A vertex's germ at 0+ is its column of rows, and
+    lexicographic order on the rows, lowest degree first, is a group
+    order, so the least germ over a cell's block vertices is slice 0 plus
+    every slice whose germ is negative; for one row it is the least value.
+    """
+    sets, depth = rows.shape[:2]
+    take = _germs(rows).reshape(sets, 1, -1, k + 1) < 0
+    take[..., 0] = True  # slice 0, the terms without a block variable
+    cells = rows.reshape(sets, depth, -1, k + 1)
+    return _germs(np.where(take, cells, 0).sum(axis=3)) < 0
 
 
 def _first_negative(rows, lo: int, k: int):
@@ -157,27 +178,20 @@ def _first_negative(rows, lo: int, k: int):
     (support code, germ as a list of rows), or None.
 
     `rows` is one table evaluated at a delta (one row) or its coefficient
-    rows, a cell of k + 1 slices per subset of the other support variables
-    (see `vertex_table`).  A vertex's germ at 0+ is its column of rows,
-    and lexicographic order on the rows, lowest degree first, is a group
-    order, so the least germ over a cell's block vertices is slice 0 plus
-    every slice whose germ is negative; for one row it is the least value.
-    Support subset order is (high bits, block, low bits) order, the high
+    rows, and its first failing cell comes from `_failing_cells` on a
+    stack of one.  Support subset order is (high bits, block, low bits) order, the high
     bits being the variables above the block, so the first failing vertex
     has the high index of the first failing cell.  Its block subset is
     fixed from the top bit down, in Python lists, which compare
     lexicographically: a bit is clear if some vertex with the bits above
     fixed and the bits below free still fails there.
     """
-    cells = rows.reshape(len(rows), -1, k + 1)
-    take = _germs(rows).reshape(-1, k + 1) < 0
-    take[:, 0] = True  # slice 0, the terms without a block variable
-    bad = _germs(np.where(take, cells, 0).sum(axis=2)) < 0
+    bad = _failing_cells(rows[None], k)[0]
     c = int(bad.argmax())
     if not bad[c]:
         return None
     high = c >> lo
-    part = cells[:, high << lo:high + 1 << lo]
+    part = rows.reshape(len(rows), -1, k + 1)[:, high << lo:high + 1 << lo]
     zero = [0] * len(rows)
     columns = part.transpose(1, 2, 0).tolist()  # per low index, k + 1 germs
     free = []  # free[l][o]: the least germ of the block bits below o
@@ -316,13 +330,21 @@ class SweepRow:
     skipped: Optional[str]  # reason when the parameter point is singular
 
 
-def _frange(lo: Fraction, hi: Fraction, step: Fraction):
+def _frange(lo: Fraction, hi: Fraction, step: Fraction, dims: int = 1) -> list[Fraction]:
+    """lo, lo + step, ... up to hi: one axis of a `dims`-dimensional grid.
+
+    The points are counted from lo, hi and step first: a grid of more
+    than GRID_POINTS points raises CapacityError before any is built.
+    """
     x, hi, step = rational(lo), rational(hi), rational(step)
     if step <= 0:
         raise InputError(f"grid step must be positive, got {step}")
-    while x <= hi:
-        yield x
-        x += step
+    count = max(0, (hi - x) // step + 1)
+    if count**dims > GRID_POINTS:
+        raise CapacityError(
+            f"the grid from {x} to {hi} at step {step} has {count**dims} points, "
+            f"over the limit of {GRID_POINTS}")
+    return [x + i * step for i in range(count)]
 
 
 def sweep(
@@ -381,6 +403,13 @@ class RegionCell:
     skipped: Optional[str]
 
 
+# Bytes of stacked vertex table entries, at 8 per entry, that `region_scan`
+# decides at once: 2**18 holds the tables of 128 ERK33 Case I upwind sets
+# (32 heat), enough to make the numpy calls cheap per set, while a grid's
+# peak memory grows by a fraction of a MiB.
+_STACK_BYTES = 1 << 18
+
+
 def region_scan(
     points: Optional[list[tuple[Fraction, Fraction]]] = None,
     spacing: Fraction = Fraction(1, 32),
@@ -393,30 +422,99 @@ def region_scan(
     family, comparing predicted region membership against the certified
     positivity condition at step-size ratio `delta`.
 
-    Default grid: [lo, hi]^2 at `spacing`.  Singular parameter points
-    are kept as skipped cells; a negative `delta` raises first.  The
-    condition is checked only where gamma > 0 or delta = 0, as gamma = 0
+    Default grid: [lo, hi]^2 at `spacing`, at most GRID_POINTS points.
+    Singular parameter points are kept as skipped cells; a negative
+    `delta` raises first.  The condition holds where gamma > 0 or delta =
+    0 and `condition_at(ps, delta)` finds no negative vertex, as gamma = 0
     puts negative points in every box [0, delta]^n with delta > 0.
+
+    The sets are never generated one by one.  The valid points are
+    grouped by their nonzero chain pattern, in grid order, and each
+    group's `layout` is built once: every point of a group has the same
+    variables, terms, supports, blocks and table columns, and only its
+    numerators differ.  A chunk of points, as many as `_STACK_BYTES` of
+    stacked entries allow, is decided from one stack of vertex tables per
+    displacement, int64 when the chunk's magnitude bound allows and Python
+    ints otherwise: the zero test and the check at delta run the failing
+    cell core of `gamma_zero_test` and `condition_at` on the stack, so
+    the cells are those of the per-set checks, exactly, at every delta.
     """
     delta = rational(delta)
     if delta < 0:
         raise ParameterDomainError("delta must be nonnegative")
     if points is None:
-        points = [
-            (a, b)
-            for a in _frange(lo, hi, spacing)
-            for b in _frange(lo, hi, spacing)
-        ]
-    cells = []
-    for alpha, beta in points:
+        axis = _frange(lo, hi, spacing, dims=2)
+        points = [(a, b) for a in axis for b in axis]
+    cells: list[Optional[RegionCell]] = [None] * len(points)
+
+    def decide(lay, products, chunk):
+        positive, holds = _decide(lay, products, [f for _, _, f in chunk], delta)
+        for (i, member, _), pos, ok in zip(chunk, positive.tolist(), holds.tolist()):
+            cells[i] = RegionCell(*points[i], member, ok, pos, None)
+        chunk.clear()
+
+    groups: dict[tuple, tuple] = {}
+    for i, (alpha, beta) in enumerate(points):
         member = in_bowtie(alpha, beta)
         try:
             t = make_family("ERK33_CaseI", (alpha, beta))
         except ParameterDomainError as exc:
-            cells.append(RegionCell(alpha, beta, member, None, None, str(exc)))
+            cells[i] = RegionCell(alpha, beta, member, None, None, str(exc))
             continue
-        ps = generate(t, stencil)
-        positive = gamma_zero_test(ps) is None
-        holds = (positive or delta == 0) and condition_at(ps, delta) is None
-        cells.append(RegionCell(alpha, beta, member, holds, positive, None))
+        chains = list(chain_weights(t))
+        pattern = tuple(stages for stages, _ in chains)
+        if pattern not in groups:
+            lay = layout(pattern, stencil)
+            products = lay.products()
+            _check_unity(stencil, products.values())
+            entries = sum(poly.table_entries() for poly in products.values())
+            groups[pattern] = lay, products, max(1, _STACK_BYTES // (8 * entries)), []
+        lay, products, size, chunk = groups[pattern]
+        chunk.append((i, member, lay.numerators([w for _, w in chains])[1]))
+        if len(chunk) == size:
+            decide(lay, products, chunk)
+    for lay, products, _, chunk in groups.values():
+        if chunk:
+            decide(lay, products, chunk)
     return cells
+
+
+def _decide(lay, products, factors, delta: Fraction):
+    """(gamma > 0, condition holds at delta) per set of one layout, as
+    boolean arrays, from one stack of vertex tables per displacement.
+
+    `factors` holds each set's chain factors (`Layout.numerators`); its
+    numerators are those times the layout's stencil products, over a
+    positive scale that signs ignore.  The stack's bytes per set, counted
+    as `table_bytes` counts them at the chunk's largest magnitude per
+    displacement, are checked against TABLE_BYTES before any table is
+    built.
+    """
+    sets = len(factors)
+    factors = np.array(factors, dtype=object)
+    stacks = []
+    for d, poly in products.items():
+        chain, cprods = zip(*lay.terms[d].values())
+        numerators = factors[:, chain] * np.array(cprods, dtype=object)
+        stacks.append((poly, numerators, max(np.abs(numerators).sum(axis=1))))
+    nbytes = sum(poly.table_entries() * entry_bytes(magnitude)
+                 for poly, _, magnitude in stacks)
+    if nbytes > TABLE_BYTES:
+        raise CapacityError(
+            f"the vertex tables of one set need {nbytes} bytes, over the "
+            f"{TABLE_BYTES}-byte budget")
+    num, den = delta.numerator, delta.denominator
+    positive = np.ones(sets, dtype=bool)
+    fine = np.ones(sets, dtype=bool)
+    for poly, numerators, magnitude in stacks:
+        k, top = poly.block[1], poly.maxdeg
+        fits = magnitude < 2**62
+        table = poly.vertex_tables(numerators.astype(np.int64) if fits else numerators)
+        positive &= ~_failing_cells(table, k).any(axis=1)
+        powers = [num**e * den ** (top - e) for e in range(top + 1)]
+        if fits and magnitude * max(powers) < 2**62:
+            values = np.array(powers, dtype=np.int64) @ table
+        else:
+            values = np.array(powers, dtype=object) @ table.astype(object, copy=False)
+        fine &= ~_failing_cells(values[:, None], k).any(axis=1)
+    return positive, fine & (positive | (delta == 0))

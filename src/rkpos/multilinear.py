@@ -25,7 +25,9 @@ __all__ = [
     "MultilinearPoly",
     "canonical_order",
     "move_bits",
+    "entry_bytes",
     "TABLE_BYTES",
+    "GRID_POINTS",
 ]
 
 # Byte budget for the vertex tables of one propagation set, in the bytes the
@@ -35,6 +37,13 @@ __all__ = [
 # (15.9 M entries, 667 MiB) fits; generic 6-stage heat (34 M entries,
 # 1,426 MiB) and 8-stage upwind (85 M entries, 3.9 GiB) do not.
 TABLE_BYTES = 3 << 28
+
+# Points of one `region` or `sweep` grid, counted before any is built.  A
+# kept sweep row (its certificate, witness and SSP bound) measured 2.8 KiB
+# for ERK22 and 4.4 KiB for ERK33 Case II, a region cell 0.4 KiB kept and
+# 1.6 KiB at the scan's peak (tracemalloc, Python 3.11), so at about 4 KiB
+# a point a full grid keeps about TABLE_BYTES: 196,608 points.
+GRID_POINTS = TABLE_BYTES >> 12
 
 
 class VarTag(NamedTuple):
@@ -82,6 +91,13 @@ def _block(vars, support, terms) -> tuple[int, int]:
             if code & mask & ((code & mask) - 1):
                 return 0, 1
     return lo, k
+
+
+def entry_bytes(magnitude: int) -> int:
+    """Bytes the checks keep per vertex table entry when no entry exceeds
+    `magnitude`: a pointer to an int object of that size, plus the int64
+    entry itself when the table has one."""
+    return 8 + sys.getsizeof(magnitude) + 8 * (magnitude < 2**62)
 
 
 @dataclass(frozen=True)
@@ -172,12 +188,52 @@ class MultilinearPoly:
 
     def table_bytes(self) -> int:
         """Bytes the checks keep for this polynomial's `vertex_table`: its
-        (maxdeg + 1) * (k + 1) * 2**(|support| - k) entries, each a pointer
-        to an int object no larger than `magnitude`, plus 8 bytes when the
-        table is int64."""
-        k, magnitude = self.block[1], self.magnitude
-        entries = (self.maxdeg + 1) * (k + 1) << (len(self.support) - k)
-        return entries * (8 + sys.getsizeof(magnitude) + 8 * (magnitude < 2**62))
+        `table_entries()`, each a pointer to an int object no larger than
+        `magnitude`, plus 8 bytes when the table is int64."""
+        return self.table_entries() * entry_bytes(self.magnitude)
+
+    def table_entries(self) -> int:
+        """(maxdeg + 1) * (k + 1) * 2**(|support| - k): the entries of
+        `vertex_table`, k the size of the eliminated block."""
+        k = self.block[1]
+        return (self.maxdeg + 1) * (k + 1) << (len(self.support) - k)
+
+    def vertex_tables(self, numerators: "np.ndarray") -> "np.ndarray":
+        """A stack of vertex tables of polynomials with these terms and
+        other numerators: `numerators` has one row per polynomial and one
+        column per term, in `terms` order, int64 or object.
+
+        Each numerator goes to its term's degree row and column (see
+        `vertex_table`): the column is the sum over the term's variables
+        of their places, its block variable's slice, if any, and a bit of
+        the subset c of the other support variables times the cell width
+        k + 1.  One zeta (subset-sum) transform over the r = |support| - k
+        other variables, stacked over the polynomials and the slices, sums
+        the terms below each cell.  Returns shape (len(numerators), maxdeg
+        + 1, (k + 1) * 2**r) in the dtype of `numerators`; int64 is exact
+        when every row's sum of absolute numerators is below 2**62, which
+        bounds every entry.
+        """
+        lo, k = self.block
+        r, cell = len(self.support) - k, k + 1
+        place = {pos: j - lo + 1 if lo <= j < lo + k else cell << (j if j < lo else j - k)
+                 for j, pos in enumerate(self.support)}
+        degrees, columns = [], []
+        for code in self.terms:
+            column, bits = 0, code
+            while bits:
+                low = bits & -bits
+                column += place[low.bit_length() - 1]
+                bits ^= low
+            degrees.append(code.bit_count())
+            columns.append(column)
+        sets = len(numerators)
+        table = np.zeros((sets, self.maxdeg + 1, cell << r), dtype=numerators.dtype)
+        table[:, degrees, columns] = numerators
+        for j in range(r):
+            pairs = table.reshape(sets, self.maxdeg + 1, -1, 2, cell << j)
+            pairs[:, :, :, 1] += pairs[:, :, :, 0]
+        return table
 
     def vertex_table(self) -> tuple[int, "np.ndarray"]:
         """Every vertex restriction at once, with the block of `block`
@@ -194,38 +250,20 @@ class MultilinearPoly:
         T of delta * B_o,c, and its least value over the block's 2**k
         vertices is A_c + delta * sum_o min(0, B_o,c): variable
         elimination (Boros & Hammer, Discrete Appl. Math. 123, 2002) over
-        a whole block.  Each numerator enters at its term's column, and
-        one zeta (subset-sum) transform over the r other variables, stacked
-        over the slices, sums the terms below each cell.  Entries are
-        exact: int64 when the magnitude bound allows, arbitrary-precision
-        objects otherwise.  CapacityError is raised before allocation when
-        `table_bytes` exceeds TABLE_BYTES.
+        a whole block.  The table is `vertex_tables` of a stack of one,
+        this polynomial's own numerators.  Entries are exact: int64 when
+        the magnitude bound allows, arbitrary-precision objects otherwise.
+        CapacityError is raised before allocation when `table_bytes`
+        exceeds TABLE_BYTES.
         """
         nbytes = self.table_bytes()
         if nbytes > TABLE_BYTES:
             raise CapacityError(
                 f"the vertex table over {len(self.support)} variables needs "
                 f"{nbytes} bytes, over the {TABLE_BYTES}-byte budget")
-        (lo, k), maxdeg = self.block, self.maxdeg
-        cell = k + 1
-        # A term's column is the sum over its variables of their places:
-        # its block variable's slice, if any, and a bit of c times cell.
-        place = {pos: j - lo + 1 if lo <= j < lo + k
-                 else cell << (j if j < lo else j - k)
-                 for j, pos in enumerate(self.support)}
         dtype = np.int64 if self.magnitude < 2**62 else object
-        table = np.zeros((maxdeg + 1, cell << len(self.support) - k), dtype=dtype)
-        for code, v in self.terms.items():
-            column, bits = 0, code
-            while bits:
-                low = bits & -bits
-                column += place[low.bit_length() - 1]
-                bits ^= low
-            table[code.bit_count(), column] = v
-        for j in range(len(self.support) - k):
-            pairs = table.reshape(maxdeg + 1, -1, 2, cell << j)
-            pairs[:, :, 1] += pairs[:, :, 0]
-        return self.scale, table
+        return self.scale, self.vertex_tables(
+            np.array([list(self.terms.values())], dtype=dtype))[0]
 
     def _by_tags(self) -> dict[tuple[VarTag, ...], int]:
         """Terms keyed by their variables, sorted: independent of var order."""

@@ -10,9 +10,10 @@ the stages, every non-constant term comes from a stage chain s1 < ... < sr and
 one stencil shift j_1 ... j_r per link: its coefficient is the chain's weight
 b_sr * a_{sr,s(r-1)} * ... * a_{s2,s1} times c_{j_1} * ... * c_{j_r}, it lands
 on displacement j_1 + ... + j_r, and stage s_k contributes the variable at
-offset -(j_{k+1} + ... + j_r).  `generate`, the one generator, writes that sum
-straight as subset codes from the chain weights and stencil-shift rows.  The
-test suite checks it against an independent oracle built from the Neumann
+offset -(j_{k+1} + ... + j_r).  `layout` writes the terms of that sum as
+subset codes from the nonzero chain pattern and the stencil-shift rows, and
+`generate`, the one generator, fills in a tableau's chain weights.  The test
+suite checks it against an independent oracle built from the Neumann
 expansion of the stage equations (tests/oracle.py).
 """
 
@@ -33,6 +34,8 @@ __all__ = [
     "upwind",
     "centered",
     "heat",
+    "Layout",
+    "layout",
     "generate",
     "symmetry_report",
     "x_labels",
@@ -105,42 +108,101 @@ def _check_unity(s: StencilSpec, polys, stacklevel: int = 3) -> None:
                       "consistent (sum of coefficients nonzero)", stacklevel=stacklevel)
 
 
-def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
-    """Assemble the P_i as the sum over stage chains and stencil shifts.
+@dataclass(frozen=True)
+class Layout:
+    """The terms that every tableau with one nonzero chain pattern shares
+    with a stencil.
+
+    `chains` starts with the empty chain, whose weight is 1 and whose one
+    term is the constant, followed by the pattern's stage chains (0-based,
+    as `chain_weights` yields them).  `vars` are the variables the chains
+    reach, in canonical order.  `terms[d]` maps the subset code of each
+    term of P_d to its chain index and its product of stencil constants,
+    an integer over q**r (q the stencil's common denominator, r the length
+    of the term's chain).  A tableau with this pattern and chain weights w
+    has the term numerators `numerators(w)[1][chain] * product`.
+    """
+
+    vars: tuple[VarTag, ...]
+    chains: tuple[tuple[int, ...], ...]
+    q: int
+    terms: dict[int, dict[int, tuple[int, int]]]
+
+    def numerators(self, weights) -> tuple[int, list[int]]:
+        """(scale, factors) for the weights of the pattern's chains: the
+        lcm over the chains of the weight's denominator times q**r, and
+        per chain index the weight's numerator over that scale divided by
+        q**r, so that a term's numerator is its factor times its product."""
+        pairs = [(len(chain), w) for chain, w in zip(self.chains, (1, *weights))]
+        scale = lcm(*[w.denominator * self.q ** r for r, w in pairs])
+        return scale, [w.numerator * (scale // (w.denominator * self.q ** r))
+                       for r, w in pairs]
+
+    def products(self) -> dict[int, MultilinearPoly]:
+        """Per displacement, the terms with their stencil products as
+        numerators over scale 1: the support, block and term places that
+        every tableau of the pattern shares.
+
+        A code fixes its chain (its variables' stages), so Sum_i P_i at a
+        code is that chain's nonzero weight times the sum of the code's
+        stencil products over the displacements: Sum_i P_i = 1 holds for
+        every tableau of the pattern iff `_check_unity` passes on these.
+        """
+        return {d: MultilinearPoly(self.vars, {code: p for code, (_, p) in terms.items()})
+                for d, terms in self.terms.items()}
+
+
+def layout(pattern: tuple[tuple[int, ...], ...], s: StencilSpec) -> Layout:
+    """The `Layout` of a nonzero chain pattern (the stage tuples that
+    `chain_weights` yields) and a stencil.
 
     The shift rows of length r, (stage offsets, last stage first;
     displacement; product of stencil constants), extend those of length
     r - 1 by a leading shift, so the k-th stage from a chain's end takes
     the offsets that end the rows of length k.  A (chain, row) pair is one
     monomial: the stages and offsets fix all shifts but the first, and the
-    displacement the first, so no subset code repeats (checked).  A row's
-    product is an integer over q**r, q the stencil's common denominator, so
-    every numerator is written over one scale, the lcm over the chains of
-    the weight's denominator times q**r; each polynomial reduces its own.
+    displacement the first, so no subset code repeats (checked).
     """
     q = lcm(*[c.denominator for c in s.coeffs.values()])
     ints = {j: c.numerator * (q // c.denominator) for j, c in s.coeffs.items()}
+    longest = max(map(len, pattern), default=0)
     shift_rows = [[((), 0, 1)]]
-    for _ in range(t.m):
+    for _ in range(longest):
         shift_rows.append([(offsets + (-d,), d + j, cprod * c) for j, c in ints.items()
                            for offsets, d, cprod in shift_rows[-1]])
-    chains = [([st + 1 for st in reversed(chain)], w) for chain, w in chain_weights(t)]
+    chains = ((), *pattern)
     reach = [{offsets[-1] for offsets, _, _ in rows} for rows in shift_rows[1:]]
     vars = tuple(map(VarTag._make, sorted(
-        {(st, o) for stages, _ in chains for st, offs in zip(stages, reach) for o in offs})))
+        {(st + 1, o) for chain in pattern
+         for st, offs in zip(reversed(chain), reach) for o in offs})))
     bit = {tag: 1 << i for i, tag in enumerate(vars)}
-    scale = lcm(*[w.denominator * q ** len(stages) for stages, w in chains])
-    terms: dict[int, dict[int, int]] = {0: {0: scale}}
-    for stages, weight in chains:
-        factor = weight.numerator * (scale // (weight.denominator * q ** len(stages)))
-        for offsets, d, cprod in shift_rows[len(stages)]:
+    terms: dict[int, dict[int, tuple[int, int]]] = {}
+    for index, chain in enumerate(chains):
+        stages = [st + 1 for st in reversed(chain)]
+        for offsets, d, cprod in shift_rows[len(chain)]:
             code = sum(map(bit.__getitem__, zip(stages, offsets)))
-            terms.setdefault(d, {})[code] = factor * cprod
-    if sum(map(len, terms.values())) != 1 + sum(len(shift_rows[len(c)]) for c, _ in chains):
+            terms.setdefault(d, {})[code] = index, cprod
+    if sum(map(len, terms.values())) != sum(len(shift_rows[len(c)]) for c in chains):
         raise AssertionError("a subset code of generate repeats")
-    polys = {d: MultilinearPoly(vars, p, scale) for d, p in terms.items()}
+    return Layout(vars, chains, q, terms)
+
+
+def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
+    """Assemble the P_i as the sum over stage chains and stencil shifts:
+    the `layout` of the tableau's nonzero chain pattern and one row of
+    numerators from its chain weights.
+
+    Every numerator is written over one scale, the lcm over the chains of
+    the weight's denominator times q**r; each polynomial reduces its own.
+    """
+    chains = list(chain_weights(t))
+    lay = layout(tuple(stages for stages, _ in chains), s)
+    scale, factors = lay.numerators([w for _, w in chains])
+    polys = {d: MultilinearPoly(lay.vars, {code: factors[c] * cprod
+                                           for code, (c, cprod) in terms.items()}, scale)
+             for d, terms in lay.terms.items()}
     _check_unity(s, polys.values())
-    return PropagationSet(tableau=t, stencil=s, vars=vars, polys=polys)
+    return PropagationSet(tableau=t, stencil=s, vars=lay.vars, polys=polys)
 
 
 def symmetry_report(ps: PropagationSet) -> dict[int, bool]:

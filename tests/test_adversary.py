@@ -7,6 +7,7 @@ from rkpos.adversary import (ScriptedQ, first_step_counterexample,
                              negative_entry_counterexample, rk4_counterexample)
 from rkpos.errors import InputError, PreconditionError
 from rkpos.gamma import gamma_zero_test, subset_bits
+from rkpos.multilinear import VarTag
 from rkpos.polygen import generate, upwind
 from rkpos.tableau import (ButcherTableau, erk22, erk33_case3, forward_euler,
                            rk4_classical)
@@ -81,6 +82,13 @@ def test_first_step_rejects_negative_xi():
     ps = generate(t, upwind)
     with pytest.raises(InputError):
         first_step_counterexample(t, (1, {ps.vars[0]: F(-1)}))
+
+
+@pytest.mark.parametrize("key", [VarTag(5, 0), VarTag(1, 40)], ids=str)
+def test_first_step_rejects_keys_outside_the_set(key):
+    # Stage 5 does not exist; offset 40 exists only on a wrapped grid.
+    with pytest.raises(InputError, match="not variables of the propagation set"):
+        first_step_counterexample(erk22(F(1)), (0, {key: F(1)}))
 
 
 def test_negative_entry_case3_uses_the_stage_chain():

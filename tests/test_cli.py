@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -239,6 +240,21 @@ GENERIC6_TABLEAU = json.dumps({
     "m": 6, "b": ["1/6"] * 6,
     "A": [[f"1/{2 + i + j}" if j < i else "0" for j in range(6)]
           for i in range(6)]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--spacing", "1/1000000"],
+    ["sweep", "--family", "ERK22", "--lo", "1/2", "--hi", "1000000",
+     "--step", "1/1000000"],
+], ids=" ".join)
+def test_oversized_grid_exits_2_before_building_it(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error:") and "over the limit" in lines[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction as F
 
@@ -6,14 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from rkpos.bounds import radius_abs_monotonicity, ssp_feasible
 from rkpos.errors import CapacityError, InputError, ParameterDomainError
-from rkpos.gamma import (compute_gamma, condition_at, gamma_zero_test,
-                         in_bowtie, region_scan, subset_bits, sweep)
+from rkpos.gamma import (_STACK_BYTES, compute_gamma, condition_at,
+                         gamma_zero_test, in_bowtie, region_scan, subset_bits,
+                         sweep)
 from rkpos.multilinear import MultilinearPoly, VarTag
 from rkpos.polygen import (PropagationSet, StencilSpec, centered, generate,
-                           heat, upwind)
-from rkpos.tableau import (ButcherTableau, erk22, erk33_case1, erk33_case2,
-                           erk33_case3, forward_euler, make_family,
-                           rk4_classical)
+                           heat, layout, upwind)
+from rkpos.tableau import (ButcherTableau, chain_weights, erk22, erk33_case1,
+                           erk33_case2, erk33_case3, forward_euler,
+                           make_family, rk4_classical)
 from rkpos.univariate import UniPoly
 
 from oracle import coded, min_first_negativity, scaled
@@ -519,24 +521,56 @@ def test_region_scan_examples():
 CASE1_POINTS = [(F(1), F(1, 2)), (F(7, 8), F(1, 2)), (F(1, 2), F(5, 8)),
                 (F(5, 8), F(3, 4)), (F(1, 2), F(2, 3)), (F(3, 4), F(2, 3)),
                 (F(1), F(2, 3)), (F(1, 2), F(1, 2)), (F(2, 3), F(1, 2))]
+# Numerators past int64, so that the last chunk of each grid holds Python ints.
+HUGE_POINTS = [(F(1, 2) + F(1, 2**70), F(5, 8)), (F(1) - F(1, 2**70), F(1, 2))]
+# The points above cycled past the largest chunk (upwind's), then the huge
+# ones: the earlier chunks are int64, and a row misplaced across a chunk
+# boundary meets a different point.
+REGION_GRID = (CASE1_POINTS + [(F(3, 4), F(5, 8)), (F(5, 8), F(7, 8)),
+                               (F(9, 10), F(3, 5))]) * 24 + HUGE_POINTS
+STENCILS = {s.name: s for s in (upwind, centered, heat)}
 
 
-@pytest.mark.parametrize("delta", [F(0), F(1, 3), F(1), F(2)])
+@functools.cache
+def _case1_set(stencil, alpha, beta):
+    """(set, naive zero test passes) for a Case I point, once per module."""
+    ps = generate(make_family("ERK33_CaseI", (alpha, beta)), STENCILS[stencil])
+    return ps, naive_zero_test(ps) is None
+
+
+def _chunk(stencil, alpha, beta):
+    """The points of one chunk of `region_scan` for this point's pattern."""
+    chains = tuple(c for c, _ in chain_weights(erk33_case1(alpha, beta)))
+    entries = sum(p.table_entries() for p in layout(chains, stencil).products().values())
+    return max(1, _STACK_BYTES // (8 * entries))
+
+
+@pytest.mark.parametrize("delta", [F(0), F(1, 3), F(1), F(2), F(2**70, 3)])
 def test_region_cells_match_both_checks(delta):
-    cells = region_scan(points=CASE1_POINTS, delta=delta)
-    assert [(c.alpha, c.beta) for c in cells] == CASE1_POINTS
-    kinds = set()
-    for c in cells:
-        if c.skipped is not None:
-            assert c.condition_holds is None and c.gamma_positive is None
-            continue
-        ps = generate(make_family("ERK33_CaseI", (c.alpha, c.beta)), upwind)
-        holds = condition_at(ps, delta) is None
-        positive = gamma_zero_test(ps) is None
-        assert (c.condition_holds, c.gamma_positive) == (holds, positive)
-        kinds.add((holds, positive))
-    if delta == 1:
-        assert kinds == {(True, True), (False, True), (False, False)}
+    """Every region cell, on every stencil, agrees with the per-set checks
+    and with direct substitution over every global subset."""
+    for stencil in STENCILS.values():
+        assert len(REGION_GRID) > 2 * _chunk(stencil, F(1), F(1, 2))
+        cells = region_scan(points=REGION_GRID, stencil=stencil, delta=delta)
+        assert [(c.alpha, c.beta) for c in cells] == REGION_GRID
+        kinds, seen = set(), {}
+        for c in cells:
+            if c.skipped is not None:
+                assert c.condition_holds is None and c.gamma_positive is None
+                continue
+            got = (c.condition_holds, c.gamma_positive)
+            if (c.alpha, c.beta) in seen:
+                assert got == seen[c.alpha, c.beta]
+                continue
+            seen[c.alpha, c.beta] = got
+            ps, naive_positive = _case1_set(stencil.name, c.alpha, c.beta)
+            holds = condition_at(ps, delta) is None
+            positive = gamma_zero_test(ps) is None
+            assert got == (holds, positive)
+            assert got == (naive_condition(ps, delta) is None, naive_positive)
+            kinds.add(got)
+        if delta == 1 and stencil is upwind:
+            assert kinds == {(True, True), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("points", [

@@ -2,16 +2,17 @@ import inspect
 import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rkpos.errors import InputError
 from rkpos.multilinear import MultilinearPoly, VarTag
 from rkpos.polygen import (BUILTIN_STENCILS, PropagationSet, StencilSpec,
-                           _check_unity, centered, generate, heat,
+                           _check_unity, centered, generate, heat, layout,
                            symmetry_report, upwind, x_labels)
-from rkpos.tableau import (erk22, erk33_case1, erk33_case2, erk33_case3,
-                           forward_euler, rk4_classical)
+from rkpos.tableau import (chain_weights, erk22, erk33_case1, erk33_case2,
+                           erk33_case3, forward_euler, rk4_classical)
 
 from oracle import generate_alt, scaled
 from strategies import small_tableaux
@@ -84,6 +85,30 @@ def test_random_tableaux_unity_and_generators_agree(t, s):
     """Sum_i P_i = 1 and generate == generate_alt beyond the METHODS list."""
     test_partition_of_unity(t, s)
     test_two_generators_agree(t, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_tableaux(), min_size=2, max_size=8),
+       st.sampled_from(STENCILS))
+def test_stacked_tables_match_each_sets_table(tableaux, stencil):
+    """Each row of a stack built from one layout is, divided by its own
+    scale, that tableau's own vertex table of P_d."""
+    chains = [list(chain_weights(t)) for t in tableaux]
+    pattern = tuple(stages for stages, _ in chains[0])
+    shared = [(t, [w for _, w in c]) for t, c in zip(tableaux, chains)
+              if tuple(stages for stages, _ in c) == pattern]
+    lay = layout(pattern, stencil)
+    rows = [lay.numerators(weights) for _, weights in shared]
+    for d, poly in lay.products().items():
+        numerators = [[factors[c] * cprod for c, cprod in lay.terms[d].values()]
+                      for _, factors in rows]
+        fits = max(sum(map(abs, row)) for row in numerators) < 2**62
+        stack = poly.vertex_tables(np.array(numerators, dtype=np.int64 if fits else object))
+        for (t, _), (scale, _), got in zip(shared, rows, stack):
+            own_scale, own = generate(t, stencil).polys[d].vertex_table()
+            assert got.shape == own.shape
+            assert [[F(int(v), scale) for v in row] for row in got] == \
+                [[F(int(v), own_scale) for v in row] for row in own]
 
 
 @pytest.mark.parametrize("coeffs", [{0: 1}, {2: 1, 0: -3, -1: 1}])
