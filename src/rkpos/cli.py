@@ -19,7 +19,7 @@ from .errors import InputError, PreconditionError, RkposError
 from .gamma import (compute_gamma, gamma_zero_test, region_scan, subset_bits,
                     sweep)
 from .molsim import (LIMITERS, MONITORS, SemiDiscreteProblem, advection,
-                     max_step, run, tau0)
+                     check_work, max_step, run, tau0)
 from .polygen import BUILTIN_STENCILS, generate, x_labels
 from .tableau import parse_method, tableau_from_json
 from .univariate import DEFAULT_TOL
@@ -261,6 +261,7 @@ def cmd_simulate(args, out) -> int:
     limiter = LIMITERS[args.limiter]
     if args.n < 1:
         raise InputError(f"--n must be at least 1, got {args.n}")
+    check_work(args.n, args.steps, t.m)
     dx = args.dx if args.dx is not None else Fraction(1, args.n)
     prob = SemiDiscreteProblem(args.n, dx, stencil,
                                advection(args.speed, limiter), _step_initial_data(args.n))

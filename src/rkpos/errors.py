@@ -13,12 +13,14 @@ class ParameterDomainError(RkposError, ValueError):
 
 
 class CapacityError(RkposError):
-    """Vertex tables would exceed their byte budget.
+    """An input needs more than a documented limit, checked before the work.
 
-    A polynomial's vertex table has (k + 1) * 2**(|support| - k) columns, k
-    the size of its eliminated block.  Above the budget
-    (rkpos.multilinear.TABLE_BYTES) the exact vertex check is refused before
-    anything is allocated; there is no sampling fallback.
+    Vertex tables over their byte budget (rkpos.multilinear.TABLE_BYTES; a
+    polynomial's table has (k + 1) * 2**(|support| - k) columns, k the size
+    of its eliminated block), propagation polynomials with more terms than
+    rkpos.polygen.TERMS, grids over GRID_POINTS and simulations over
+    rkpos.molsim.RUN_WORK cell-stage updates are refused before anything
+    is allocated; there is no sampling fallback.
     """
 
 

@@ -18,7 +18,7 @@ value at a vertex S is the value at S intersected with the support.  Its
 vertex table eliminates one block of k support variables exactly, the
 variables of one stage, no two in a term: (k + 1) * 2^(|support| - k)
 columns in place of 2^|support|.  A vertex check evaluates every column
-exactly in Python ints and takes the least value over the block's
+exactly in int64 limbs and takes the least value over the block's
 vertices per column; there is one path and no sampling fallback.  A set
 whose tables exceed the byte budget of `rkpos.multilinear` raises
 CapacityError before any table is built.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .bounds import ssp_coefficient
 from .errors import CapacityError, InputError, ParameterDomainError, rational
-from .multilinear import GRID_POINTS, TABLE_BYTES, entry_bytes, move_bits
+from .multilinear import GRID_POINTS, TABLE_BYTES, move_bits, planes
 from .polygen import PropagationSet, StencilSpec, _check_unity, generate, layout, upwind
 from .tableau import ButcherTableau, chain_weights, make_family
 from .univariate import DEFAULT_TOL, descend, refine
@@ -109,15 +109,11 @@ _TABLES = weakref.WeakKeyDictionary()
 
 
 def _poly_tables(ps: PropagationSet):
-    """(offset, support, lo, k, scale, table, exact) per polynomial,
-    ascending offset.
-
-    `support` is P_offset's support, support[lo:lo + k] its eliminated
-    block, and scale and table are its `vertex_table()`; `exact` is the
-    table as Python ints, for the checks at a delta, while the zero test
-    compares the table's own entries.  The tables' total size is checked
-    against the byte budget before the first one is built.
-    """
+    """(offset, support, lo, k, scale, table, planes) per polynomial,
+    ascending offset: P_offset's support, its eliminated block
+    support[lo:lo + k], its `vertex_table()` and its (count, width, bound)
+    of `multilinear.planes`.  The tables' total size is checked against
+    the byte budget before the first one is built."""
     if ps in _TABLES:
         return _TABLES[ps]
     polys = [(offset, ps.polys[offset]) for offset in ps.offsets]
@@ -128,13 +124,24 @@ def _poly_tables(ps: PropagationSet):
             f"vertex tables need {total} bytes, over the {TABLE_BYTES}-byte "
             f"budget; the largest, P_{offset}'s over {len(poly.support)} support "
             f"variables, needs {poly.table_bytes()} bytes")
-    out = []
-    for offset, poly in polys:
-        scale, table = poly.vertex_table()
-        out.append((offset, poly.support, *poly.block, scale, table,
-                    table.astype(object, copy=False)))
-    _TABLES[ps] = out
+    _TABLES[ps] = out = [(offset, poly.support, *poly.block, *poly.vertex_table(),
+                          planes(poly.magnitude, len(poly.terms))) for offset, poly in polys]
     return out
+
+
+def _limbs(delta: Fraction, top: int, count: int, width: int, bound: int):
+    """(powers, limbs, bits): the row weights num**d * den**(top - d) *
+    2**(width * q) at delta = num / den, whose dot with a column is its
+    value times den**top, and their int64 base-2**bits digits, the most
+    significant first.  bits = 62 - bound.bit_length() keeps limbs times a
+    table whose cells' absolute entries sum to at most `bound` below 2**62."""
+    num, den = delta.numerator, delta.denominator
+    shifts = [width * q for q in reversed(range(count))]
+    powers = [num**d * den ** (top - d) << s for d in range(top + 1) for s in shifts]
+    bits = 62 - bound.bit_length()
+    mask, size = (1 << bits) - 1, -(-max(powers).bit_length() // bits)
+    return powers, np.array([[p >> s & mask for p in powers] for s in
+                             range(bits * (size - 1), -1, -bits)], dtype=np.int64), bits
 
 
 # 2**62, ..., 2, 1: weights that turn a column of signs into one number
@@ -143,57 +150,72 @@ def _poly_tables(ps: PropagationSet):
 _WEIGHTS = 1 << np.arange(62, -1, -1)
 
 
-def _germs(rows):
-    """Per set and column, a number with the sign of its lowest-order
-    nonzero entry (0 where there is none): the sign of the germ at 0+ that
-    its coefficient rows give, lowest degree first.  `rows` has shape
-    (sets, rows, columns); one row is its own germ."""
+def _germs(rows, bits: int, width: int):
+    """Per set and column, a number that is negative exactly when the germ
+    at 0+ is that its coefficient rows give, lowest degree first.  `rows`
+    has shape (sets, groups * width, columns), a group being one value's
+    base-2**bits limbs, the most significant first: with the carries moved
+    up a copy, the first limb is negative exactly when the value is, and a
+    value is 0 when all its limbs are."""
+    if width > 1:
+        limbs = rows.reshape(len(rows), -1, width, rows.shape[2]).copy()
+        for j in range(width - 1, 0, -1):
+            limbs[:, :, j - 1] += limbs[:, :, j] >> bits
+        rows = limbs[:, :, 0] if limbs.shape[1] == 1 else 2 * np.sign(limbs[:, :, 0]) + (
+            limbs[:, :, 1:] & (1 << bits) - 1).any(axis=2)
     if rows.shape[1] == 1:
         return rows[:, 0]
     return _WEIGHTS[-rows.shape[1]:] @ np.sign(rows)
 
 
-def _failing_cells(rows, k: int):
+def _failing_cells(rows, k: int, bits: int, width: int):
     """Per set of a stack, which cells have a negative least germ over
     their block vertices: a boolean array of shape (sets, cells), whose
     first True in a row is that set's first failing cell.
 
-    `rows` has shape (sets, rows, columns): per set, one table evaluated
-    at a delta (one row) or its coefficient rows, a cell of k + 1 slices
-    per subset of the support variables outside the block (see
+    `rows` has shape (sets, rows, columns): per set, one table's value at
+    a delta or its coefficient rows, in limbs (see `_germs`), a cell of k
+    + 1 slices per subset of the support variables outside the block (see
     `vertex_table`).  A vertex's germ at 0+ is its column of rows, and
     lexicographic order on the rows, lowest degree first, is a group
     order, so the least germ over a cell's block vertices is slice 0 plus
-    every slice whose germ is negative; for one row it is the least value.
+    every slice whose germ is negative; for one value it is the least value.
     """
     sets, depth = rows.shape[:2]
-    take = _germs(rows).reshape(sets, 1, -1, k + 1) < 0
+    take = _germs(rows, bits, width).reshape(sets, 1, -1, k + 1) < 0
     take[..., 0] = True  # slice 0, the terms without a block variable
     cells = rows.reshape(sets, depth, -1, k + 1)
-    return _germs(np.where(take, cells, 0).sum(axis=3)) < 0
+    return _germs(np.where(take, cells, 0).sum(axis=3), bits, width) < 0
 
 
-def _first_negative(rows, lo: int, k: int):
+def _first_negative(table, lo: int, k: int, limbs, bits: int, width: int, weights):
     """The first vertex, in support subset order, with a negative germ:
     (support code, germ as a list of rows), or None.
 
-    `rows` is one table evaluated at a delta (one row) or its coefficient
-    rows, and its first failing cell comes from `_failing_cells` on a
-    stack of one.  Support subset order is (high bits, block, low bits) order, the high
-    bits being the variables above the block, so the first failing vertex
-    has the high index of the first failing cell.  Its block subset is
-    fixed from the top bit down, in Python lists, which compare
+    The table's rows, or `limbs` times them, go through `_failing_cells`
+    a chunk of `_STACK_BYTES` at a time.  Support subset order is (high
+    bits, block, low bits) order, so the first failing vertex has the high
+    index of the first failing cell, whose cells become Python ints,
+    `weights` dotted with each group of rows.  Its block subset is fixed
+    from the top bit down, in Python lists, which compare
     lexicographically: a bit is clear if some vertex with the bits above
     fixed and the bits below free still fails there.
     """
-    bad = _failing_cells(rows[None], k)[0]
-    c = int(bad.argmax())
-    if not bad[c]:
+    cell = k + 1
+    step = cell * max(1, _STACK_BYTES // (8 * cell * len(table if limbs is None else limbs)))
+    for start in range(0, table.shape[1], step):
+        rows = table[:, start:start + step]
+        rows = rows if limbs is None else limbs.dot(rows)
+        bad = _failing_cells(rows[None], k, bits, width)[0]
+        if bad[c := int(bad.argmax())]:
+            break
+    else:
         return None
-    high = c >> lo
-    part = rows.reshape(len(rows), -1, k + 1)[:, high << lo:high + 1 << lo]
-    zero = [0] * len(rows)
-    columns = part.transpose(1, 2, 0).tolist()  # per low index, k + 1 germs
+    high = (start // cell + c) >> lo
+    slab = table[:, (high << lo) * cell:(high + 1 << lo) * cell].astype(object)
+    part = np.array(weights, dtype=object) @ slab.reshape(-1, len(weights), slab.shape[1])
+    zero = [0] * len(part)
+    columns = part.reshape(len(part), -1, cell).transpose(1, 2, 0).tolist()
     free = []  # free[l][o]: the least germ of the block bits below o
     for _, *slopes in columns:
         below = [zero]
@@ -222,8 +244,9 @@ def gamma_zero_test(ps: PropagationSet) -> Optional[NegativityWitness]:
     offset, then global subset order (see `condition_at`), evaluated at a
     concrete small delta where it is negative.
     """
-    for offset, support, lo, k, _scale, table, _exact in _poly_tables(ps):
-        found = _first_negative(table, lo, k)
+    for offset, support, lo, k, _scale, table, (count, width, _) in _poly_tables(ps):
+        found = _first_negative(table, lo, k, None, width, count,
+                                [1 << width * q for q in reversed(range(count))])
         if found is not None:
             subset = move_bits(found[0], support)
             g = ps.polys[offset].vertex_restriction(subset)
@@ -241,26 +264,24 @@ def condition_at(
     Returns None when the condition holds, else a witness vertex with a
     negative value.  Exact: vertices suffice because the polynomials are
     multilinear, and each column's value times scale * den**maxdeg is one
-    dot of the row [num**d * den**(maxdeg - d)] with the table, in Python
-    ints; the least over a cell's block vertices is slice 0 plus the
-    negative slices.  The first negative vertex in support subset order
-    is the first negative global subset, since a global subset takes the
-    value of its intersection with the support, a subset no larger than
-    itself; it is reported by its global code.
+    dot of the `_limbs` powers with the table, taken in int64 limbs; the
+    least over a cell's block vertices is slice 0 plus the negative
+    slices.  The first negative vertex in support subset order is the
+    first negative global subset, since a global subset takes the value
+    of its intersection with the support, a subset no larger than itself;
+    it is reported by its global code.
     """
     delta = rational(delta)
     if delta < 0:
         raise ParameterDomainError("delta must be nonnegative")
-    num, den = delta.numerator, delta.denominator
-    for offset, support, lo, k, scale, _table, exact in _poly_tables(ps):
-        top = len(exact) - 1
-        powers = [num**d * den ** (top - d) for d in range(top + 1)]
-        values = np.array(powers, dtype=object).dot(exact)
-        found = _first_negative(values[None], lo, k)
+    for offset, support, lo, k, scale, table, (count, width, bound) in _poly_tables(ps):
+        top = len(table) // count - 1
+        powers, limbs, bits = _limbs(delta, top, count, width, bound)
+        found = _first_negative(table, lo, k, limbs, bits, len(limbs), powers)
         if found is not None:
             code, (value,) = found
             return NegativityWitness(offset, move_bits(code, support), delta,
-                                     Fraction(value, scale * den**top))
+                                     Fraction(value, scale * delta.denominator**top))
     return None
 
 
@@ -434,10 +455,10 @@ def region_scan(
     variables, terms, supports, blocks and table columns, and only its
     numerators differ.  A chunk of points, as many as `_STACK_BYTES` of
     stacked entries allow, is decided from one stack of vertex tables per
-    displacement, int64 when the chunk's magnitude bound allows and Python
-    ints otherwise: the zero test and the check at delta run the failing
-    cell core of `gamma_zero_test` and `condition_at` on the stack, so
-    the cells are those of the per-set checks, exactly, at every delta.
+    displacement, in int64 planes and limbs as the per-set tables: the
+    zero test and the check at delta run the failing cell core of
+    `gamma_zero_test` and `condition_at` on the stack, so the cells are
+    those of the per-set checks, exactly, at every delta.
     """
     delta = rational(delta)
     if delta < 0:
@@ -487,34 +508,24 @@ def _decide(lay, products, factors, delta: Fraction):
     numerators are those times the layout's stencil products, over a
     positive scale that signs ignore.  The stack's bytes per set, counted
     as `table_bytes` counts them at the chunk's largest magnitude per
-    displacement, are checked against TABLE_BYTES before any table is
-    built.
+    displacement, are checked against TABLE_BYTES before any is built.
     """
-    sets = len(factors)
+    positive, fine = np.ones((2, len(factors)), dtype=bool)
     factors = np.array(factors, dtype=object)
     stacks = []
     for d, poly in products.items():
         chain, cprods = zip(*lay.terms[d].values())
         numerators = factors[:, chain] * np.array(cprods, dtype=object)
-        stacks.append((poly, numerators, max(np.abs(numerators).sum(axis=1))))
-    nbytes = sum(poly.table_entries() * entry_bytes(magnitude)
-                 for poly, _, magnitude in stacks)
+        magnitude = max(np.abs(numerators).sum(axis=1))
+        stacks.append((poly, numerators, magnitude, planes(magnitude, len(poly.terms))))
+    nbytes = sum(8 * count * poly.table_entries() for poly, _, _, (count, _, _) in stacks)
     if nbytes > TABLE_BYTES:
         raise CapacityError(
             f"the vertex tables of one set need {nbytes} bytes, over the "
             f"{TABLE_BYTES}-byte budget")
-    num, den = delta.numerator, delta.denominator
-    positive = np.ones(sets, dtype=bool)
-    fine = np.ones(sets, dtype=bool)
-    for poly, numerators, magnitude in stacks:
-        k, top = poly.block[1], poly.maxdeg
-        fits = magnitude < 2**62
-        table = poly.vertex_tables(numerators.astype(np.int64) if fits else numerators)
-        positive &= ~_failing_cells(table, k).any(axis=1)
-        powers = [num**e * den ** (top - e) for e in range(top + 1)]
-        if fits and magnitude * max(powers) < 2**62:
-            values = np.array(powers, dtype=np.int64) @ table
-        else:
-            values = np.array(powers, dtype=object) @ table.astype(object, copy=False)
-        fine &= ~_failing_cells(values[:, None], k).any(axis=1)
+    for poly, numerators, magnitude, (count, width, bound) in stacks:
+        k, table = poly.block[1], poly.vertex_tables(numerators, magnitude)
+        positive &= ~_failing_cells(table, k, width, count).any(axis=1)
+        _, limbs, bits = _limbs(delta, poly.maxdeg, count, width, bound)
+        fine &= ~_failing_cells(limbs @ table, k, bits, len(limbs)).any(axis=1)
     return positive, fine & (positive | (delta == 0))

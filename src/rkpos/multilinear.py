@@ -9,7 +9,6 @@ is structural and vertex enumeration is a subset sweep.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -25,17 +24,15 @@ __all__ = [
     "MultilinearPoly",
     "canonical_order",
     "move_bits",
-    "entry_bytes",
+    "planes",
     "TABLE_BYTES",
     "GRID_POINTS",
 ]
 
 # Byte budget for the vertex tables of one propagation set, in the bytes the
-# checks keep (`table_bytes`): per entry a pointer to a Python int, counted
-# at the size of an int as large as the table's magnitude bound, and the
-# int64 entry itself when the table has one.  Generic 6-stage centered
-# (15.9 M entries, 667 MiB) fits; generic 6-stage heat (34 M entries,
-# 1,426 MiB) and 8-stage upwind (85 M entries, 3.9 GiB) do not.
+# checks keep (`table_bytes`): 8 per entry per int64 plane (see `planes`).
+# Generic 8-stage upwind (85 M entries, 651 MiB) and 6-stage heat (34 M,
+# 259 MiB) fit; 9-stage upwind (22 GiB) and 7-stage heat (34 GiB) do not.
 TABLE_BYTES = 3 << 28
 
 # Points of one `region` or `sweep` grid, counted before any is built.  A
@@ -45,6 +42,8 @@ TABLE_BYTES = 3 << 28
 # a point a full grid keeps about TABLE_BYTES: 196,608 points.
 GRID_POINTS = TABLE_BYTES >> 12
 
+# One int64 plane holds a table below 2**PLANE_BITS (see `planes`).
+PLANE_BITS = 48
 
 class VarTag(NamedTuple):
     stage: int  # 1-based stage index
@@ -93,11 +92,17 @@ def _block(vars, support, terms) -> tuple[int, int]:
     return lo, k
 
 
-def entry_bytes(magnitude: int) -> int:
-    """Bytes the checks keep per vertex table entry when no entry exceeds
-    `magnitude`: a pointer to an int object of that size, plus the int64
-    entry itself when the table has one."""
-    return 8 + sys.getsizeof(magnitude) + 8 * (magnitude < 2**62)
+def planes(magnitude: int, terms: int) -> tuple[int, int, int]:
+    """(count, width, bound) of a vertex table of `terms` numerators of
+    absolute sum `magnitude`: entry = sum over q of plane q * 2**(width * q),
+    every plane below 2**PLANE_BITS (signed digits past it), and any cell's
+    absolute entries sum to at most bound; 4096 planes raise CapacityError."""
+    if magnitude < 1 << PLANE_BITS:
+        return 1, PLANE_BITS, magnitude
+    width = PLANE_BITS - terms.bit_length()
+    if (count := -(-magnitude.bit_length() // width)) >> 12:
+        raise CapacityError(f"numerators of {magnitude.bit_length()} bits need {count} planes")
+    return count, width, min(magnitude, count << PLANE_BITS)
 
 
 @dataclass(frozen=True)
@@ -187,10 +192,9 @@ class MultilinearPoly:
                        self.scale)
 
     def table_bytes(self) -> int:
-        """Bytes the checks keep for this polynomial's `vertex_table`: its
-        `table_entries()`, each a pointer to an int object no larger than
-        `magnitude`, plus 8 bytes when the table is int64."""
-        return self.table_entries() * entry_bytes(self.magnitude)
+        """Bytes the checks keep for this polynomial's `vertex_table`: 8 per
+        entry per plane."""
+        return 8 * planes(self.magnitude, len(self.terms))[0] * self.table_entries()
 
     def table_entries(self) -> int:
         """(maxdeg + 1) * (k + 1) * 2**(|support| - k): the entries of
@@ -198,24 +202,25 @@ class MultilinearPoly:
         k = self.block[1]
         return (self.maxdeg + 1) * (k + 1) << (len(self.support) - k)
 
-    def vertex_tables(self, numerators: "np.ndarray") -> "np.ndarray":
+    def vertex_tables(self, numerators: "np.ndarray", magnitude: int) -> "np.ndarray":
         """A stack of vertex tables of polynomials with these terms and
         other numerators: `numerators` has one row per polynomial and one
-        column per term, in `terms` order, int64 or object.
+        column per term, in `terms` order, of Python ints whose absolute
+        values sum to at most `magnitude` in every row.
 
         Each numerator goes to its term's degree row and column (see
-        `vertex_table`): the column is the sum over the term's variables
-        of their places, its block variable's slice, if any, and a bit of
-        the subset c of the other support variables times the cell width
-        k + 1.  One zeta (subset-sum) transform over the r = |support| - k
-        other variables, stacked over the polynomials and the slices, sums
-        the terms below each cell.  Returns shape (len(numerators), maxdeg
-        + 1, (k + 1) * 2**r) in the dtype of `numerators`; int64 is exact
-        when every row's sum of absolute numerators is below 2**62, which
-        bounds every entry.
+        `vertex_table`), plane q of degree d of `planes` to row d * count +
+        count - 1 - q: the column is the sum over the term's variables of
+        their places, its block variable's slice, if any, and a bit of the
+        subset c of the other support variables times the cell width k +
+        1.  One zeta (subset-sum) transform over the r = |support| - k
+        other variables, stacked over the rows, sums the terms below each
+        cell.  Returns int64 of shape (len(numerators), count * (maxdeg +
+        1), (k + 1) * 2**r).
         """
         lo, k = self.block
         r, cell = len(self.support) - k, k + 1
+        count, width, _ = planes(magnitude, len(self.terms))
         place = {pos: j - lo + 1 if lo <= j < lo + k else cell << (j if j < lo else j - k)
                  for j, pos in enumerate(self.support)}
         degrees, columns = [], []
@@ -225,13 +230,16 @@ class MultilinearPoly:
                 low = bits & -bits
                 column += place[low.bit_length() - 1]
                 bits ^= low
-            degrees.append(code.bit_count())
+            degrees.append(code.bit_count() * count)
             columns.append(column)
-        sets = len(numerators)
-        table = np.zeros((sets, self.maxdeg + 1, cell << r), dtype=numerators.dtype)
-        table[:, degrees, columns] = numerators
+        sets, depth = len(numerators), count * (self.maxdeg + 1)
+        table = np.zeros((sets, depth, cell << r), dtype=np.int64)
+        for q in range(count):
+            table[:, np.array(degrees, dtype=np.int64) + count - 1 - q, columns] = (
+                numerators if count == 1 else
+                np.sign(numerators) * (np.abs(numerators) >> width * q & (1 << width) - 1))
         for j in range(r):
-            pairs = table.reshape(sets, self.maxdeg + 1, -1, 2, cell << j)
+            pairs = table.reshape(sets, depth, -1, 2, cell << j)
             pairs[:, :, :, 1] += pairs[:, :, :, 0]
         return table
 
@@ -239,7 +247,7 @@ class MultilinearPoly:
         """Every vertex restriction at once, with the block of `block`
         eliminated, as scaled-integer coefficient rows.
 
-        Returns (scale, table), table of shape (maxdeg + 1, 2**r * (k + 1)),
+        Returns (scale, table), int64 of shape (maxdeg + 1, 2**r * (k + 1)),
         r = |support| - k, with one cell of k + 1 columns, its slices, per
         subset c of the r other support variables, ascending: column c * (k
         + 1) + o.  table[d, c * (k + 1) + o] / scale is the degree-d
@@ -248,22 +256,20 @@ class MultilinearPoly:
         at the term's own degree).  No term uses two block variables, so
         the vertex c with block subset T restricts to A_c + sum over o in
         T of delta * B_o,c, and its least value over the block's 2**k
-        vertices is A_c + delta * sum_o min(0, B_o,c): variable
-        elimination (Boros & Hammer, Discrete Appl. Math. 123, 2002) over
-        a whole block.  The table is `vertex_tables` of a stack of one,
-        this polynomial's own numerators.  Entries are exact: int64 when
-        the magnitude bound allows, arbitrary-precision objects otherwise.
-        CapacityError is raised before allocation when `table_bytes`
-        exceeds TABLE_BYTES.
+        vertices is A_c + delta * sum_o min(0, B_o,c): variable elimination
+        (Boros & Hammer, Discrete Appl. Math. 123, 2002) over a whole
+        block.  The table is `vertex_tables` of a stack of one, this
+        polynomial's own numerators, so past 2**PLANE_BITS a row is count
+        rows of `planes`.  CapacityError is raised before allocation when
+        `table_bytes` exceeds TABLE_BYTES.
         """
         nbytes = self.table_bytes()
         if nbytes > TABLE_BYTES:
             raise CapacityError(
                 f"the vertex table over {len(self.support)} variables needs "
                 f"{nbytes} bytes, over the {TABLE_BYTES}-byte budget")
-        dtype = np.int64 if self.magnitude < 2**62 else object
         return self.scale, self.vertex_tables(
-            np.array([list(self.terms.values())], dtype=dtype))[0]
+            np.array([list(self.terms.values())], dtype=object), self.magnitude)[0]
 
     def _by_tags(self) -> dict[tuple[VarTag, ...], int]:
         """Terms keyed by their variables, sorted: independent of var order."""

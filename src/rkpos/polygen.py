@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import PreconditionError, rational
-from .multilinear import MultilinearPoly, VarTag, move_bits
+from .errors import CapacityError, PreconditionError, rational
+from .multilinear import TABLE_BYTES, MultilinearPoly, VarTag, move_bits
 from .tableau import ButcherTableau, chain_weights
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
     "Layout",
     "layout",
     "generate",
+    "term_count",
+    "TERMS",
     "symmetry_report",
     "x_labels",
 ]
@@ -187,6 +189,30 @@ def layout(pattern: tuple[tuple[int, ...], ...], s: StencilSpec) -> Layout:
     return Layout(vars, chains, q, terms)
 
 
+# Terms of one `generate`, counted by `term_count` before any is built.  A
+# term keeps 247-260 bytes at generate's peak (tracemalloc, Python 3.11,
+# generic 8- to 11-stage upwind and 7-stage heat), so at 256 bytes a term
+# the limit keeps generate within TABLE_BYTES: 3,145,728 terms.  Generic
+# 9-stage upwind has 19,683 and a dense 16-stage upwind tableau 43 M.
+TERMS = TABLE_BYTES >> 8
+
+
+def term_count(t: ButcherTableau, s: StencilSpec) -> int:
+    """The terms `generate` builds: 1 + sum over r of N_r * w**r.
+
+    N_r counts the stage chains of length r with a nonzero weight, the
+    increasing paths through nonzero entries of A that end at a nonzero
+    entry of b, and w is the stencil's width: each chain and row of
+    stencil shifts is one term.  O(m**3) operations on the nonzero
+    pattern, summed by the stage a chain ends at.
+    """
+    ends, total = [1] * t.m, 1  # ends[j]: the chains of the length so far ending at j
+    for r in range(1, t.m + 1):
+        total += sum(e for e, b in zip(ends, t.b) if b) * len(s.coeffs) ** r
+        ends = [sum(ends[i] for i in range(j) if t.a[j][i]) for j in range(t.m)]
+    return total
+
+
 def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
     """Assemble the P_i as the sum over stage chains and stencil shifts:
     the `layout` of the tableau's nonzero chain pattern and one row of
@@ -194,7 +220,13 @@ def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
 
     Every numerator is written over one scale, the lcm over the chains of
     the weight's denominator times q**r; each polynomial reduces its own.
+    A tableau whose `term_count` exceeds TERMS raises CapacityError
+    before any chain weight is computed.
     """
+    terms = term_count(t, s)
+    if terms > TERMS:
+        raise CapacityError(f"the propagation polynomials have {terms} terms, "
+                            f"over the limit of {TERMS}")
     chains = list(chain_weights(t))
     lay = layout(tuple(stages for stages, _ in chains), s)
     scale, factors = lay.numerators([w for _, w in chains])

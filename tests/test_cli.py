@@ -234,12 +234,17 @@ def test_tableau_file_entries_must_be_strings_or_integers(tmp_path, capsys, text
 
 FLOAT_TABLEAU = '{"m": 2, "A": [[0, 0], [0.1, 0]], "b": ["1/2", "1/2"]}'
 ZERO_DEN_TABLEAU = '{"m": 1, "A": [["0"]], "b": ["1/0"]}'
-# The generic 6-stage tableau a_ij = 1/(2+i+j), b = 1/6.  Its heat-stencil
-# vertex tables need 2.4 GB, over the byte budget.
-GENERIC6_TABLEAU = json.dumps({
-    "m": 6, "b": ["1/6"] * 6,
-    "A": [[f"1/{2 + i + j}" if j < i else "0" for j in range(6)]
-          for i in range(6)]})
+
+
+def generic_tableau(m):
+    """The generic m-stage tableau a_ij = 1/(2+i+j), b = 1/m, as JSON."""
+    return json.dumps({"m": m, "b": [f"1/{m}"] * m,
+                       "A": [[f"1/{2 + i + j}" if j < i else "0" for j in range(m)]
+                             for i in range(m)]})
+
+
+# Its heat-stencil vertex tables need 34 GiB, over the byte budget.
+GENERIC7_TABLEAU = generic_tableau(7)
 
 
 @pytest.mark.parametrize("argv", [
@@ -250,6 +255,27 @@ GENERIC6_TABLEAU = json.dumps({
 def test_oversized_grid_exits_2_before_building_it(capsys, argv):
     start = time.perf_counter()
     assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error:") and "over the limit" in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--method", "erk22:1", "--n", "100000000"],
+    ["simulate", "--method", "erk22:1", "--steps", "1000000000"],
+    ["gamma", "--tableau-file", "{dense16}"],
+    ["polys", "--tableau-file", "{dense16}"],
+], ids=" ".join)
+def test_oversized_work_exits_2_before_doing_it(tmp_path, capsys, argv):
+    """A simulation over RUN_WORK cell-stage updates and a dense 16-stage
+    tableau, 43 M terms over TERMS, are refused before any cell or term
+    is built."""
+    path = tmp_path / "dense16.json"
+    path.write_text(generic_tableau(16), encoding="utf-8")
+    start = time.perf_counter()
+    assert main([a.format(dense16=path) for a in argv]) == 2
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
@@ -269,7 +295,7 @@ def test_oversized_grid_exits_2_before_building_it(capsys, argv):
     ["simulate", "--method", "erk22:1", "--n", "0"],
     ["simulate", "--method", "erk22:1", "--monitors", "bogus"],
     ["gamma", "--tableau-file", "{float_tableau}"],
-    ["gamma", "--tableau-file", "{generic6_tableau}", "--stencil", "heat"],
+    ["gamma", "--tableau-file", "{generic7_tableau}", "--stencil", "heat"],
     ["adversary"],
     ["adversary", "--construction", "first-step", "--method", "erk22:1"],
     ["gamma", "--method", "erk22:1", "--tol", "1/0"],
@@ -288,7 +314,7 @@ def test_oversized_grid_exits_2_before_building_it(capsys, argv):
     ["simulate", "--method", "erk22:1", "--dt", "1/1000", "--tol", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejected_input_exits_2(tmp_path, argv):
-    files = {"float_tableau": FLOAT_TABLEAU, "generic6_tableau": GENERIC6_TABLEAU,
+    files = {"float_tableau": FLOAT_TABLEAU, "generic7_tableau": GENERIC7_TABLEAU,
              "zero_den_tableau": ZERO_DEN_TABLEAU}
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, text in files.items():

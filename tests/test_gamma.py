@@ -1,5 +1,6 @@
 import functools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from rkpos.bounds import radius_abs_monotonicity, ssp_feasible
 from rkpos.errors import CapacityError, InputError, ParameterDomainError
-from rkpos.gamma import (_STACK_BYTES, compute_gamma, condition_at,
-                         gamma_zero_test, in_bowtie, region_scan, subset_bits,
-                         sweep)
-from rkpos.multilinear import MultilinearPoly, VarTag
+from rkpos.gamma import (_STACK_BYTES, _failing_cells, _germs, _limbs, compute_gamma,
+                         condition_at, gamma_zero_test, in_bowtie, region_scan,
+                         subset_bits, sweep)
+from rkpos.multilinear import TABLE_BYTES, MultilinearPoly, VarTag, planes
 from rkpos.polygen import (PropagationSet, StencilSpec, centered, generate,
                            heat, layout, upwind)
 from rkpos.tableau import (ButcherTableau, chain_weights, erk22, erk33_case1,
@@ -437,13 +438,89 @@ def test_each_set_builds_its_tables_once(monkeypatch):
     assert len(built) == len(ps.polys)
 
 
+def test_six_stage_heat_and_eight_stage_upwind_fit_the_budget():
+    for stencil, m in ((heat, 6), (upwind, 8)):
+        ps = generate(generic(m), stencil)
+        assert sum(p.table_bytes() for p in ps.polys.values()) <= TABLE_BYTES
+
+
+@pytest.mark.parametrize("stencil, m", [(upwind, 9), (heat, 7)])
+def test_over_budget_sets_raise_before_allocating(stencil, m):
+    """Nine-stage upwind (22 GiB of tables) and seven-stage heat (34 GiB)
+    raise CapacityError with no table memory allocated."""
+    ps = generate(generic(m), stencil)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"over the {TABLE_BYTES}-byte budget"):
+            condition_at(ps, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+NUMERATORS = st.one_of(
+    st.integers(-2**10, 2**10),
+    *[st.builds(lambda sign, e, b=b: sign * (2**b + e), st.sampled_from([-1, 1]),
+                st.integers(-8, 8)) for b in (47, 48, 62, 63, 100)],
+    *[st.integers(-2**b, 2**b) for b in (48, 62, 100)])
+
+
+@st.composite
+def block_polys(draw):
+    """One polynomial over a stage-1 block of up to 3 variables, no two in
+    a term, and up to 3 variables of later stages, with numerators near
+    2**48 and 2**62 and past them, so that its table has several planes."""
+    block = tuple(VarTag(1, o) for o in range(draw(st.integers(0, 3))))
+    others = tuple(VarTag(2 + j, 0) for j in range(draw(st.integers(0, 3))))
+    tags = block + others
+    terms = {}
+    for one, rest, c in draw(st.lists(st.tuples(
+            st.integers(-1, len(block) - 1), st.integers(0, 2**len(others) - 1),
+            NUMERATORS), max_size=10)):
+        code = (1 << one if one >= 0 else 0) | rest << len(block)
+        terms[code] = c
+    return MultilinearPoly(tags, {code: c for code, c in terms.items() if c})
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_polys(), st.integers(0, 2**400), st.integers(1, 2**400))
+def test_limb_signs_and_cell_sums_match_python_ints(poly, num, den):
+    """The limbs of a table at delta carry the sign of every column's
+    Python-int dot with the powers, and the failing cells are those whose
+    slice 0 plus negative slices is negative; the zero test's planes give
+    the same germs as the recombined Python-int rows."""
+    delta = F(num, den)
+    num, den = delta.numerator, delta.denominator
+    _, table = poly.vertex_table()
+    count, width, bound = planes(poly.magnitude, len(poly.terms))
+    k, top = poly.block[1], poly.maxdeg
+    exact = [[sum(int(table[d * count + count - 1 - q, col]) << width * q
+                  for q in range(count)) for col in range(table.shape[1])]
+             for d in range(top + 1)]
+    values = [sum(exact[d][col] * num**d * den ** (top - d) for d in range(top + 1))
+              for col in range(table.shape[1])]
+    _, limbs, bits = _limbs(delta, top, count, width, bound)
+    rows = (limbs @ table)[None]
+    assert (_germs(rows, bits, len(limbs))[0] < 0).tolist() == [v < 0 for v in values]
+    cells = [values[c:c + k + 1] for c in range(0, len(values), k + 1)]
+    least = [c[0] + sum(min(0, v) for v in c[1:]) < 0 for c in cells]
+    assert _failing_cells(rows, k, bits, len(limbs))[0].tolist() == least
+    germs = [[row[col] for row in exact] for col in range(table.shape[1])]
+    cells = [germs[c:c + k + 1] for c in range(0, len(germs), k + 1)]
+    zero = [0] * (top + 1)
+    least = [[sum(g) for g in zip(c[0], *[s for s in c[1:] if s < zero])] < zero
+             for c in cells]
+    assert _failing_cells(table[None], k, width, count)[0].tolist() == least
+
+
 def test_set_budget_is_checked_before_any_table(monkeypatch):
     def refuse(poly):
         raise AssertionError("vertex_table called")
 
     monkeypatch.setattr(MultilinearPoly, "vertex_table", refuse)
-    ps = generate(generic(8), upwind)
-    with pytest.raises(CapacityError, match="P_4's over 24 support variables"):
+    ps = generate(generic(9), upwind)
+    with pytest.raises(CapacityError, match="P_4's over 29 support variables"):
         condition_at(ps, 1)
 
 

@@ -1,12 +1,12 @@
 import random
-import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from rkpos.errors import CapacityError, InputError
-from rkpos.multilinear import (TABLE_BYTES, MultilinearPoly, VarTag,
-                               canonical_order, move_bits)
+from rkpos.multilinear import (PLANE_BITS, TABLE_BYTES, MultilinearPoly, VarTag,
+                               canonical_order, move_bits, planes)
 
 from oracle import coded
 
@@ -149,30 +149,37 @@ def test_multilinear_extrema_on_box_at_vertices():
 
 def test_capacity_limit_on_vertex_table():
     # One term over all n variables of one stage: the block is one
-    # variable, so the table has (n + 1) * 2**n entries, each an int64 and
-    # a pointer to an int of the size of 1; n is the smallest count whose
-    # table exceeds the budget.
-    entry = 16 + sys.getsizeof(1)
-    n = next(n for n in range(64) if entry * (n + 1) << n > TABLE_BYTES)
+    # variable, so the table has (n + 1) * 2**n entries, each 8 bytes in
+    # its one int64 plane; n is the smallest count whose table exceeds
+    # the budget.
+    n = next(n for n in range(64) if 8 * (n + 1) << n > TABLE_BYTES)
     vs = tuple(VarTag(1, s) for s in range(n))
     p = coded(vs, {frozenset(vs): F(1)})
-    assert p.table_bytes() == entry * (n + 1) << n
+    assert p.table_bytes() == 8 * (n + 1) << n
     with pytest.raises(CapacityError, match=f"{p.table_bytes()} bytes"):
         p.vertex_table()
     # evaluation still works above the budget
     assert p.eval({v: F(1) for v in vs}) == 1
 
 
-def test_table_bytes_count_pointers_and_int_objects():
+def test_table_bytes_count_planes():
     vs = tags(3)
     small = coded(vs, {frozenset(vs[:2]): F(3), frozenset(): F(1)})
+    edge = coded(vs, {frozenset(vs[:2]): F(2**PLANE_BITS - 2), frozenset(): F(1)})
     big = coded(vs, {frozenset(vs[:2]): F(2**70), frozenset(): F(1)})
     _, table = small.vertex_table()
     # (maxdeg + 1) rows, (k + 1) * 2**(s - k) columns, k = 1 of s = 2.
-    assert table.shape == (3, 4)
-    assert small.table_bytes() == 12 * (16 + sys.getsizeof(4))
-    # past int64 the table holds the int objects alone
-    assert big.table_bytes() == 12 * (8 + sys.getsizeof(2**70 + 1))
+    assert table.shape == (3, 4) and table.dtype == np.int64
+    assert small.table_bytes() == edge.table_bytes() == 12 * 8
+    # past 2**PLANE_BITS each degree takes one row per plane: two
+    # numerators leave 46-bit digits, two planes for 71 bits
+    assert planes(big.magnitude, 2) == (2, 46, 2 << PLANE_BITS)
+    _, table = big.vertex_table()
+    assert table.shape == (6, 4) and table.dtype == np.int64
+    assert big.table_bytes() == table.nbytes == 2 * 12 * 8
+    # each degree's planes lie together, the most significant first
+    assert [[(int(table[2 * d, c]) << 46) + int(table[2 * d + 1, c])
+             for d in range(3)] for c in (0, 3)] == [[1, 0, 0], [0, 0, 2**70]]
 
 
 def test_equality_is_canonical():

@@ -10,7 +10,7 @@ from rkpos.errors import InputError
 from rkpos.multilinear import MultilinearPoly, VarTag
 from rkpos.polygen import (BUILTIN_STENCILS, PropagationSet, StencilSpec,
                            _check_unity, centered, generate, heat, layout,
-                           symmetry_report, upwind, x_labels)
+                           symmetry_report, term_count, upwind, x_labels)
 from rkpos.tableau import (chain_weights, erk22, erk33_case1, erk33_case2,
                            erk33_case3, forward_euler, rk4_classical)
 
@@ -102,13 +102,21 @@ def test_stacked_tables_match_each_sets_table(tableaux, stencil):
     for d, poly in lay.products().items():
         numerators = [[factors[c] * cprod for c, cprod in lay.terms[d].values()]
                       for _, factors in rows]
-        fits = max(sum(map(abs, row)) for row in numerators) < 2**62
-        stack = poly.vertex_tables(np.array(numerators, dtype=np.int64 if fits else object))
+        magnitude = max(sum(map(abs, row)) for row in numerators)
+        stack = poly.vertex_tables(np.array(numerators, dtype=object), magnitude)
         for (t, _), (scale, _), got in zip(shared, rows, stack):
             own_scale, own = generate(t, stencil).polys[d].vertex_table()
             assert got.shape == own.shape
             assert [[F(int(v), scale) for v in row] for row in got] == \
                 [[F(int(v), own_scale) for v in row] for row in own]
+
+
+@settings(max_examples=40)
+@given(small_tableaux(), st.sampled_from(STENCILS + [StencilSpec({2: 1, 0: -3, -1: 2})]))
+def test_term_count_is_the_number_of_generated_terms(t, s):
+    """The count from the nonzero pattern of A and b, checked against
+    TERMS before generate builds anything, is exactly what it builds."""
+    assert term_count(t, s) == sum(len(p.terms) for p in generate(t, s).polys.values())
 
 
 @pytest.mark.parametrize("coeffs", [{0: 1}, {2: 1, 0: -3, -1: 1}])
