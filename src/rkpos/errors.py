@@ -19,8 +19,9 @@ class CapacityError(RkposError):
     polynomial's table has (k + 1) * 2**(|support| - k) columns, k the size
     of its eliminated block), propagation polynomials with more terms than
     rkpos.polygen.TERMS, grids over GRID_POINTS and simulations over
-    rkpos.molsim.RUN_WORK cell-stage updates are refused before anything
-    is allocated; there is no sampling fallback.
+    rkpos.molsim.RUN_WORK cell-stage updates (each stage charged at least
+    rkpos.molsim.STAGE_CELLS cells) are refused before anything is
+    allocated; there is no sampling fallback.
     """
 
 

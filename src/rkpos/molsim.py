@@ -16,16 +16,18 @@ float64 array runs in float arithmetic, with the tableau, stencil,
 limiter and q constants converted to float once per step or q
 evaluation; every elementwise operation keeps the order of the per-cell
 definition, so float results are the same bits it gives.  An exact state
-is a RationalArray: coprime Python-int numerators and positive
-denominators in two object arrays, with every + - * / reduced as it
-happens, for all cells at once, by the gcd splits Fraction uses.  The
-kernel's numpy calls reach it through numpy's __array_ufunc__ /
-__array_function__ protocols.  What callers see is unchanged: StepTrace
-and RunReport hold Fractions, a provider called with exact values
-returns an object array of Fractions, and a provider, psi_fn or f'
-written for Fractions is handed Fractions.
+is a RationalArray: Python-int numerators over one scale in lowest terms
+while the cells share a denominator, as a simulated state's do, and over
+per-cell denominators where they do not, as limiter ratios' do.  Every
++ - * / is reduced as it happens: over one scale by one gcd per array,
+per cell by the gcd splits Fraction uses.  The kernel's numpy calls reach
+it through numpy's __array_ufunc__ / __array_function__ protocols.  What
+callers see is unchanged: StepTrace and RunReport hold Fractions, a
+provider called with exact values returns an object array of Fractions,
+and a provider, psi_fn or f' written for Fractions is handed Fractions.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,6 +63,7 @@ __all__ = [
     "q_advection",
     "run",
     "RUN_WORK",
+    "STAGE_CELLS",
     "scripted",
     "tau0",
 ]
@@ -70,16 +73,60 @@ Number = Union[Fraction, float, int]
 
 # --- exact arrays -----------------------------------------------------------
 #
-# Each operation reduces its result as it goes, for all cells at once, with
-# the gcd splits of Fraction's own arithmetic (Henrici's method; Knuth,
-# TAOCP vol. 2, 4.5.1): the gcds are taken of the operands' factors, which
-# stay small, instead of the full products.  An operand pair (n, d) is a
-# RationalArray's arrays or an exact scalar's ints; the identities x + 0
-# and x * +-1 by a scalar return x (or -x) as it is.
+# An operand (n, d) is an exact scalar's ints, or a RationalArray's
+# numerators over one int scale d (d > 0, gcd(d, *n) == 1: d is the lcm of
+# the cells' reduced denominators) or over per-cell denominators.  One-scale
+# operations do their integer work, then divide out one math.gcd(d, *n),
+# which stops once the running gcd is 1; per-cell ones reduce each cell by
+# Fraction's gcd splits (Henrici; Knuth, TAOCP vol. 2, 4.5.1), and
+# `_settle` picks their result's form.  x + 0 and x * +-1 return x (or -x).
+
+# A per-cell result goes over one scale iff its denominators' lcm is at
+# most this many bits longer than the longest.  A koren state's cells share
+# one (lcm 1,308 bits, longest 1,307), its theta, psi and q do not (58-70 K
+# bits against 1.3 K); unbounded, a limiter that never cancels drags the
+# state over a scale 3x its longest cell.
+_SLACK = 64
 
 
 def _is_scalar(x, value) -> bool:
     return not isinstance(x[0], np.ndarray) and x == (value, 1)
+
+
+def _per_cell(x) -> bool:
+    return isinstance(x[1], np.ndarray)
+
+
+def _gcd(k: int, n) -> int:
+    """gcd of k and the numerator n, or of k and every cell of an array n."""
+    return math.gcd(k, *n) if isinstance(n, np.ndarray) else math.gcd(k, n)
+
+
+def _shared(n, d: int):
+    """n / d over one scale, in lowest terms."""
+    h = _gcd(d, n)
+    return (n, d) if h == 1 else (n // h, d // h)
+
+
+def _cells(x):
+    """x with per-cell denominators; a scalar as it is."""
+    if _per_cell(x) or not isinstance(x[0], np.ndarray):
+        return x
+    g = np.gcd(*x)
+    return x[0] // g, x[1] // g
+
+
+def _settle(n, d):
+    """Per-cell n / d over the lcm of d when that is at most _SLACK bits
+    longer than the longest d (cells in lowest terms make it coprime to the
+    numerators), else as it is; the lcm fold stops past that bound."""
+    distinct = set(d.tolist())
+    bound, lcm = max(map(int.bit_length, distinct), default=0) + _SLACK, 1
+    for v in distinct:
+        lcm = lcm // math.gcd(lcm, v) * v
+        if lcm.bit_length() > bound:
+            return n, d
+    return n * (lcm // d), lcm
 
 
 def _add(x, y):
@@ -87,12 +134,16 @@ def _add(x, y):
         return y
     if _is_scalar(y, 0):
         return x
+    if _per_cell(x) or _per_cell(y):
+        (a, b), (c, d) = _cells(x), _cells(y)
+        g = np.gcd(b, d)
+        s = b // g
+        t = a * (d // g) + c * s
+        g2 = np.gcd(t, g)
+        return _settle(t // g2, s * (d // g2))
     (a, b), (c, d) = x, y
-    g = np.gcd(b, d)
-    s = b // g
-    t = a * (d // g) + c * s
-    g2 = np.gcd(t, g)
-    return t // g2, s * (d // g2)
+    g = math.gcd(b, d)
+    return _shared(a * (d // g) + c * (b // g), b // g * d)
 
 
 def _subtract(x, y):
@@ -105,18 +156,41 @@ def _multiply(x, y):
             return other
         if _is_scalar(one, -1):
             return -other[0], other[1]
+    if _per_cell(y):
+        x, y = y, x
     (a, b), (c, d) = x, y
-    g1, g2 = np.gcd(a, d), np.gcd(c, b)
-    return (a // g1) * (c // g2), (b // g2) * (d // g1)
+    if not _per_cell(x):
+        # Each scale cancels against the other side's numerators first.
+        g1, g2 = _gcd(d, a), _gcd(b, c)
+        return _shared((a // g1) * (c // g2), (b // g2) * (d // g1))
+    if _per_cell(y) or not isinstance(c, np.ndarray):
+        g1, g2 = np.gcd(a, d), np.gcd(c, b)
+        return _settle((a // g1) * (c // g2), (b // g2) * (d // g1))
+    # Per-cell x times one-scale y, as xi * (S y): each cell's denominator
+    # cancels against y's numerator, then the product tries one scale.
+    g = np.gcd(c, b)
+    n, r = _settle(a * (c // g), b // g)
+    if not isinstance(r, np.ndarray):
+        return _shared(n, r * d)
+    g = np.gcd(n, d)
+    return n // g, r * (d // g)
 
 
 def _divide(x, y):
     c, d = y
     if np.any(c == 0):
         raise ZeroDivisionError("division by zero in exact arithmetic")
-    if isinstance(c, np.ndarray):
+    if not isinstance(c, np.ndarray):
+        return _multiply(x, (-d, -c) if c < 0 else (d, c))
+    if _per_cell(x) or _per_cell(y):
+        c, d = _cells(y)
         return _multiply(x, (np.where(c < 0, -d, d), np.abs(c)))
-    return _multiply(x, (-d, -c) if c < 0 else (d, c))
+    # Both over one scale (or x a scalar): one gcd per cell.
+    a, b = x
+    g, sign = math.gcd(b, d), np.where(c < 0, -1, 1).astype(object)
+    n, m = sign * a * (d // g), sign * c * (b // g)
+    h = np.gcd(n, m)
+    return _settle(n // h, m // h)
 
 
 def _roll(a: np.ndarray, shift: int) -> np.ndarray:
@@ -128,7 +202,12 @@ def _roll(a: np.ndarray, shift: int) -> np.ndarray:
 
 def _select(take, x, y):
     """x where take holds, y elsewhere."""
-    return np.where(take, x[0], y[0]), np.where(take, x[1], y[1])
+    if _per_cell(x) or _per_cell(y):
+        (a, b), (c, d) = _cells(x), _cells(y)
+        return _settle(np.where(take, a, c), np.where(take, b, d))
+    (a, b), (c, d) = x, y
+    scale = b // math.gcd(b, d) * d
+    return _shared(np.where(take, a * (scale // b), c * (scale // d)), scale)
 
 
 def _maximum(x, y):
@@ -156,22 +235,23 @@ _COMPARISONS = {ufunc: _comparison(ufunc) for ufunc in (
 
 
 class RationalArray(NDArrayOperatorsMixin):
-    """An exact 1-D array: coprime Python-int numerators and positive
-    denominators, in two object arrays.
+    """An exact 1-D array: Python-int numerators over one positive scale in
+    lowest terms, or over positive per-cell denominators, each cell in
+    lowest terms (see `_settle` for which).
 
     numpy's arithmetic, comparison, maximum/minimum and absolute ufuncs and
     np.roll / np.where accept it, so one kernel steps it and a float64
-    array alike.  Arithmetic gives a RationalArray in lowest terms;
-    comparisons give a bool array.  Operands mix with int and Fraction
-    scalars and with object arrays of them; a float operand raises an
-    error, so nothing is coerced silently.  Indexing a cell and tolist()
-    give Fractions.
+    array alike.  Arithmetic gives a RationalArray; comparisons give a bool
+    array.  Operands mix with int and Fraction scalars and with object
+    arrays of them; a float operand raises an error, so nothing is coerced
+    silently.  num and den are per-cell lowest-terms views; indexing a cell
+    and tolist() give Fractions.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
-    def __init__(self, num: np.ndarray, den: np.ndarray):
-        self.num, self.den = num, den
+    def __init__(self, num: np.ndarray, den):
+        self._n, self._d = num, den
 
     @classmethod
     def of(cls, values) -> "RationalArray":
@@ -180,30 +260,37 @@ class RationalArray(NDArrayOperatorsMixin):
             if not isinstance(v, (int, Fraction)):
                 raise InputError(
                     f"exact arithmetic needs ints or Fractions, got {v!r}")
-        return cls(np.array([v.numerator for v in values], dtype=object),
-                   np.array([v.denominator for v in values], dtype=object))
+        return cls(*_settle(
+            np.array([v.numerator for v in values], dtype=object),
+            np.array([v.denominator for v in values], dtype=object)))
+
+    num = property(lambda self: _cells((self._n, self._d))[0],
+                   doc="The cells' lowest-terms numerators.")
+    den = property(lambda self: _cells((self._n, self._d))[1],
+                   doc="The cells' lowest-terms denominators.")
+    scale = property(lambda self: None if _per_cell((self._n, self._d)) else self._d,
+                     doc="The one denominator of all cells, or None per cell.")
 
     def __len__(self) -> int:
-        return len(self.num)
+        return len(self._n)
 
     def __getitem__(self, k: int) -> Fraction:
-        return Fraction(self.num[k], self.den[k])
+        return Fraction(self._n[k], self._d if self.scale else self._d[k])
 
     def tolist(self) -> list:
-        return [Fraction(n, d)
-                for n, d in zip(self.num.tolist(), self.den.tolist())]
+        d = self._d.tolist() if self.scale is None else [self.scale] * len(self)
+        return [Fraction(n, e) for n, e in zip(self._n.tolist(), d)]
 
     def sum(self) -> Fraction:
-        """The exact sum of the cells, added pairwise."""
-        x = self.num, self.den
-        while len(x[0]) > 1:
-            k = len(x[0]) // 2
-            head = _add((x[0][:k], x[1][:k]), (x[0][k:2 * k], x[1][k:2 * k]))
-            x = tuple(np.concatenate((h, v[2 * k:])) for h, v in zip(head, x))
-        return Fraction(x[0][0], x[1][0]) if len(x[0]) else Fraction(0)
+        """The exact sum of the cells, of their numerators over one scale."""
+        scale = self.scale or math.lcm(*self._d.tolist())
+        return Fraction(sum((self._n * (scale // self._d)).tolist()), scale)
 
-    def max_den_bits(self) -> int:
-        return max((d.bit_length() for d in self.den.tolist()), default=0)
+    def den_longer_than(self, bits: int) -> bool:
+        """Whether a cell's lowest-terms denominator has over `bits` bits."""
+        if self.scale and self.scale.bit_length() <= bits:
+            return False
+        return any(d.bit_length() > bits for d in self.den.tolist())
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs:
@@ -217,7 +304,7 @@ class RationalArray(NDArrayOperatorsMixin):
     def __array_function__(self, func, types, args, kwargs):
         if func is np.roll and not kwargs:
             x, shift = args
-            return RationalArray(_roll(x.num, shift), _roll(x.den, shift))
+            return RationalArray(_roll(x._n, shift), x.scale or _roll(x._d, shift))
         if func is np.where and not kwargs:
             take, x, y = args
             return RationalArray(*_select(take, _parts(x), _parts(y)))
@@ -227,7 +314,7 @@ class RationalArray(NDArrayOperatorsMixin):
 def _parts(x):
     """(numerators, denominators) of an exact operand."""
     if isinstance(x, RationalArray):
-        return x.num, x.den
+        return x._n, x._d
     if isinstance(x, (int, Fraction)):
         return x.numerator, x.denominator
     if isinstance(x, np.ndarray) and x.dtype == object:
@@ -656,6 +743,13 @@ def _total(x) -> Number:
     return x.sum() if isinstance(x, RationalArray) else sum(x.tolist())
 
 
+def _extremes(u) -> tuple:
+    """(least, greatest) cell of u, over one scale read from the numerators."""
+    if isinstance(u, RationalArray) and u.scale:
+        return tuple(Fraction(f(u._n.tolist()), u.scale) for f in (min, max))
+    return min(u.tolist()), max(u.tolist())
+
+
 def _violation(u, monitors, umin, umax) -> Optional[tuple]:
     """(index, kind) of the first cell a monitor rejects, or None; at one
     cell a positivity violation is named before an interval violation."""
@@ -676,17 +770,22 @@ def _violation(u, monitors, umin, umax) -> Optional[tuple]:
 # anything is stepped.  Whole `rkpos simulate --method erk22:1 --mode
 # float` processes took 0.48 s for 2 M of them (1,000 cells, 1,000 steps)
 # and 0.68 s for 4 M (100,000 cells, 20 steps); a rational koren run takes
-# about 1.5 s for 19,200 (64 cells, 100 steps, 3 stages), and the largest
+# about 0.7 s for 19,200 (64 cells, 100 steps, 3 stages), and the largest
 # bench run has 120,000.
 RUN_WORK = 1 << 22
 
+# Cells a stage is charged at least: a stage costs about 0.13 ms of Python
+# whatever the cell count (1 cell, erk22, 20,000 steps: 5.3 s).
+STAGE_CELLS = 500
+
 
 def check_work(cells: int, steps: int, stages: int) -> None:
-    """Raise CapacityError when cells * steps * stages exceeds RUN_WORK."""
-    if cells * steps * stages > RUN_WORK:
+    """Raise CapacityError if max(cells, STAGE_CELLS) * steps * stages > RUN_WORK."""
+    work = max(cells, STAGE_CELLS) * steps * stages
+    if work > RUN_WORK:
         raise CapacityError(
-            f"{cells} cells, {steps} steps and {stages} stages need "
-            f"{cells * steps * stages} cell-stage updates, over the limit of {RUN_WORK}")
+            f"{cells} cells (at least {STAGE_CELLS} charged), {steps} steps and {stages} "
+            f"stages need {work} cell-stage updates, over the limit of {RUN_WORK}")
 
 
 def run(
@@ -704,8 +803,8 @@ def run(
     Violations (a negative value, or escape from the initial data range)
     are detected with zero tolerance in both arithmetic modes; the first
     one is recorded and, by default, stops the run.  `monitors` names a
-    subset of MONITORS.  A run of more than RUN_WORK cell-stage updates
-    raises CapacityError before the first step (`check_work`).
+    subset of MONITORS.  A run over the work limit RUN_WORK raises
+    CapacityError before the first step (`check_work`).
     """
     if dt <= 0:
         raise PreconditionError(
@@ -737,7 +836,7 @@ def run(
     for step in range(1, steps + 1):
         u = _step(p, t, dt, u, now)[1]
         now = now + dt
-        if isinstance(u, RationalArray) and u.max_den_bits() > _RATIONAL_BIT_LIMIT:
+        if isinstance(u, RationalArray) and u.den_longer_than(_RATIONAL_BIT_LIMIT):
             warnings.warn(
                 "rational state size exceeded the practical limit; "
                 "switching to float arithmetic", RuntimeWarning,
@@ -745,18 +844,18 @@ def run(
             mode = "float"
             p, dt, now = _as_float(p), float(dt), float(now)
             u = np.array([float(v) for v in u.tolist()])
-        values = tuple(u.tolist())
-        mins.append(min(values))
-        maxs.append(max(values))
+        low, high = _extremes(u)
+        mins.append(low)
+        maxs.append(high)
         tvs.append(_total(np.abs(u - np.roll(u, 1))))
         if violation is None:
             hit = _violation(u, monitors, umin, umax)
             if hit is not None:
-                violation = (step, hit[0], values[hit[0]], hit[1])
+                violation = (step, hit[0], u.tolist()[hit[0]], hit[1])
                 if stop_on_violation:
                     break
     return RunReport(
         steps_run=step, mins=mins, maxs=maxs, tvs=tvs,
-        first_violation=violation, final_state=values, mode=mode,
+        first_violation=violation, final_state=tuple(u.tolist()), mode=mode,
         initial_range=(umin, umax),
     )

@@ -265,13 +265,15 @@ def test_oversized_grid_exits_2_before_building_it(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--method", "erk22:1", "--n", "100000000"],
     ["simulate", "--method", "erk22:1", "--steps", "1000000000"],
+    ["simulate", "--method", "erk22:1", "--n", "1", "--steps", "2000000",
+     "--mode", "float"],
     ["gamma", "--tableau-file", "{dense16}"],
     ["polys", "--tableau-file", "{dense16}"],
 ], ids=" ".join)
 def test_oversized_work_exits_2_before_doing_it(tmp_path, capsys, argv):
-    """A simulation over RUN_WORK cell-stage updates and a dense 16-stage
-    tableau, 43 M terms over TERMS, are refused before any cell or term
-    is built."""
+    """A simulation over RUN_WORK cell-stage updates (a 1-cell one charged
+    STAGE_CELLS cells per stage) and a dense 16-stage tableau, 43 M terms
+    over TERMS, are refused before any cell or term is built."""
     path = tmp_path / "dense16.json"
     path.write_text(generic_tableau(16), encoding="utf-8")
     start = time.perf_counter()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rkpos import molsim
 from rkpos.errors import InputError, LimiterContractError, PreconditionError
 from rkpos.molsim import (LIMITERS, Limiter, RationalArray,
                           SemiDiscreteProblem, advection, conservation_law,
@@ -577,3 +578,136 @@ def test_run_steps_as_chained_erk_step(provider, mode):
         assert rep.final_state == u
     else:
         assert list(map(float.hex, rep.final_state)) == list(map(float.hex, u))
+
+
+# --- exact arrays over one scale and per cell ---------------------------------
+
+
+def _held(values, form):
+    """values as a RationalArray over their one lcm scale ("scale") or over
+    per-cell denominators ("cells")."""
+    nums = [v.numerator for v in values]
+    dens = [v.denominator for v in values]
+    if form == "cells":
+        return RationalArray(np.array(nums, dtype=object),
+                             np.array(dens, dtype=object))
+    scale = math.lcm(*dens)
+    return RationalArray(np.array([n * (scale // d) for n, d in zip(nums, dens)],
+                                  dtype=object), scale)
+
+
+def _check_held(got, expect, name):
+    """got equals expect cell by cell, each cell in lowest terms; over one
+    scale, that scale is the lcm of the cells' reduced denominators and is
+    coprime to the numerators over it."""
+    assert got.tolist() == expect, name
+    assert all(type(v) is F for v in got.tolist()), name
+    nums, dens = got.num.tolist(), got.den.tolist()
+    assert all(d > 0 and math.gcd(n, d) == 1 for n, d in zip(nums, dens)), name
+    assert [F(n, d) for n, d in zip(nums, dens)] == expect, name
+    if got.scale is not None:
+        over = [v * got.scale for v in expect]
+        assert all(v.denominator == 1 for v in over), name
+        assert math.gcd(got.scale, *(v.numerator for v in over)) == 1, name
+        assert got.scale == math.lcm(*dens), name
+
+
+def _cells_of(size):
+    """size values over one random denominator, or with random per-cell
+    denominators."""
+    shared = st.tuples(
+        st.integers(1, 2**70),
+        st.lists(st.integers(-2**76, 2**76), min_size=size, max_size=size),
+    ).map(lambda p: [F(k, p[0]) for k in p[1]])
+    return shared | st.lists(EXACT, min_size=size, max_size=size)
+
+
+FORMS = ("scale", "cells")
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6).flatmap(lambda size: st.tuples(_cells_of(size),
+                                                        _cells_of(size))),
+       EXACT)
+@pytest.mark.parametrize("x_form", FORMS)
+@pytest.mark.parametrize("y_form", FORMS)
+def test_mixed_forms_match_fractions(x_form, y_form, values, c):
+    xs, ys = values
+    x, y = _held(xs, x_form), _held(ys, y_form)
+    results = {
+        "add": (x + y, [a + b for a, b in zip(xs, ys)]),
+        "sub": (x - y, [a - b for a, b in zip(xs, ys)]),
+        "mul": (x * y, [a * b for a, b in zip(xs, ys)]),
+        "scalar": (c - x * c / 3 + 1, [c - a * c / 3 + 1 for a in xs]),
+        "max": (np.maximum(x, y), [max(a, b) for a, b in zip(xs, ys)]),
+        "min": (np.minimum(c, y), [min(c, b) for b in ys]),
+        "abs": (np.abs(-x), [abs(a) for a in xs]),
+        "roll": (np.roll(y, 2), [ys[(k - 2) % len(ys)] for k in range(len(ys))]),
+        "where": (np.where(x < y, x, y), [min(a, b) for a, b in zip(xs, ys)]),
+        "where-scalar": (np.where(x >= c, c, x), [min(a, c) for a in xs]),
+    }
+    if all(b != 0 for b in ys):
+        results["div"] = (x / y, [a / b for a, b in zip(xs, ys)])
+        results["rdiv"] = (c / y, [c / b for b in ys])
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if c != 0:
+        results["div-scalar"] = (x / c, [a / c for a in xs])
+    for name, (got, expect) in results.items():
+        _check_held(got, expect, name)
+    if x_form == y_form == "scale":
+        # One-scale operands and exact scalars stay over one scale.
+        for name in ("add", "sub", "mul", "scalar", "max", "min", "abs",
+                     "roll", "where", "where-scalar", "div-scalar"):
+            assert name not in results or results[name][0].scale is not None, name
+    assert (x == y).tolist() == [a == b for a, b in zip(xs, ys)]
+    assert (x > c).tolist() == [a > c for a in xs]
+    assert x.sum() == sum(xs) and y[-1] == ys[-1]
+    longest = max(v.denominator.bit_length() for v in xs)
+    assert [x.den_longer_than(b) for b in (longest - 1, longest)] == [True, False]
+
+
+def test_exact_koren_state_is_held_over_one_scale():
+    # The state's cells share one denominator, so a koren step works over
+    # one scale; a silent fallback to per-cell denominators fails here.
+    _, p, t, dt = next(case for case in _golden_problems()
+                       if case[0] == "koren-upwind")
+    u = molsim._state(p.u0)
+    for step in range(20):
+        u = molsim._step(p, t, dt, u, step * dt)[1]
+    assert u.scale is not None
+
+
+# psi(theta) = theta+ / (1 + theta+): its values never cancel, so over one
+# scale with no bound the state's scale grows to about 3 times its longest
+# cell denominator (5,710 against 1,681 bits after 3 steps here), and the
+# 4-step run below took 1.4-2.0 s instead of 0.05 s (shared 2-CPU Xeon).  Its
+# report digests were recorded with the per-cell kernel that preceded the
+# one-scale form.
+SOFT = Limiter("soft", lambda t: max(t, 0) / (1 + max(t, 0)), mu=F(1),
+               ratio_at_zero=F(1), psi_at_plus_inf=F(1),
+               psi_at_minus_inf=F(0),
+               psi_array=lambda t: np.maximum(t, 0) / (1 + np.maximum(t, 0)))
+
+
+def test_non_cancelling_limiter_keeps_its_report_and_a_bounded_scale():
+    n = 24
+    u0 = tuple(F((7 * k * k + 3 * k) % 17, 16) for k in range(n))
+    p = SemiDiscreteProblem(n, F(1, n), upwind, advection(F(1), SOFT), u0)
+    # The fourth step passes the rational size limit and switches to float.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = run(p, erk22(F(1)), tau0(p), 4, stop_on_violation=False)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    fields = (rep.final_state, rep.mins, rep.maxs, rep.tvs)
+    assert (rep.mode, rep.steps_run, rep.first_violation) == ("float", 4, None)
+    assert tuple(map(_strdigest, fields)) == (
+        "e7952b40cd2b5b9e", "b424a81db72f7cc3", "7265295f1c889e97",
+        "96c3444b8fc6b37d")
+    u = molsim._state(u0)
+    for step in range(3):
+        u = molsim._step(p, erk22(F(1)), tau0(p), u, step * tau0(p))[1]
+    # Per cell, or over one scale within the documented 64-bit slack.
+    longest = max(d.bit_length() for d in u.den.tolist())
+    assert u.scale is None or u.scale.bit_length() <= longest + 64
