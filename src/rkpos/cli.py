@@ -265,16 +265,19 @@ def cmd_simulate(args, out) -> int:
     dx = args.dx if args.dx is not None else Fraction(1, args.n)
     prob = SemiDiscreteProblem(args.n, dx, stencil,
                                advection(args.speed, limiter), _step_initial_data(args.n))
+    certified = None
     if args.dt is not None:
         dt = args.dt
     else:
         cert = compute_gamma(t, stencil, tol=args.tol)
         gamma = cert.exact if cert.exact is not None else cert.lower
         dt = args.cfl_fraction * max_step(gamma, prob)
-        print(f"gamma={_fmt(gamma)} tau0={_fmt(tau0(prob))} dt={_fmt(dt)}",
-              file=sys.stderr)
+        certified = f"gamma={_fmt(gamma)} tau0={_fmt(tau0(prob))} dt={_fmt(dt)}"
     rep = run(prob, t, dt, args.steps, monitors=tuple(args.monitors),
               mode=args.mode)
+    # Printed once the run is done, so an error is the only stderr line.
+    if certified is not None:
+        print(certified, file=sys.stderr)
     for i in range(rep.steps_run):
         out.write(json.dumps({"step": i + 1, "min": _fmt(rep.mins[i]),
                               "max": _fmt(rep.maxs[i]), "tv": _fmt(rep.tvs[i])}))

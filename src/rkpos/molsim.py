@@ -20,11 +20,13 @@ is a RationalArray: Python-int numerators over one scale in lowest terms
 while the cells share a denominator, as a simulated state's do, and over
 per-cell denominators where they do not, as limiter ratios' do.  Every
 + - * / is reduced as it happens: over one scale by one gcd per array,
-per cell by the gcd splits Fraction uses.  The kernel's numpy calls reach
-it through numpy's __array_ufunc__ / __array_function__ protocols.  What
-callers see is unchanged: StepTrace and RunReport hold Fractions, a
-provider called with exact values returns an object array of Fractions,
-and a provider, psi_fn or f' written for Fractions is handed Fractions.
+per cell by the gcd splits Fraction uses.  Exact upwind advection with a
+piecewise-affine limiter steps in flux form, one reduction per stage.
+The kernel's numpy calls reach it through numpy's __array_ufunc__ /
+__array_function__ protocols.  What callers see is unchanged: StepTrace
+and RunReport hold Fractions, a provider called with exact values
+returns an object array of Fractions, and a provider, psi_fn or f'
+written for Fractions is handed Fractions.
 """
 
 import math
@@ -37,7 +39,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 from numpy.lib.mixins import NDArrayOperatorsMixin
 
-from .errors import CapacityError, InputError, LimiterContractError, PreconditionError
+from .errors import CapacityError, InputError, LimiterContractError, PreconditionError, rational
 from .polygen import StencilSpec, upwind
 from .tableau import ButcherTableau
 
@@ -366,9 +368,17 @@ def _keep(x):
     return x
 
 
+def _float(x) -> float:
+    """float(x), refused with an InputError past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise InputError(f"a value near 2^{int(x).bit_length()} is past the float range") from None
+
+
 def _num(u) -> Callable:
     """Converter of constants into the arithmetic of the state array u."""
-    return _keep if isinstance(u, RationalArray) else float
+    return _keep if isinstance(u, RationalArray) else _float
 
 
 @dataclass(frozen=True)
@@ -383,37 +393,51 @@ class Limiter:
     floats in float.  psi_array, when given, is the same function on a
     state array: a float64 array or a RationalArray, which both take
     numpy's arithmetic ufuncs, np.maximum/np.minimum and np.where (the
-    kernel otherwise applies psi_fn per cell).
+    kernel otherwise applies psi_fn per cell).  pieces, when given, define
+    psi = max(0, min_i(alpha_i + beta_i theta)), psi(0) = 0, and psi_fn and
+    psi_array (pass psi_fn=None); exact upwind advection then steps in flux form.
     """
 
     name: str
-    psi_fn: Callable[[Number], Number]
+    psi_fn: Optional[Callable[[Number], Number]]
     mu: Fraction
     ratio_at_zero: Fraction
     psi_at_plus_inf: Fraction
     psi_at_minus_inf: Fraction
     psi_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    pieces: tuple = ()
+
+    def __post_init__(self):
+        pieces = tuple(tuple(map(rational, p)) for p in self.pieces)
+        if pieces and min(a for a, _ in pieces) > 0 or not pieces and self.psi_fn is None:
+            raise InputError(f"limiter {self.name!r} needs psi_fn, or pieces giving psi(0) = 0")
+        object.__setattr__(self, "pieces", pieces)
+        for name in ("psi_fn", "psi_array") if pieces else ():
+            object.__setattr__(self, name, lambda t: _affine(pieces, t))
 
 
-minmod = Limiter(
-    "minmod", lambda t: max(0, min(1, t)),
-    mu=Fraction(1), ratio_at_zero=Fraction(1),
-    psi_at_plus_inf=Fraction(1), psi_at_minus_inf=Fraction(0),
-    psi_array=lambda t: np.maximum(0, np.minimum(1, t)),
-)
-koren = Limiter(
-    "koren", lambda t: max(0, min(1, Fraction(1, 3) + t / 6, t)),
-    mu=Fraction(1), ratio_at_zero=Fraction(1),
-    psi_at_plus_inf=Fraction(1), psi_at_minus_inf=Fraction(0),
-    psi_array=lambda t: np.maximum(
-        0, np.minimum(np.minimum(1, _num(t)(Fraction(1, 3)) + t / 6), t)),
-)
-mc = Limiter(
-    "mc", lambda t: max(0, min(2 * t, (1 + t) / 2, 2)),
-    mu=Fraction(2), ratio_at_zero=Fraction(2),
-    psi_at_plus_inf=Fraction(2), psi_at_minus_inf=Fraction(0),
-    psi_array=lambda t: np.maximum(0, np.minimum(np.minimum(2 * t, (1 + t) / 2), 2)),
-)
+def _affine(pieces, t):
+    """max(0, min_i(alpha_i + beta_i t)) on a number or a state array; a zero term is
+    left out and beta is * num / den, so floats keep the written formulas' bits."""
+    array = isinstance(t, (np.ndarray, RationalArray))
+    num = _num(t) if array else _keep if _all_exact(t) else _float
+    low = None
+    for a, b in pieces:
+        slope = t * b.numerator / b.denominator if b else 0
+        line = num(a) + slope if a else slope
+        low = line if low is None else (np.minimum if array else min)(low, line)
+    return (np.maximum if array else max)(0, low)
+
+
+minmod = Limiter("minmod", None, mu=Fraction(1), ratio_at_zero=Fraction(1),
+                 psi_at_plus_inf=Fraction(1), psi_at_minus_inf=Fraction(0),
+                 pieces=((1, 0), (0, 1)))
+koren = Limiter("koren", None, mu=Fraction(1), ratio_at_zero=Fraction(1),
+                psi_at_plus_inf=Fraction(1), psi_at_minus_inf=Fraction(0),
+                pieces=((1, 0), (Fraction(1, 3), Fraction(1, 6)), (0, 1)))
+mc = Limiter("mc", None, mu=Fraction(2), ratio_at_zero=Fraction(2),
+             psi_at_plus_inf=Fraction(2), psi_at_minus_inf=Fraction(0),
+             pieces=((0, 2), (Fraction(1, 2), Fraction(1, 2)), (2, 0)))
 LIMITERS = {"minmod": minmod, "koren": koren, "mc": mc}
 
 
@@ -479,6 +503,13 @@ class _Advection(_Provider):
         if a_sup is None and not callable(a):
             a_sup = a
         self.q_bound = None if a_sup is None else (limiter.mu + 1) * a_sup
+        # Pieces times the lcm L of their denominators.  Where s_k = 0, q_k / a = 1 - psi_{k-1}
+        # + ratio_k is negative iff _flat_hit[i + 3 j], i = 0, 1, 2 as s_{k-1} = 0, > 0, < 0
+        # (psi_{k-1} = 0 or a limit; i = sign % 3), j = [d_k != 0] (ratio_k = 0 or ratio_at_zero).
+        lcm = math.lcm(*(v.denominator for piece in limiter.pieces for v in piece))
+        self._lines = lcm, [(int(a * lcm), int(b * lcm)) for a, b in limiter.pieces]
+        self._flat_hit = np.array([1 - p + r < 0 for r in (0, limiter.ratio_at_zero) for p in
+                                   (0, limiter.psi_at_plus_inf, limiter.psi_at_minus_inf)])
 
     def _q(self, x, t):
         at = _num(x)(self.a(t) if callable(self.a) else self.a)
@@ -487,10 +518,36 @@ class _Advection(_Provider):
         k = _first_negative(q)
         if k is not None:
             raise LimiterContractError(
-                f"limiter {self.limiter.name!r} produced q[{k}] = {q.tolist()[k]} < 0; "
+                f"limiter {self.limiter.name!r} produced q[{k}] = {q[k]} < 0; "
                 f"psi lies outside the positivity contract for this data"
             )
         return q
+
+    def _flux(self, y, t, stencil, dt, scale):
+        """dt q(y, t) (S y) / scale in flux form, or None off exact one-scale states,
+        limiters with pieces and exact a >= 0.  Upwind, q_k (S y)_k = -a (s_k + F_k -
+        F_{k-1}), F_k = psi(theta_k) d_k, and L F_k over y's scale is an int: max(0,
+        min_i) of alpha_i L d_k + beta_i L s_k if d_k > 0, min(0, max_i) if < 0, or 0."""
+        if not (self.limiter.pieces and isinstance(y, RationalArray) and y.scale
+                and stencil.coeffs == upwind.coeffs
+                and _all_exact(at := self.a(t) if callable(self.a) else self.a) and at >= 0):
+            return None
+        lcm, pieces = self._lines
+        s = y._n - _roll(y._n, 1)
+        d = _roll(s, -1)
+        lines = np.array([a * d + b * s for a, b in pieces])
+        flux = np.where(d > 0, np.maximum(np.minimum.reduce(lines), 0),
+                        np.where(d < 0, np.minimum(np.maximum.reduce(lines), 0), 0))
+        total = lcm * s + flux - _roll(flux, 1)
+        # q_k = a total_k / (L s_k) where s_k != 0: negative iff the signs
+        # differ; where s_k = 0 by _flat_hit.  On a hit, q raises its error.
+        hit = ((total < 0) & (s > 0)) | ((total > 0) & (s < 0))
+        if self._flat_hit.any():
+            hit |= (s == 0) & self._flat_hit[np.sign(_roll(s, 1)).astype(int) % 3 + 3 * (d != 0)]
+        if at > 0 and hit.any():
+            self._q(y, t)
+        c = Fraction(at) * dt / scale
+        return RationalArray(*_shared(-c.numerator * total, c.denominator * lcm * y.scale))
 
 
 def advection(a, limiter: Limiter, a_sup: Optional[Number] = None) -> _Advection:
@@ -531,7 +588,7 @@ class _ConservationLaw(_Provider):
             )
         if k is not None:
             raise LimiterContractError(
-                f"limiter {self.limiter.name!r} produced q[{k}] = {q.tolist()[k]} < 0"
+                f"limiter {self.limiter.name!r} produced q[{k}] = {q[k]} < 0"
             )
         return q
 
@@ -669,18 +726,21 @@ def _step(p: SemiDiscreteProblem, t: ButcherTableau, dt: Number, u, t0: Number):
     num = _num(u)
     coeffs = [(o, num(c)) for o, c in p.stencil.coeffs.items()]
     dtn, scale = num(dt), num(p.dx ** p.stencil.dx_power)
-    increments = []
-    stages = []
+    flux = p.q_provider._flux if isinstance(p.q_provider, _Advection) else None
+    increments, stages = [], []
     abscissae = t.c
     for j in range(t.m):
         y = u
         for l in range(j):
             if t.a[j][l] != 0:
                 y = y + num(t.a[j][l]) * increments[l]
-        xi = dtn * _provider_q(p.q_provider, y, t0 + abscissae[j] * dt) / scale
-        # (S y)_k = sum_o c_o y_{k-o}
-        sy = sum(c * np.roll(y, o) for o, c in coeffs)
-        increments.append(xi * sy)
+        now = t0 + abscissae[j] * dt
+        increment = flux(y, now, p.stencil, dtn, scale) if flux else None
+        if increment is None:
+            xi = dtn * _provider_q(p.q_provider, y, now) / scale
+            # (S y)_k = sum_o c_o y_{k-o}
+            increment = xi * sum(c * np.roll(y, o) for o, c in coeffs)
+        increments.append(increment)
         stages.append(y)
     u1 = u
     for j in range(t.m):
@@ -732,8 +792,8 @@ _RATIONAL_BIT_LIMIT = 1 << 14
 
 
 def _as_float(p: SemiDiscreteProblem) -> SemiDiscreteProblem:
-    return SemiDiscreteProblem(p.n, float(p.dx), p.stencil, p.q_provider,
-                               tuple(float(v) for v in p.u0))
+    return SemiDiscreteProblem(p.n, _float(p.dx), p.stencil, p.q_provider,
+                               tuple(map(_float, p.u0)))
 
 
 def _total(x) -> Number:
@@ -770,8 +830,8 @@ def _violation(u, monitors, umin, umax) -> Optional[tuple]:
 # anything is stepped.  Whole `rkpos simulate --method erk22:1 --mode
 # float` processes took 0.48 s for 2 M of them (1,000 cells, 1,000 steps)
 # and 0.68 s for 4 M (100,000 cells, 20 steps); a rational koren run takes
-# about 0.7 s for 19,200 (64 cells, 100 steps, 3 stages), and the largest
-# bench run has 120,000.
+# about 0.09 s for 19,200 (64 cells, 100 steps, 3 stages; 2-CPU Xeon), and
+# the largest bench run has 120,000.
 RUN_WORK = 1 << 22
 
 # Cells a stage is charged at least: a stage costs about 0.13 ms of Python
@@ -827,12 +887,12 @@ def run(
         raise InputError("rational mode needs int or Fraction initial data, "
                          "step size and grid spacing")
     if mode == "float":
-        p, dt = _as_float(p), float(dt)
+        p, dt = _as_float(p), _float(dt)
     u = _state(p.u0)
     umin, umax = min(p.u0), max(p.u0)
     mins, maxs, tvs = [], [], []
     violation = None
-    now = t_start if mode == "rational" else float(t_start)
+    now = t_start if mode == "rational" else _float(t_start)
     for step in range(1, steps + 1):
         u = _step(p, t, dt, u, now)[1]
         now = now + dt
@@ -842,8 +902,8 @@ def run(
                 "switching to float arithmetic", RuntimeWarning,
             )
             mode = "float"
-            p, dt, now = _as_float(p), float(dt), float(now)
-            u = np.array([float(v) for v in u.tolist()])
+            p, dt, now = _as_float(p), _float(dt), _float(now)
+            u = np.array([_float(v) for v in u.tolist()])
         low, high = _extremes(u)
         mins.append(low)
         maxs.append(high)

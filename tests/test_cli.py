@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -6,10 +7,12 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rkpos import cli
 from rkpos.cli import main
@@ -334,3 +337,55 @@ def test_rejected_input_exits_2(tmp_path, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# --- simulate under drawn and hostile options -----------------------------------
+
+
+HOSTILE = st.sampled_from(["0", "-1", "-3/2", "1e-5", "1/1000", "1", "5/2",
+                           "1e30", "1e400", "1/0", "abc"])
+
+
+@st.composite
+def simulate_argv(draw):
+    """simulate argv from the parser's choices, with hostile number text."""
+    argv = ["simulate", "--method", draw(st.sampled_from(
+                ["erk22:1", "erk22:1/2", "erk33c2:1/2", "erk33c1:1/2,3/4", "fe", "rk4"])),
+            "--limiter", draw(st.sampled_from(sorted(cli.LIMITERS))),
+            "--stencil", draw(st.sampled_from(sorted(cli.BUILTIN_STENCILS))),
+            "--n", str(draw(st.integers(1, 64))),
+            "--steps", str(draw(st.integers(1, 20)))]
+    for option in ("--speed", "--dt", "--cfl-fraction", "--mode", "--monitors"):
+        if draw(st.booleans()):
+            value = {"--mode": st.sampled_from(["rational", "float"]),
+                     "--monitors": st.sampled_from(cli.MONITORS)}.get(option, HOSTILE)
+            argv += [option, draw(value)]
+    return argv
+
+
+SIMULATE_BASE = ["simulate", "--method", "erk22:1", "--n", "8", "--steps", "3"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(simulate_argv())
+@example(SIMULATE_BASE + ["--dt", "1e400", "--mode", "float"])
+@example(SIMULATE_BASE + ["--speed", "1e400", "--mode", "float"])
+@example(SIMULATE_BASE + ["--speed", "-1", "--dt", "1/100"])
+@example(["simulate", "--method", "erk22:1", "--stencil", "centered", "--n", "1",
+          "--steps", "1"])  # no step certified: gamma = 0
+def test_simulate_exits_0_3_or_2_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (argv, err)
+    if code == 2:
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+    else:
+        assert json.loads(out.splitlines()[-1])["final"]["steps_run"] >= 1

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -247,6 +248,30 @@ def test_run_with_a_float_dx_runs_in_float():
 def test_limiters_registry():
     assert set(LIMITERS) == {"minmod", "koren", "mc"}
     assert LIMITERS["minmod"].mu == 1 and LIMITERS["mc"].mu == 2
+
+
+def test_limiter_pieces_are_exact_and_give_psi_0_of_0():
+    fields = dict(mu=F(1), ratio_at_zero=F(1), psi_at_plus_inf=F(1),
+                  psi_at_minus_inf=F(0))
+    with pytest.raises(InputError, match="float"):
+        Limiter("f", None, pieces=((1, 0), (0.5, 1)), **fields)
+    with pytest.raises(InputError, match=r"psi\(0\) = 0"):
+        Limiter("g", None, pieces=((1, 0), (1, 1)), **fields)
+    with pytest.raises(InputError, match="needs psi_fn"):
+        Limiter("n", None, **fields)
+    # Pieces define psi: a psi_fn passed with them is replaced.
+    lim = Limiter("h", lambda t: 7, pieces=((1, 0), (0, 1)), **fields)
+    assert lim.psi_fn(F(1, 2)) == F(1, 2) and lim.psi_array is not None
+
+
+@pytest.mark.parametrize("name", sorted(LIMITERS))
+def test_builtin_psi_takes_its_limits_at_float_infinity(name):
+    limiter = LIMITERS[name]
+    assert psi(limiter, math.inf)[0] == limiter.psi_at_plus_inf
+    assert psi(limiter, -math.inf)[0] == limiter.psi_at_minus_inf
+    theta = np.array([-math.inf, -1.5, -0.0, 0.0, 0.25, 1.0, 3.0, math.inf])
+    # Equal values; a zero's sign may differ between the two.
+    assert limiter.psi_array(theta).tolist() == [limiter.psi_fn(float(v)) for v in theta]
 
 
 # --- float mode, pinned -----------------------------------------------------
@@ -679,6 +704,21 @@ def test_exact_koren_state_is_held_over_one_scale():
     assert u.scale is not None
 
 
+def test_exact_koren_step_builds_no_per_cell_array(monkeypatch):
+    # Exact upwind koren steps in flux form over the state's one scale; a
+    # silent fallback to q * (S y) settles per-cell limiter values here.
+    _, p, t, dt = next(case for case in _golden_problems()
+                       if case[0] == "koren-upwind")
+    u = molsim._state(p.u0)
+    calls = []
+    settle = molsim._settle
+    monkeypatch.setattr(molsim, "_settle",
+                        lambda n, d: calls.append(1) or settle(n, d))
+    for step in range(3):
+        u = molsim._step(p, t, dt, u, step * dt)[1]
+    assert calls == [] and u.scale is not None
+
+
 # psi(theta) = theta+ / (1 + theta+): its values never cancel, so over one
 # scale with no bound the state's scale grows to about 3 times its longest
 # cell denominator (5,710 against 1,681 bits after 3 steps here), and the
@@ -711,3 +751,43 @@ def test_non_cancelling_limiter_keeps_its_report_and_a_bounded_scale():
     # Per cell, or over one scale within the documented 64-bit slack.
     longest = max(d.bit_length() for d in u.den.tolist())
     assert u.scale is None or u.scale.bit_length() <= longest + 64
+
+
+# --- the flux form against q * (S y) --------------------------------------------
+
+
+def _stepped(u, limiter, speed, t, dt, dx):
+    """erk_step's trace and the time of a(t)'s last call, or the
+    LimiterContractError message and that time."""
+    seen = []
+    a = speed if not callable(speed) else lambda now: seen.append(now) or speed(now)
+    p = SemiDiscreteProblem(len(u), dx, upwind, advection(a, limiter, a_sup=F(3)), u)
+    try:
+        outcome = erk_step(p, t, dt, u, F(1, 7))
+    except LimiterContractError as exc:
+        outcome = str(exc)
+    return outcome, seen[-1:]
+
+
+@settings(max_examples=120, deadline=None)
+@given(GRIDS, st.sampled_from(sorted(LIMITERS)),
+       st.sampled_from([F(0), F(3, 2), F(-1, 2), lambda now: 1 + now]),
+       st.sampled_from([erk22(F(1)), erk33_case2(F(1, 2)), rk4_classical()]),
+       st.sampled_from([F(1, 8), F(1, 3), F(1), 1]))
+@example((F(0), F(1), F(3), F(4), F(4), F(0)), "mc", F(1), erk22(F(1)), F(1, 8))
+@example((F(1), F(1, 4), F(0), F(3, 2)), "mc", F(1), erk22(F(1)), F(1, 8))  # s_2 < 0
+@example((F(0), F(3, 2), F(2), F(1)), "mc", F(1), erk22(F(1)), F(1, 8))  # s_2 > 0
+@example((0, 1, 1, 0), "minmod", 1, erk22(F(1)), 1)  # int a, dt, dx and data
+# The only negative q is q_2, on a flat cell (s_2 = 0): stage 1 raises.
+@example((F(0), F(1), F(1), F(1)), "mc", lambda now: 1 + now, erk22(F(1)), F(1, 8))
+def test_flux_form_matches_q_times_sy(u, name, speed, t, dt):
+    # The same limiter without pieces steps through q(y) * (S y); the flux
+    # form gives the same stages and u_next, and the same contract error
+    # at the same stage (a(t) is last called at that stage's time).  A
+    # negative a leaves the contract on every cell that moves.  An int dt
+    # steps with the int dx = 1 and dt itself; a Fraction with dx = 1/n.
+    limiter = LIMITERS[name]
+    generic = dataclasses.replace(limiter, pieces=())
+    dt, dx = (dt, 1) if isinstance(dt, int) else (dt / len(u), F(1, len(u)))
+    flux, plain = (_stepped(u, lim, speed, t, dt, dx) for lim in (limiter, generic))
+    assert flux == plain
