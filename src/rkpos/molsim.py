@@ -16,12 +16,16 @@ float64 array runs in float arithmetic, with the tableau, stencil,
 limiter and q constants converted to float once per step or q
 evaluation; every elementwise operation keeps the order of the per-cell
 definition, so float results are the same bits it gives.  An exact state
-is a RationalArray: Python-int numerators over one scale in lowest terms
-while the cells share a denominator, as a simulated state's do, and over
-per-cell denominators where they do not, as limiter ratios' do.  Every
-+ - * / is reduced as it happens: over one scale by one gcd per array,
-per cell by the gcd splits Fraction uses.  Exact upwind advection with a
-piecewise-affine limiter steps in flux form, one reduction per stage.
+is a RationalArray: Python-int numerators over one scale in lowest terms,
+or over per-cell denominators.  Its form comes from how it was built:
+data goes over the lcm of its denominators, a scalar function applied
+cell by cell keeps each cell's own, an operation on one-scale operands
+and exact scalars stays over one scale except division by an array, and
+anything with a per-cell operand or an array divisor stays per cell.
+Every + - * / is reduced as it happens: over one scale by one gcd per
+array, per cell by the gcd splits Fraction uses.  Exact upwind advection
+with a piecewise-affine limiter steps in flux form, one reduction per
+stage.
 The kernel's numpy calls reach it through numpy's __array_ufunc__ /
 __array_function__ protocols.  What callers see is unchanged: StepTrace
 and RunReport hold Fractions, a provider called with exact values
@@ -77,18 +81,11 @@ Number = Union[Fraction, float, int]
 #
 # An operand (n, d) is an exact scalar's ints, or a RationalArray's
 # numerators over one int scale d (d > 0, gcd(d, *n) == 1: d is the lcm of
-# the cells' reduced denominators) or over per-cell denominators.  One-scale
-# operations do their integer work, then divide out one math.gcd(d, *n),
-# which stops once the running gcd is 1; per-cell ones reduce each cell by
-# Fraction's gcd splits (Henrici; Knuth, TAOCP vol. 2, 4.5.1), and
-# `_settle` picks their result's form.  x + 0 and x * +-1 return x (or -x).
-
-# A per-cell result goes over one scale iff its denominators' lcm is at
-# most this many bits longer than the longest.  A koren state's cells share
-# one (lcm 1,308 bits, longest 1,307), its theta, psi and q do not (58-70 K
-# bits against 1.3 K); unbounded, a limiter that never cancels drags the
-# state over a scale 3x its longest cell.
-_SLACK = 64
+# the cells' reduced denominators) or over per-cell denominators, by the
+# rule of the module docstring.  One-scale operations do their integer
+# work, then divide out one math.gcd(d, *n), which stops once the running
+# gcd is 1; per-cell ones reduce each cell by Fraction's gcd splits
+# (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  x + 0 and x * +-1 return x (or -x).
 
 
 def _is_scalar(x, value) -> bool:
@@ -118,19 +115,6 @@ def _cells(x):
     return x[0] // g, x[1] // g
 
 
-def _settle(n, d):
-    """Per-cell n / d over the lcm of d when that is at most _SLACK bits
-    longer than the longest d (cells in lowest terms make it coprime to the
-    numerators), else as it is; the lcm fold stops past that bound."""
-    distinct = set(d.tolist())
-    bound, lcm = max(map(int.bit_length, distinct), default=0) + _SLACK, 1
-    for v in distinct:
-        lcm = lcm // math.gcd(lcm, v) * v
-        if lcm.bit_length() > bound:
-            return n, d
-    return n * (lcm // d), lcm
-
-
 def _add(x, y):
     if _is_scalar(x, 0):
         return y
@@ -142,7 +126,7 @@ def _add(x, y):
         s = b // g
         t = a * (d // g) + c * s
         g2 = np.gcd(t, g)
-        return _settle(t // g2, s * (d // g2))
+        return t // g2, s * (d // g2)
     (a, b), (c, d) = x, y
     g = math.gcd(b, d)
     return _shared(a * (d // g) + c * (b // g), b // g * d)
@@ -167,15 +151,13 @@ def _multiply(x, y):
         return _shared((a // g1) * (c // g2), (b // g2) * (d // g1))
     if _per_cell(y) or not isinstance(c, np.ndarray):
         g1, g2 = np.gcd(a, d), np.gcd(c, b)
-        return _settle((a // g1) * (c // g2), (b // g2) * (d // g1))
+        return (a // g1) * (c // g2), (b // g2) * (d // g1)
     # Per-cell x times one-scale y, as xi * (S y): each cell's denominator
-    # cancels against y's numerator, then the product tries one scale.
+    # cancels against y's numerator, then y's scale against the product.
     g = np.gcd(c, b)
-    n, r = _settle(a * (c // g), b // g)
-    if not isinstance(r, np.ndarray):
-        return _shared(n, r * d)
-    g = np.gcd(n, d)
-    return n // g, r * (d // g)
+    n = a * (c // g)
+    h = np.gcd(n, d)
+    return n // h, b // g * (d // h)
 
 
 def _divide(x, y):
@@ -192,21 +174,14 @@ def _divide(x, y):
     g, sign = math.gcd(b, d), np.where(c < 0, -1, 1).astype(object)
     n, m = sign * a * (d // g), sign * c * (b // g)
     h = np.gcd(n, m)
-    return _settle(n // h, m // h)
-
-
-def _roll(a: np.ndarray, shift: int) -> np.ndarray:
-    """np.roll of a 1-D array, by slicing (np.roll's overhead is several
-    times the copy at these sizes)."""
-    k = len(a) - shift % len(a) if len(a) else 0
-    return np.concatenate((a[k:], a[:k]))
+    return n // h, m // h
 
 
 def _select(take, x, y):
     """x where take holds, y elsewhere."""
     if _per_cell(x) or _per_cell(y):
         (a, b), (c, d) = _cells(x), _cells(y)
-        return _settle(np.where(take, a, c), np.where(take, b, d))
+        return np.where(take, a, c), np.where(take, b, d)
     (a, b), (c, d) = x, y
     scale = b // math.gcd(b, d) * d
     return _shared(np.where(take, a * (scale // b), c * (scale // d)), scale)
@@ -239,7 +214,8 @@ _COMPARISONS = {ufunc: _comparison(ufunc) for ufunc in (
 class RationalArray(NDArrayOperatorsMixin):
     """An exact 1-D array: Python-int numerators over one positive scale in
     lowest terms, or over positive per-cell denominators, each cell in
-    lowest terms (see `_settle` for which).
+    lowest terms.  `of` builds one scale and arithmetic keeps it, except
+    division by an array; a per-cell operand gives a per-cell result.
 
     numpy's arithmetic, comparison, maximum/minimum and absolute ufuncs and
     np.roll / np.where accept it, so one kernel steps it and a float64
@@ -257,14 +233,10 @@ class RationalArray(NDArrayOperatorsMixin):
 
     @classmethod
     def of(cls, values) -> "RationalArray":
-        values = list(values)
-        for v in values:
-            if not isinstance(v, (int, Fraction)):
-                raise InputError(
-                    f"exact arithmetic needs ints or Fractions, got {v!r}")
-        return cls(*_settle(
-            np.array([v.numerator for v in values], dtype=object),
-            np.array([v.denominator for v in values], dtype=object)))
+        """Ints and Fractions over the lcm of their reduced denominators."""
+        n, d = _fractions(values)
+        scale = math.lcm(*d.tolist())
+        return cls(n * (scale // d), scale)
 
     num = property(lambda self: _cells((self._n, self._d))[0],
                    doc="The cells' lowest-terms numerators.")
@@ -305,12 +277,30 @@ class RationalArray(NDArrayOperatorsMixin):
 
     def __array_function__(self, func, types, args, kwargs):
         if func is np.roll and not kwargs:
-            x, shift = args
-            return RationalArray(_roll(x._n, shift), x.scale or _roll(x._d, shift))
+            return _roll(*args)
         if func is np.where and not kwargs:
             take, x, y = args
             return RationalArray(*_select(take, _parts(x), _parts(y)))
         return NotImplemented
+
+
+def _fractions(values):
+    """(numerators, denominators) of ints and Fractions, as object arrays."""
+    values = list(values)
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise InputError(f"exact arithmetic needs ints or Fractions, got {v!r}")
+    return (np.array([v.numerator for v in values], dtype=object),
+            np.array([v.denominator for v in values], dtype=object))
+
+
+def _roll(a, shift: int):
+    """np.roll of a 1-D array or a RationalArray, by slicing (np.roll's
+    overhead is several times the copy at these sizes)."""
+    if isinstance(a, RationalArray):
+        return RationalArray(_roll(a._n, shift), a.scale or _roll(a._d, shift))
+    k = len(a) - shift % len(a) if len(a) else 0
+    return np.concatenate((a[k:], a[:k]))
 
 
 def _parts(x):
@@ -360,7 +350,7 @@ def _map(fn, x):
     """fn applied cell by cell: a scalar function of the state's numbers
     (Fractions in exact arithmetic, floats in float)."""
     if isinstance(x, RationalArray):
-        return RationalArray.of(map(fn, x.tolist()))
+        return RationalArray(*_fractions(map(fn, x.tolist())))
     return np.frompyfunc(fn, 1, 1)(x).astype(np.float64)
 
 
@@ -460,8 +450,8 @@ def _limiter_terms(limiter: Limiter, u):
     both contributions vanish.
     """
     num = _num(u)
-    s = u - np.roll(u, 1)
-    d = np.roll(s, -1)
+    s = u - _roll(u, 1)
+    d = _roll(s, -1)
     live = d != 0
     theta = s / np.where(live, d, 1)
     if limiter.psi_array is not None:
@@ -514,7 +504,7 @@ class _Advection(_Provider):
     def _q(self, x, t):
         at = _num(x)(self.a(t) if callable(self.a) else self.a)
         value, ratio, _ = _limiter_terms(self.limiter, x)
-        q = at * ((1 - np.roll(value, 1)) + ratio)
+        q = at * ((1 - _roll(value, 1)) + ratio)
         k = _first_negative(q)
         if k is not None:
             raise LimiterContractError(
@@ -579,8 +569,8 @@ class _ConservationLaw(_Provider):
         # speed of cell k, from the mean-value form, is the larger value at
         # its two interfaces.
         fp = _map(self.fprime, x + value * d)
-        lam = np.maximum(np.roll(fp, 1), fp)
-        q = lam * ((1 - np.roll(value, 1)) + ratio)
+        lam = np.maximum(_roll(fp, 1), fp)
+        q = lam * ((1 - _roll(value, 1)) + ratio)
         k = _first_negative(np.minimum(lam, q))
         if k is not None and lam[k] < 0:
             raise InputError(
@@ -739,7 +729,7 @@ def _step(p: SemiDiscreteProblem, t: ButcherTableau, dt: Number, u, t0: Number):
         if increment is None:
             xi = dtn * _provider_q(p.q_provider, y, now) / scale
             # (S y)_k = sum_o c_o y_{k-o}
-            increment = xi * sum(c * np.roll(y, o) for o, c in coeffs)
+            increment = xi * sum(c * _roll(y, o) for o, c in coeffs)
         increments.append(increment)
         stages.append(y)
     u1 = u
@@ -907,7 +897,7 @@ def run(
         low, high = _extremes(u)
         mins.append(low)
         maxs.append(high)
-        tvs.append(_total(np.abs(u - np.roll(u, 1))))
+        tvs.append(_total(np.abs(u - _roll(u, 1))))
         if violation is None:
             hit = _violation(u, monitors, umin, umax)
             if hit is not None:

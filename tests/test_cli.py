@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from fractions import Fraction as F
@@ -389,3 +390,71 @@ def test_simulate_exits_0_3_or_2_with_one_error_line(argv):
         assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
     else:
         assert json.loads(out.splitlines()[-1])["final"]["steps_run"] >= 1
+
+
+# --- certificate commands on drawn and hostile tableau files --------------------
+
+
+HOSTILE_ENTRY = st.one_of(
+    st.integers(-3, 3), st.fractions(-2, 2, max_denominator=9).map(str),
+    st.sampled_from(["1e-5", "1_0", "1/0", "0/0", "abc", "", "9" * 5000]),
+    st.booleans(), st.floats(), st.none())
+
+
+@st.composite
+def tableau_text(draw):
+    """A tableau file with m <= 6: explicit with fraction and int entries, or
+    with one flaw: a hostile entry, a ragged or nested row, a nonzero entry
+    on or above the diagonal, a missing key or a wrong m."""
+    m = draw(st.integers(1, 6))
+    entry = st.fractions(-1, 1, max_denominator=8).map(str) | st.integers(0, 1)
+    a = [[draw(entry) if j < i else "0" for j in range(m)] for i in range(m)]
+    b = [draw(entry) for _ in range(m)]
+    doc = {"m": m, "A": a, "b": b}
+    i, j = sorted((draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))))
+    flaw = draw(st.sampled_from([None, "entry", "b-entry", "ragged", "nested", "upper",
+                                 "missing", "wrong-m"]))
+    if flaw == "entry":
+        a[j][i] = draw(HOSTILE_ENTRY)
+    elif flaw == "b-entry":
+        b[j] = draw(HOSTILE_ENTRY)
+    elif flaw == "ragged":
+        a[i] = a[i][:-1] if draw(st.booleans()) else a[i] + ["0"]
+    elif flaw == "nested":
+        a[j][i] = [a[j][i]]
+    elif flaw == "upper":
+        a[i][j] = "1/2"
+    elif flaw == "missing":
+        del doc[draw(st.sampled_from(["m", "A", "b"]))]
+    elif flaw == "wrong-m":
+        doc["m"] = draw(st.sampled_from([m + 1, m - 1, str(m), True, 0]))
+    return json.dumps(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tableau_text())
+@example(json.dumps({"m": 2, "A": [["0", "0"], ["9" * 5000, "0"]], "b": ["1/2", "1/2"]}))
+@example(json.dumps({"m": 2, "A": [["0", "0"], ["1", "0"]], "b": ["1e-5", "1_0"]}))
+def test_tableau_file_commands_exit_0_or_2_with_one_error_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tableau.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in ("gamma", "ssp", "rphi", "polys", "adversary"):
+            argv = [command, "--tableau-file", path]
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("ignore")
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert time.perf_counter() - start < 5, (text, command)
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 2), (text, command, err)
+            if code == 2:
+                lines = err.splitlines()
+                assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), (
+                    text, command, err)

@@ -539,6 +539,7 @@ def test_rational_array_matches_fractions(pairs, c):
     # terms with a positive denominator.
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     x, y = RationalArray.of(xs), RationalArray.of(ys)
+    assert x.scale == math.lcm(*(v.denominator for v in xs))
     results = {
         "add": (x + y, [a + b for a, b in zip(xs, ys)]),
         "sub": (x - y, [a - b for a, b in zip(xs, ys)]),
@@ -670,6 +671,7 @@ def test_mixed_forms_match_fractions(x_form, y_form, values, c):
         "roll": (np.roll(y, 2), [ys[(k - 2) % len(ys)] for k in range(len(ys))]),
         "where": (np.where(x < y, x, y), [min(a, b) for a, b in zip(xs, ys)]),
         "where-scalar": (np.where(x >= c, c, x), [min(a, c) for a in xs]),
+        "map": (molsim._map(abs, x), [abs(a) for a in xs]),
     }
     if all(b != 0 for b in ys):
         results["div"] = (x / y, [a / b for a, b in zip(xs, ys)])
@@ -681,11 +683,17 @@ def test_mixed_forms_match_fractions(x_form, y_form, values, c):
         results["div-scalar"] = (x / c, [a / c for a in xs])
     for name, (got, expect) in results.items():
         _check_held(got, expect, name)
-    if x_form == y_form == "scale":
-        # One-scale operands and exact scalars stay over one scale.
-        for name in ("add", "sub", "mul", "scalar", "max", "min", "abs",
-                     "roll", "where", "where-scalar", "div-scalar"):
-            assert name not in results or results[name][0].scale is not None, name
+    # One-scale operands and exact scalars stay over one scale; a per-cell
+    # operand, an array divisor or a function applied cell by cell gives a
+    # per-cell result.
+    forms = {"x": x_form, "y": y_form}
+    for name, operands in (("add", "xy"), ("sub", "xy"), ("mul", "xy"),
+                           ("scalar", "x"), ("max", "xy"), ("min", "y"),
+                           ("abs", "x"), ("roll", "y"), ("where", "xy"),
+                           ("where-scalar", "x"), ("div-scalar", "x"),
+                           ("div", "xy"), ("rdiv", "y"), ("map", "x")):
+        per_cell = name in ("div", "rdiv", "map") or "cells" in map(forms.get, operands)
+        assert name not in results or (results[name][0].scale is None) == per_cell, name
     assert (x == y).tolist() == [a == b for a, b in zip(xs, ys)]
     assert (x > c).tolist() == [a > c for a in xs]
     assert x.sum() == sum(xs) and y[-1] == ys[-1]
@@ -706,24 +714,28 @@ def test_exact_koren_state_is_held_over_one_scale():
 
 def test_exact_koren_step_builds_no_per_cell_array(monkeypatch):
     # Exact upwind koren steps in flux form over the state's one scale; a
-    # silent fallback to q * (S y) settles per-cell limiter values here.
+    # silent fallback to q * (S y) builds per-cell limiter values here.
     _, p, t, dt = next(case for case in _golden_problems()
                        if case[0] == "koren-upwind")
     u = molsim._state(p.u0)
-    calls = []
-    settle = molsim._settle
-    monkeypatch.setattr(molsim, "_settle",
-                        lambda n, d: calls.append(1) or settle(n, d))
+    per_cell, init = [], RationalArray.__init__
+
+    def build(self, num, den):
+        per_cell.append(isinstance(den, np.ndarray))
+        init(self, num, den)
+
+    monkeypatch.setattr(RationalArray, "__init__", build)
     for step in range(3):
         u = molsim._step(p, t, dt, u, step * dt)[1]
-    assert calls == [] and u.scale is not None
+    assert per_cell and not any(per_cell) and u.scale is not None
 
 
 # psi(theta) = theta+ / (1 + theta+): its values never cancel, so over one
-# scale with no bound the state's scale grows to about 3 times its longest
-# cell denominator (5,710 against 1,681 bits after 3 steps here), and the
-# 4-step run below took 1.4-2.0 s instead of 0.05 s (shared 2-CPU Xeon).  Its
-# report digests were recorded with the per-cell kernel that preceded the
+# scale the state's scale grows to about 3 times its longest cell
+# denominator (5,710 against 1,681 bits after 3 steps here), and the 4-step
+# run below took 1.4-2.0 s instead of 0.05 s (shared 2-CPU Xeon).  Its
+# values are built cell by cell, so the state is held per cell.  Its report
+# digests were recorded with the per-cell kernel that preceded the
 # one-scale form.
 SOFT = Limiter("soft", lambda t: max(t, 0) / (1 + max(t, 0)), mu=F(1),
                ratio_at_zero=F(1), psi_at_plus_inf=F(1),
@@ -748,9 +760,7 @@ def test_non_cancelling_limiter_keeps_its_report_and_a_bounded_scale():
     u = molsim._state(u0)
     for step in range(3):
         u = molsim._step(p, erk22(F(1)), tau0(p), u, step * tau0(p))[1]
-    # Per cell, or over one scale within the documented 64-bit slack.
-    longest = max(d.bit_length() for d in u.den.tolist())
-    assert u.scale is None or u.scale.bit_length() <= longest + 64
+    assert u.scale is None
 
 
 # --- the flux form against q * (S y) --------------------------------------------
