@@ -36,7 +36,6 @@ from .molsim import ScriptedQ, SemiDiscreteProblem, erk_step
 from .multilinear import VarTag
 from .polygen import PropagationSet, StencilSpec, generate, upwind
 from .tableau import ButcherTableau, chain_weights, rk4_classical
-from .univariate import descend
 
 __all__ = [
     "CounterexampleReport",
@@ -233,11 +232,9 @@ def _closed_negativity_witness(ps: PropagationSet):
                 if pick >> i & 1:
                     subset |= mask
             g = poly.vertex_restriction(subset)
-            lead = next((c for c in g.ints if c), None)
-            if lead is None or lead >= 0:
+            if not g.negative_germ:
                 continue
-            delta = descend(lambda d: d if g(d) < 0 else None,
-                            Fraction(0), Fraction(1))
+            delta = g.germ_witness()
             point = {v: delta
                      for i, v in enumerate(ps.vars) if subset >> i & 1}
             return offset, point

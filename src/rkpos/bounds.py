@@ -13,9 +13,10 @@ coefficient gamma:
 K is strictly lower triangular, so det(I + rK) = 1 and
 (I + rK)^{-1} = sum_t (-r)^t K^t is a polynomial matrix.  Each bound is
 the sup of a monotone exact check on finitely many univariate
-polynomials, and runs gamma's loop, `univariate.refine`: cut what the
+polynomials, found by gamma's routine, `univariate.refine`: cut what the
 check names at the lower end until it holds there, then confirm that it
-fails just above.
+fails just above.  `BoundResult` is the record of all three bounds;
+gamma's `GammaCertificate` extends it.
 """
 
 from dataclasses import dataclass
@@ -23,9 +24,9 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Optional
 
-from .errors import InputError, rational
+from .errors import rational
 from .tableau import ButcherTableau
-from .univariate import DEFAULT_TOL, Cut, UniPoly, descend, refine
+from .univariate import DEFAULT_TOL, UniPoly, refine
 
 __all__ = [
     "BoundResult",
@@ -42,16 +43,16 @@ class BoundResult:
 
     `exact` is the bound when it was pinned to a rational; otherwise
     [lower, upper] brackets it.  `unbounded` means every constraint
-    polynomial stays nonnegative on [0, oo).  `witness` names the binding
-    constraint (and, for a zero bound, the one violated arbitrarily close
-    to 0).
+    polynomial stays nonnegative on [0, oo); then `upper` and `witness`
+    are None.  For C and R(phi), `witness` names the binding constraint
+    (and, for a zero bound, the one violated arbitrarily close to 0).
     """
 
     lower: Fraction
     upper: Optional[Fraction]
     exact: Optional[Fraction]
     unbounded: bool
-    witness: Optional[str]
+    witness: Optional[object]
 
     def __str__(self) -> str:
         if self.unbounded:
@@ -64,12 +65,8 @@ class BoundResult:
 def _min_bound(labeled: list[tuple[str, UniPoly]], holds: Callable[[Fraction], bool],
                tol: Fraction) -> BoundResult:
     """sup { r >= 0 : holds(r) }, where holds(r) checks exactly that every
-    labeled polynomial is >= 0 on [0, r].  A label whose lowest nonzero
-    coefficient is negative binds at 0; otherwise `refine` cuts the labels
-    in family order.  Every finite bound is confirmed to fail just above."""
-    tol = rational(tol)
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
+    labeled polynomial is >= 0 on [0, r].  A label with a negative germ
+    binds at 0; otherwise `refine` cuts the labels in family order."""
 
     def fails(r: Fraction) -> Optional[str]:
         if holds(r):
@@ -80,14 +77,11 @@ def _min_bound(labeled: list[tuple[str, UniPoly]], holds: Callable[[Fraction], b
         raise AssertionError(f"check fails at {r} but no polynomial is negative")
 
     polys = dict(labeled)
-    zero = next((label for label, p in labeled
-                 if next((c for c in p.ints if c), 0) < 0), None)
-    found = (refine(polys.__getitem__, fails, polys, tol) if zero is None
-             else (Cut(Fraction(0), Fraction(0), Fraction(0)), zero, 0))
+    zero = next((label for label, p in labeled if p.negative_germ), None)
+    found = refine(polys.__getitem__, fails, lambda label: label, polys, tol, zero)
     if found is None:
         return BoundResult(Fraction(0), None, None, unbounded=True, witness=None)
-    cut, label, _ = found
-    descend(fails, cut.lower, cut.upper - cut.lower or tol)
+    cut, label, _, _ = found
     return BoundResult(cut.lower, cut.upper, cut.exact, False, witness=label)
 
 

@@ -101,16 +101,21 @@ def _stencil(args):
     return BUILTIN_STENCILS[args.stencil]
 
 
+def _bound_row(res) -> dict:
+    return {
+        "exact": res.exact,
+        "lo": res.lower,
+        "hi": "inf" if res.unbounded else res.upper,
+        "witness": res.witness,
+    }
+
+
 def _cert_fields(cert) -> dict:
     w = cert.witness
-    return {
-        "gamma_exact": cert.exact,
-        "gamma_lo": cert.lower,
-        "gamma_hi": "inf" if cert.unbounded else cert.upper,
-        "witness_poly": None if w is None else w.offset,
-        "witness_subset": None if w is None
-        else subset_bits(w.subset, cert.n_vars),
-    }
+    row = {f"gamma_{k}": v for k, v in _bound_row(cert).items() if k != "witness"}
+    if w is not None:
+        row.update(witness_poly=w.offset, witness_subset=subset_bits(w.subset, cert.n_vars))
+    return row
 
 
 def cmd_polys(args, out) -> int:
@@ -171,15 +176,6 @@ def cmd_region(args, out) -> int:
     _emit(rows, ["alpha", "beta", "in_bowtie", "condition_at_1", "gamma_zero"],
           args.format, out)
     return 0
-
-
-def _bound_row(res) -> dict:
-    return {
-        "exact": res.exact,
-        "lo": res.lower,
-        "hi": "inf" if res.unbounded else res.upper,
-        "witness": res.witness,
-    }
 
 
 def cmd_ssp(args, out) -> int:

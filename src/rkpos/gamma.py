@@ -27,22 +27,24 @@ CapacityError before any table is built.
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import partial
+from operator import add, attrgetter
 from typing import Optional, Union
 
 import numpy as np
 
-from .bounds import ssp_coefficient
+from .bounds import BoundResult, ssp_coefficient
 from .errors import CapacityError, InputError, ParameterDomainError, rational
 from .multilinear import GRID_POINTS, TABLE_BYTES, move_bits, planes
 from .polygen import PropagationSet, StencilSpec, _check_unity, generate, layout, upwind
 from .tableau import ButcherTableau, chain_weights, make_family
-from .univariate import DEFAULT_TOL, descend, refine
+from .univariate import DEFAULT_TOL, refine
 
 __all__ = [
     "GammaCertificate",
     "NegativityWitness",
     "RegionCell",
+    "SWEEP_POINT_COST",
     "SweepRow",
     "compute_gamma",
     "condition_at",
@@ -70,24 +72,18 @@ class NegativityWitness:
 
 
 @dataclass(frozen=True)
-class GammaCertificate:
-    """Result of an exact gamma computation.
+class GammaCertificate(BoundResult):
+    """Result of an exact gamma computation, a `BoundResult`.
 
     Invariants: lower <= gamma <= upper whenever the bounds are finite;
     `exact` is set only when gamma was pinned to a rational and both
-    directions were re-verified by direct evaluation.  `unbounded` means
-    no vertex polynomial ever turns negative (gamma = +infinity); then
-    `upper` and `witness` are None.  A zero gamma carries a witness with
-    a strictly negative value at some delta > 0.
+    directions were re-verified by direct evaluation.  A finite gamma's
+    `witness` is a `NegativityWitness` at some delta > 0: the zero
+    test's for a zero gamma, else the failure just above the bound.
     `n_distinct_restrictions` counts the vertex restrictions that were
     cut to reach the answer (0 for a zero or unbounded gamma).
     """
 
-    lower: Fraction
-    upper: Optional[Fraction]
-    exact: Optional[Fraction]
-    unbounded: bool
-    witness: Optional[NegativityWitness]
     n_vars: int
     n_polys: int
     n_distinct_restrictions: int
@@ -99,9 +95,7 @@ class GammaCertificate:
     def __str__(self) -> str:
         if self.unbounded:
             return "gamma = +inf (no vertex restriction ever turns negative)"
-        if self.exact is not None:
-            return f"gamma = {self.exact}"
-        return f"gamma in [{self.lower}, {self.upper}]"
+        return f"gamma {'in' if self.exact is None else '='} {super().__str__()}"
 
 
 # Each set's tables, built on its first check and dropped with the set.
@@ -250,8 +244,7 @@ def gamma_zero_test(ps: PropagationSet) -> Optional[NegativityWitness]:
         if found is not None:
             subset = move_bits(found[0], support)
             g = ps.polys[offset].vertex_restriction(subset)
-            delta = descend(lambda d: d if g(d) < 0 else None,
-                            Fraction(0), Fraction(1))
+            delta = g.germ_witness()
             return NegativityWitness(offset, subset, delta, g(delta))
     return None
 
@@ -292,45 +285,27 @@ def compute_gamma(
 ) -> GammaCertificate:
     """Certify gamma for a method/stencil pair (or a ready PropagationSet).
 
-    Pipeline: zero test, then `univariate.refine` over vertex tables built
-    once, checked by `condition_at`.  gamma is finite iff some P_i has a
-    negative term c_T, the top coefficient of the restriction to T's own
-    vertex; the first such restriction is cut first.  A witness vertex is
-    then negative at the upper bound or just above it.  `tol` must be
-    positive.
+    `univariate.refine` over vertex tables built once, checked by
+    `condition_at`; a vertex the zero test finds binds at 0 and is the
+    witness.  Otherwise gamma is finite iff some P_i has a negative term
+    c_T, the top coefficient of the restriction to T's own vertex, and
+    the first such restriction is cut first.  `tol` must be positive.
     """
-    tol = rational(tol)
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
     ps = source if isinstance(source, PropagationSet) else generate(source, stencil)
-    sizes = dict(n_vars=len(ps.vars), n_polys=len(ps.polys))
-
     zero = gamma_zero_test(ps)
-    if zero is not None:
-        return GammaCertificate(
-            lower=Fraction(0), upper=Fraction(0), exact=Fraction(0), unbounded=False,
-            witness=zero, n_distinct_restrictions=0, **sizes)
-
-    def failing_key(delta):
-        failing = condition_at(ps, delta)
-        return None if failing is None else (failing.offset, failing.subset)
-
     negative_terms = ((offset, code) for offset in ps.offsets
                       for code, c in sorted(ps.polys[offset].terms.items()) if c < 0)
+    vertex = attrgetter("offset", "subset")
     found = refine(lambda key: ps.polys[key[0]].vertex_restriction(key[1]),
-                   failing_key, negative_terms, tol)
+                   partial(condition_at, ps), vertex, negative_terms, tol,
+                   None if zero is None else vertex(zero))
+    sizes = dict(n_vars=len(ps.vars), n_polys=len(ps.polys))
     if found is None:
-        return GammaCertificate(
-            lower=Fraction(0), upper=None, exact=None, unbounded=True,
-            witness=None, n_distinct_restrictions=0, **sizes)
-    cut, _, n_cut = found
-    # An interval answer's upper bound is itself a negative point; an exact
-    # one is probed from tol above.
-    witness = descend(lambda delta: condition_at(ps, delta),
-                      cut.lower, cut.upper - cut.lower or tol)
-    return GammaCertificate(
-        lower=cut.lower, upper=cut.upper, exact=cut.exact, unbounded=False,
-        witness=witness, n_distinct_restrictions=n_cut, **sizes)
+        return GammaCertificate(Fraction(0), None, None, True, None,
+                                n_distinct_restrictions=0, **sizes)
+    cut, _, n_cut, witness = found
+    return GammaCertificate(cut.lower, cut.upper, cut.exact, False, zero or witness,
+                            n_distinct_restrictions=n_cut, **sizes)
 
 
 def subset_bits(subset: int, n: int) -> str:
@@ -351,20 +326,28 @@ class SweepRow:
     skipped: Optional[str]  # reason when the parameter point is singular
 
 
-def _frange(lo: Fraction, hi: Fraction, step: Fraction, dims: int = 1) -> list[Fraction]:
+# Region points a sweep point is charged.  A sweep point took 0.37-1.45 ms
+# (ERK33 Case II upwind with --ssp the most) and a region point 0.083 ms
+# (Python 3.11), so the largest sweep admitted is no slower than a region.
+SWEEP_POINT_COST = 20
+
+
+def _frange(lo: Fraction, hi: Fraction, step: Fraction, dims: int = 1,
+            cost: int = 1) -> list[Fraction]:
     """lo, lo + step, ... up to hi: one axis of a `dims`-dimensional grid.
 
-    The points are counted from lo, hi and step first: a grid of more
-    than GRID_POINTS points raises CapacityError before any is built.
+    The points are counted from lo, hi and step first: a grid whose
+    points, charged `cost` region points each, come to more than
+    GRID_POINTS raises CapacityError before any is built.
     """
     x, hi, step = rational(lo), rational(hi), rational(step)
     if step <= 0:
         raise InputError(f"grid step must be positive, got {step}")
     count = max(0, (hi - x) // step + 1)
-    if count**dims > GRID_POINTS:
+    if count**dims * cost > GRID_POINTS:
         raise CapacityError(
-            f"the grid from {x} to {hi} at step {step} has {count**dims} points, "
-            f"over the limit of {GRID_POINTS}")
+            f"the grid from {x} to {hi} at step {step} has {count**dims} points "
+            f"(charged {cost} each), over the limit of {GRID_POINTS}")
     return [x + i * step for i in range(count)]
 
 
@@ -381,10 +364,11 @@ def sweep(
 
     Singular parameter values (where the family is undefined) are kept in
     the output as skipped rows with the reason.  `with_ssp` additionally
-    computes the exact SSP coefficient per row.
+    computes the exact SSP coefficient per row.  Each point is charged
+    SWEEP_POINT_COST region points against GRID_POINTS.
     """
     rows = []
-    for alpha in _frange(lo, hi, step):
+    for alpha in _frange(lo, hi, step, cost=SWEEP_POINT_COST):
         try:
             t = make_family(kind, (alpha,))
         except ParameterDomainError as exc:

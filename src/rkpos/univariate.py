@@ -8,15 +8,16 @@ so the search reads signs straight from them: the sign of p at num/den is
 that of the integer den**deg * p(num/den), computed by homogeneous Horner,
 which evaluation shares.  The bisection that narrows a bracket to `tol`
 runs on integer numerators over one shared denominator and builds
-Fractions only for the `Cut` it returns.  `refine` finds the sup of a
-monotone exact check by cutting only the restrictions that the check
-names.  No floating point anywhere.
+Fractions only for the `Cut` it returns.  `refine`, behind gamma, C and
+R(phi), finds and confirms the sup of a monotone exact check by cutting
+only the restrictions that the check names.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import dropwhile
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
@@ -77,6 +78,16 @@ class UniPoly:
         x = rational(x)
         value = _horner(self.ints, x.numerator, x.denominator)
         return Fraction(value, self.scale * x.denominator ** max(len(self.ints) - 1, 0))
+
+    @property
+    def negative_germ(self) -> bool:
+        """Whether the lowest-order nonzero coefficient is negative, that
+        is, p < 0 on some interval (0, eps)."""
+        return next((c for c in self.ints if c), 0) < 0
+
+    def germ_witness(self) -> Fraction:
+        """The first 1 / 2**k, k >= 0, where p < 0; needs `negative_germ`."""
+        return descend(lambda d: d if self(d) < 0 else None, Fraction(0), Fraction(1))
 
 
 def _horner(ints: Sequence[int], num: int, den: int) -> int:
@@ -201,14 +212,12 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
     tol = rational(tol)
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
-    k = next((k for k, c in enumerate(p.ints) if c), None)
-    if k is None:
-        return None  # identically zero
-    if p.ints[k] < 0:
+    if p.negative_germ:
         raise ValueError("polynomial is negative immediately right of 0")
-    h = _primitive(list(p.ints[k:]))  # delta^k factor dropped; h(0) > 0
+    h = list(dropwhile(lambda c: c == 0, p.ints))  # delta^k factor dropped; h(0) > 0
     if all(c >= 0 for c in h):
-        return None
+        return None  # identically zero, or positive on (0, oo)
+    h = _primitive(h)
     # One chain, of h itself: h has the zeros of its squarefree part.
     chain, lead = _sturm_chain(h), h[-1]
     bound = Fraction(abs(lead) + max(map(abs, h)), abs(lead))  # > every real root
@@ -289,34 +298,42 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
     return result
 
 
-def refine(restriction: Callable[[K], UniPoly], fails: Callable[[Fraction], Optional[K]],
-           candidates: Iterable[K], tol: Fraction = DEFAULT_TOL
-           ) -> Optional[tuple[Cut, K, int]]:
-    """sup{delta >= 0 : a monotone exact check holds at delta}.
+def refine(restriction: Callable[[K], UniPoly], fails: Callable[[Fraction], Optional[W]],
+           key: Callable[[W], K], candidates: Iterable[K], tol: Fraction = DEFAULT_TOL,
+           zero: Optional[K] = None) -> Optional[tuple[Cut, K, int, W]]:
+    """sup{delta >= 0 : a monotone exact check holds at delta}, confirmed.
 
-    The check holds just right of 0, and on [0, delta] wherever it holds at
-    delta; `fails(delta)` is None where it holds, else the key of a
-    restriction negative at delta.  Cuts the first candidate whose
-    restriction turns negative, then, while the check fails at the cut's
-    lower end, the key it names.  Returns (cut, binding key, restrictions
-    cut), or None when no candidate ever turns negative.
+    The check holds on [0, delta] wherever it holds at delta; `fails` is
+    None where it holds, else a record whose `key` names a restriction
+    negative there.  A `zero` key binds at 0.  Otherwise the check holds
+    just right of 0, and the first candidate whose restriction turns
+    negative is cut, then, while the check fails at the cut's lower end,
+    the key it names.  `descend` from the lower end, by the bracket's
+    width or by `tol`, confirms the answer.
+    Returns (cut, binding key, restrictions cut, confirming failure), or
+    None when no candidate turns negative.  `tol` must be positive.
     """
-    n_cut = 0
-    for key in candidates:
-        cut, n_cut = first_negative_cut(restriction(key), tol), n_cut + 1
-        if cut is not None:
-            break
-    else:
-        return None
-    # A failing key's restriction is negative at cut.lower, so its cut lies
-    # strictly lower: no key repeats and the loop is bounded.
-    while (failing := fails(cut.lower)) is not None:
-        below = first_negative_cut(restriction(failing), tol)
-        if below is None or below.lower >= cut.lower:
-            raise AssertionError(
-                f"restriction {failing} fails at {cut.lower} but its cut is {below}")
-        cut, key, n_cut = below, failing, n_cut + 1
-    return cut, key, n_cut
+    tol = rational(tol)
+    if tol <= 0:
+        raise InputError(f"tolerance must be positive, got {tol}")
+    cut, bind, n_cut = Cut(Fraction(0), Fraction(0), Fraction(0)), zero, 0
+    if zero is None:
+        for bind in candidates:
+            cut, n_cut = first_negative_cut(restriction(bind), tol), n_cut + 1
+            if cut is not None:
+                break
+        else:
+            return None
+        # A failing key's restriction is negative at cut.lower, so its cut
+        # lies strictly lower: no key repeats and the loop is bounded.
+        while (failure := fails(cut.lower)) is not None:
+            failing = key(failure)
+            below = first_negative_cut(restriction(failing), tol)
+            if below is None or below.lower >= cut.lower:
+                raise AssertionError(
+                    f"restriction {failing} fails at {cut.lower} but its cut is {below}")
+            cut, bind, n_cut = below, failing, n_cut + 1
+    return cut, bind, n_cut, descend(fails, cut.lower, cut.upper - cut.lower or tol)
 
 
 def descend(

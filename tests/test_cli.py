@@ -255,6 +255,8 @@ GENERIC7_TABLEAU = generic_tableau(7)
     ["region", "--spacing", "1/1000000"],
     ["sweep", "--family", "ERK22", "--lo", "1/2", "--hi", "1000000",
      "--step", "1/1000000"],
+    # 50,001 points, each charged SWEEP_POINT_COST region points.
+    ["sweep", "--family", "ERK22", "--lo", "1/2", "--hi", "1", "--step", "1e-5"],
 ], ids=" ".join)
 def test_oversized_grid_exits_2_before_building_it(capsys, argv):
     start = time.perf_counter()

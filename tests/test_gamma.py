@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from rkpos.bounds import radius_abs_monotonicity, ssp_feasible
 from rkpos.errors import CapacityError, InputError, ParameterDomainError
-from rkpos.gamma import (_STACK_BYTES, _failing_cells, _germs, _limbs, compute_gamma,
-                         condition_at, gamma_zero_test, in_bowtie, region_scan,
-                         subset_bits, sweep)
+from rkpos.gamma import (SWEEP_POINT_COST, _STACK_BYTES, _failing_cells, _frange,
+                         _germs, _limbs, compute_gamma, condition_at, gamma_zero_test,
+                         in_bowtie, region_scan, subset_bits, sweep)
 from rkpos.multilinear import TABLE_BYTES, MultilinearPoly, VarTag, planes
 from rkpos.polygen import (PropagationSet, StencilSpec, centered, generate,
                            heat, layout, upwind)
@@ -568,6 +568,16 @@ def test_sweep_skips_singular_points():
     by_alpha = {r.alpha: r for r in rows}
     assert by_alpha[F(0)].skipped is not None
     assert by_alpha[F(1, 2)].cert.exact == 1
+
+
+def test_sweep_points_are_charged_their_cost():
+    # The certify-many sweeps (113 and 49 points) are admitted; a
+    # 50,001-point axis is admitted for a region, not for a sweep.
+    assert len(_frange(F(1, 4), F(2), F(1, 64), cost=SWEEP_POINT_COST)) == 113
+    assert len(_frange(F(1, 4), F(1), F(1, 64), cost=SWEEP_POINT_COST)) == 49
+    assert len(_frange(F(1, 2), F(1), F(1, 100000))) == 50001
+    with pytest.raises(CapacityError, match="50001 points"):
+        _frange(F(1, 2), F(1), F(1, 100000), cost=SWEEP_POINT_COST)
 
 
 def test_in_bowtie():

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from rkpos.errors import InputError
 from rkpos.univariate import (DESCENT_LIMIT, Cut, UniPoly, descend,
-                              first_negative_cut)
+                              first_negative_cut, refine)
 from rkpos.univariate import (_horner, _primitive, _simplest_between,
                               _sturm_chain, _variations)
 
@@ -268,3 +268,68 @@ def test_descent_is_bounded():
     with pytest.raises(AssertionError, match="still holds at 3"):
         descend(never_fails, F(3), F(1))
     assert len(probes) == DESCENT_LIMIT
+
+
+def test_negative_germ_and_its_witness():
+    assert P(0, -1, 5).negative_germ
+    assert not P(0, 1, -5).negative_germ and not P(0).negative_germ
+    # -x + 5 x^2 is negative on (0, 1/5): 1, 1/2 and 1/4 hold, 1/8 fails.
+    assert P(0, -1, 5).germ_witness() == F(1, 8)
+
+
+def _first_negative_label(polys, probes=None):
+    def fails(r):
+        if probes is not None:
+            probes.append(r)
+        return next((label for label, p in polys.items() if p(r) < 0), None)
+    return fails
+
+
+def test_refine_cuts_the_keys_of_failure_records():
+    polys = {"a": P(2, -1), "b": P(1, -1)}
+    first = _first_negative_label(polys)
+
+    def fails(r):
+        label = first(r)
+        return None if label is None else (label, r)
+
+    cut, key, n_cut, failure = refine(polys.__getitem__, fails, lambda w: w[0],
+                                      polys, TOL)
+    assert (cut.exact, key, n_cut, failure) == (1, "b", 2, ("b", 1 + TOL))
+
+
+def test_refine_zero_key_binds_at_0_and_is_confirmed():
+    polys = {"a": P(1, 1), "b": P(0, -1, 5)}
+    probes = []
+    cut, key, n_cut, failure = refine(polys.__getitem__,
+                                      _first_negative_label(polys, probes),
+                                      lambda label: label, polys, TOL, zero="b")
+    assert (cut.exact, key, n_cut, failure) == (0, "b", 0, "b")
+    assert probes == [TOL]
+
+
+def test_refine_without_a_turning_candidate_is_unbounded():
+    polys = {"a": P(1, 1), "b": P(2)}
+    assert refine(polys.__getitem__, _first_negative_label(polys),
+                  lambda label: label, polys, TOL) is None
+
+
+@pytest.mark.parametrize("tol", [F(0), F(-1)])
+@pytest.mark.parametrize("zero", [None, "a"])
+def test_refine_rejects_a_nonpositive_tol(tol, zero):
+    polys = {"a": P(-1, 1)}
+    with pytest.raises(InputError, match="tolerance must be positive"):
+        refine(polys.__getitem__, _first_negative_label(polys),
+               lambda label: label, polys, tol, zero)
+
+
+def test_refine_rejects_a_named_key_whose_cut_is_not_lower():
+    polys = {"a": P(1, -1), "b": P(2, -1)}
+    with pytest.raises(AssertionError, match="restriction b fails at 1"):
+        refine(polys.__getitem__, lambda r: "b", lambda label: label, ["a"], TOL)
+
+
+def test_refine_confirmation_needs_a_failure_above_the_cut():
+    polys = {"a": P(1, -1)}
+    with pytest.raises(AssertionError, match="still holds at 1"):
+        refine(polys.__getitem__, lambda r: None, lambda label: label, polys, TOL)
