@@ -15,12 +15,12 @@ from fractions import Fraction
 from .adversary import (first_step_counterexample, negative_entry_counterexample,
                         rk4_counterexample)
 from .bounds import radius_abs_monotonicity, ssp_coefficient, stability_polynomial
-from .errors import InputError, PreconditionError, RkposError
+from .errors import CapacityError, InputError, PreconditionError, RkposError
 from .gamma import (compute_gamma, gamma_zero_test, region_scan, subset_bits,
                     sweep)
 from .molsim import (LIMITERS, MONITORS, SemiDiscreteProblem, advection,
                      check_work, max_step, run, tau0)
-from .polygen import BUILTIN_STENCILS, generate, x_labels
+from .polygen import BUILTIN_STENCILS, generate, term_count, x_labels
 from .tableau import parse_method, tableau_from_json
 from .univariate import DEFAULT_TOL
 
@@ -118,9 +118,19 @@ def _cert_fields(cert) -> dict:
     return row
 
 
+# Terms `polys` prints, counted by `term_count` before `generate`.  Formatting
+# took 10-17 us and about 70 bytes a term (generic 7-stage heat, 9- and
+# 10-stage upwind), so the largest admitted output is about 5 MB in about
+# 1 s; a dense generic 12-stage upwind file has 531,441 terms (52 MB, 9 s).
+PRINT_TERMS = 1 << 16
+
+
 def cmd_polys(args, out) -> int:
-    t = _method(args)
-    ps = generate(t, _stencil(args))
+    t, stencil = _method(args), _stencil(args)
+    terms = term_count(t, stencil)
+    if terms > PRINT_TERMS:
+        raise CapacityError(f"polys would print {terms} terms, over the limit of {PRINT_TERMS}")
+    ps = generate(t, stencil)
     labels = x_labels(ps) if args.x_labels else None
     rows = [
         {"offset": i, "polynomial": ps.polys[i].format_terms(labels)}

@@ -38,7 +38,7 @@ from .errors import CapacityError, InputError, ParameterDomainError, rational
 from .multilinear import GRID_POINTS, TABLE_BYTES, move_bits, planes
 from .polygen import PropagationSet, StencilSpec, _check_unity, generate, layout, upwind
 from .tableau import ButcherTableau, chain_weights, make_family
-from .univariate import DEFAULT_TOL, refine
+from .univariate import DEFAULT_TOL, positive_tol, refine
 
 __all__ = [
     "GammaCertificate",
@@ -289,8 +289,10 @@ def compute_gamma(
     `condition_at`; a vertex the zero test finds binds at 0 and is the
     witness.  Otherwise gamma is finite iff some P_i has a negative term
     c_T, the top coefficient of the restriction to T's own vertex, and
-    the first such restriction is cut first.  `tol` must be positive.
+    the first such restriction is cut first.  `tol` must be positive; it
+    is checked before anything is generated.
     """
+    tol = positive_tol(tol)
     ps = source if isinstance(source, PropagationSet) else generate(source, stencil)
     zero = gamma_zero_test(ps)
     negative_terms = ((offset, code) for offset in ps.offsets

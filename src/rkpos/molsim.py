@@ -12,20 +12,21 @@ per-cell diffusion coefficient, a constant, or a scripted table
 structure explicit, so runs can be exact or floating point with the same
 code path: one array kernel over a 1-D state.  A step is exact when dt,
 dx and every data value are ints or Fractions, and float otherwise.  A
-float64 array runs in float arithmetic, with the tableau, stencil,
-limiter and q constants converted to float once per step or q
-evaluation; every elementwise operation keeps the order of the per-cell
-definition, so float results are the same bits it gives.  An exact state
-is a RationalArray: Python-int numerators over one scale in lowest terms,
+float64 array runs in float arithmetic, with the tableau and stencil
+constants converted to float once per run and the limiter and q
+constants once per q evaluation; every elementwise operation keeps the
+order of the per-cell definition, so float results are the same bits it
+gives.  An exact state is a RationalArray: Python-int numerators over one scale in lowest terms,
 or over per-cell denominators.  Its form comes from how it was built:
 data goes over the lcm of its denominators, a scalar function applied
 cell by cell keeps each cell's own, an operation on one-scale operands
 and exact scalars stays over one scale except division by an array, and
 anything with a per-cell operand or an array divisor stays per cell.
 Every + - * / is reduced as it happens: over one scale by one gcd per
-array, per cell by the gcd splits Fraction uses.  Exact upwind advection
-with a piecewise-affine limiter steps in flux form, one reduction per
-stage.
+array, per cell by the gcd splits Fraction uses.  The one exception is a
+stage sum u + sum_l a_jl xi^l (S y^l) (and u_next): over one scale it is
+one integer pass reduced once at its end.  Exact upwind advection with a
+piecewise-affine limiter steps in flux form, one reduction per stage.
 The kernel's numpy calls reach it through numpy's __array_ufunc__ /
 __array_function__ protocols.  What callers see is unchanged: StepTrace
 and RunReport hold Fractions, a provider called with exact values
@@ -37,6 +38,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -513,19 +515,20 @@ class _Advection(_Provider):
             )
         return q
 
-    def _flux(self, y, t, stencil, dt, scale):
-        """dt q(y, t) (S y) / scale in flux form, or None off exact one-scale states,
-        limiters with pieces and exact a >= 0.  Upwind, q_k (S y)_k = -a (s_k + F_k -
-        F_{k-1}), F_k = psi(theta_k) d_k, and L F_k over y's scale is an int: max(0,
+    def _flux(self, rate, y, t):
+        """rate q(y, t) (S y) for the upwind stencil and a limiter with pieces, in flux
+        form, or None off one-scale states and exact a >= 0.  q_k (S y)_k = -a (s_k +
+        F_k - F_{k-1}), F_k = psi(theta_k) d_k, and L F_k over y's scale is an int: max(0,
         min_i) of alpha_i L d_k + beta_i L s_k if d_k > 0, min(0, max_i) if < 0, or 0."""
-        if not (self.limiter.pieces and isinstance(y, RationalArray) and y.scale
-                and stencil.coeffs == upwind.coeffs
-                and _all_exact(at := self.a(t) if callable(self.a) else self.a) and at >= 0):
+        if not (isinstance(y, RationalArray) and y.scale and
+                _all_exact(at := self.a(t) if callable(self.a) else self.a) and at >= 0):
             return None
         lcm, pieces = self._lines
         s = y._n - _roll(y._n, 1)
         d = _roll(s, -1)
-        lines = np.array([a * d + b * s for a, b in pieces])
+        # Zero terms are left out and 1 * x is x: minmod's lines are d and s.
+        lines = np.array([_scaled(a, d) + _scaled(b, s) if a and b else _scaled(a, d) if a
+                          else _scaled(b, s) for a, b in pieces])
         flux = np.where(d > 0, np.maximum(np.minimum.reduce(lines), 0),
                         np.where(d < 0, np.minimum(np.maximum.reduce(lines), 0), 0))
         total = lcm * s + flux - _roll(flux, 1)
@@ -536,8 +539,13 @@ class _Advection(_Provider):
             hit |= (s == 0) & self._flat_hit[np.sign(_roll(s, 1)).astype(int) % 3 + 3 * (d != 0)]
         if at > 0 and hit.any():
             self._q(y, t)
-        c = Fraction(at) * dt / scale
+        c = Fraction(at) * rate
         return RationalArray(*_shared(-c.numerator * total, c.denominator * lcm * y.scale))
+
+
+def _scaled(c: int, x):
+    """c * x, or x itself when c is 1."""
+    return x if c == 1 else c * x
 
 
 def advection(a, limiter: Limiter, a_sup: Optional[Number] = None) -> _Advection:
@@ -710,33 +718,54 @@ class StepTrace:
     u_next: tuple
 
 
-def _step(p: SemiDiscreteProblem, t: ButcherTableau, dt: Number, u, t0: Number):
-    """The kernel of `erk_step` on a state array u: (stages, u_next), the
-    stage states as a list of arrays in u's arithmetic."""
-    num = _num(u)
+def _stage_sum(u, terms):
+    """u + sum of w * x over the (w, x) in terms; every stage state and u_next is
+    summed here.  Over one scale it is one integer pass: each x's numerators times w / scale over
+    the lcm of those factors' denominators, then one gcd.  Otherwise it is the chain
+    u + w * x in written order, with the chain's float bits and per-cell forms."""
+    if terms and all(isinstance(x, RationalArray) and x.scale for _, x in ((1, u), *terms)):
+        parts = [(x._n, Fraction(w) / x.scale) for w, x in ((1, u), *terms)]
+        scale = math.lcm(*(r.denominator for _, r in parts))
+        first, *rest = [_scaled(r.numerator * (scale // r.denominator), n) for n, r in parts]
+        return RationalArray(*_shared(sum(rest, first), scale))
+    for w, x in terms:
+        u = u + w * x
+    return u
+
+
+def _plan(p: SemiDiscreteProblem, t: ButcherTableau, dt: Number, u) -> Callable:
+    """advance(u, t0) -> (stages, u_next) for the steps of a run in state u's
+    arithmetic, from what they share, built once: the nonzero a_jl and b_j as (l,
+    weight) pairs, each c_j * dt with c_j a Fraction, the stencil's (offset,
+    coefficient) pairs, dt, dx^p and the flux route of exact upwind advection."""
+    num, q = _num(u), p.q_provider
+    rows = [[(l, num(w)) for l, w in enumerate(row) if w != 0] for row in (*t.a, t.b)]
+    times = [c * dt for c in t.c]
     coeffs = [(o, num(c)) for o, c in p.stencil.coeffs.items()]
     dtn, scale = num(dt), num(p.dx ** p.stencil.dx_power)
-    flux = p.q_provider._flux if isinstance(p.q_provider, _Advection) else None
-    increments, stages = [], []
-    abscissae = t.c
-    for j in range(t.m):
-        y = u
-        for l in range(j):
-            if t.a[j][l] != 0:
-                y = y + num(t.a[j][l]) * increments[l]
-        now = t0 + abscissae[j] * dt
-        increment = flux(y, now, p.stencil, dtn, scale) if flux else None
-        if increment is None:
-            xi = dtn * _provider_q(p.q_provider, y, now) / scale
-            # (S y)_k = sum_o c_o y_{k-o}
-            increment = xi * sum(c * _roll(y, o) for o, c in coeffs)
-        increments.append(increment)
-        stages.append(y)
-    u1 = u
-    for j in range(t.m):
-        if t.b[j] != 0:
-            u1 = u1 + num(t.b[j]) * increments[j]
-    return stages, u1
+    flux = (partial(q._flux, Fraction(dt) / scale) if isinstance(q, _Advection) and
+            q.limiter.pieces and isinstance(u, RationalArray) and
+            p.stencil.coeffs == upwind.coeffs else None)
+
+    def advance(u, t0):
+        increments, stages = [], []
+        for row, time in zip(rows, times):
+            y = _stage_sum(u, [(w, increments[l]) for l, w in row])
+            now = t0 + time
+            increment = flux(y, now) if flux else None
+            if increment is None:
+                xi = dtn * _provider_q(q, y, now) / scale
+                # (S y)_k = sum_o c_o y_{k-o}
+                increment = xi * sum(c * _roll(y, o) for o, c in coeffs)
+            increments.append(increment)
+            stages.append(y)
+        return stages, _stage_sum(u, [(w, increments[j]) for j, w in rows[-1]])
+    return advance
+
+
+def _step(p: SemiDiscreteProblem, t: ButcherTableau, dt: Number, u, t0: Number):
+    """One step of state array u from a plan built for it alone: (stages, u_next)."""
+    return _plan(p, t, dt, u)(u, t0)
 
 
 def erk_step(
@@ -820,7 +849,7 @@ def _violation(u, monitors, umin, umax) -> Optional[tuple]:
 # anything is stepped.  Whole `rkpos simulate --method erk22:1 --mode
 # float` processes took 0.48 s for 2 M of them (1,000 cells, 1,000 steps)
 # and 0.68 s for 4 M (100,000 cells, 20 steps); a rational koren run takes
-# about 0.09 s for 19,200 (64 cells, 100 steps, 3 stages; 2-CPU Xeon), and
+# about 0.06 s for 19,200 (64 cells, 100 steps, 3 stages; 2-CPU Xeon), and
 # the largest bench run has 120,000.
 RUN_WORK = 1 << 22
 
@@ -883,8 +912,9 @@ def run(
     mins, maxs, tvs = [], [], []
     violation = None
     now = t_start if mode == "rational" else _float(t_start)
+    advance = _plan(p, t, dt, u)
     for step in range(1, steps + 1):
-        u = _step(p, t, dt, u, now)[1]
+        u = advance(u, now)[1]
         now = now + dt
         if isinstance(u, RationalArray) and u.den_longer_than(_RATIONAL_BIT_LIMIT):
             warnings.warn(
@@ -894,6 +924,7 @@ def run(
             mode = "float"
             p, dt, now = _as_float(p), _float(dt), _float(now)
             u = np.array([_float(v) for v in u.tolist()])
+            advance = _plan(p, t, dt, u)
         low, high = _extremes(u)
         mins.append(low)
         maxs.append(high)

@@ -23,7 +23,8 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from .errors import InputError, rational
 
-__all__ = ["UniPoly", "Cut", "DEFAULT_TOL", "descend", "first_negative_cut", "refine"]
+__all__ = ["UniPoly", "Cut", "DEFAULT_TOL", "descend", "first_negative_cut", "positive_tol",
+           "refine"]
 
 K = TypeVar("K")
 W = TypeVar("W")
@@ -298,6 +299,14 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
     return result
 
 
+def positive_tol(tol) -> Fraction:
+    """tol as an exact rational, or InputError unless it is positive."""
+    tol = rational(tol)
+    if tol <= 0:
+        raise InputError(f"tolerance must be positive, got {tol}")
+    return tol
+
+
 def refine(restriction: Callable[[K], UniPoly], fails: Callable[[Fraction], Optional[W]],
            key: Callable[[W], K], candidates: Iterable[K], tol: Fraction = DEFAULT_TOL,
            zero: Optional[K] = None) -> Optional[tuple[Cut, K, int, W]]:
@@ -313,9 +322,7 @@ def refine(restriction: Callable[[K], UniPoly], fails: Callable[[Fraction], Opti
     Returns (cut, binding key, restrictions cut, confirming failure), or
     None when no candidate turns negative.  `tol` must be positive.
     """
-    tol = rational(tol)
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
+    tol = positive_tol(tol)
     cut, bind, n_cut = Cut(Fraction(0), Fraction(0), Fraction(0)), zero, 0
     if zero is None:
         for bind in candidates:

@@ -320,10 +320,11 @@ def test_oversized_work_exits_2_before_doing_it(tmp_path, capsys, argv):
     ["adversary", "--construction", "rk4", "--method", "erk22:1"],
     ["adversary", "--method", "erk33c3:1", "--eps", "5"],
     ["simulate", "--method", "erk22:1", "--dt", "1/1000", "--tol", "0"],
+    ["polys", "--tableau-file", "{generic12_tableau}"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejected_input_exits_2(tmp_path, argv):
     files = {"float_tableau": FLOAT_TABLEAU, "generic7_tableau": GENERIC7_TABLEAU,
-             "zero_den_tableau": ZERO_DEN_TABLEAU}
+             "generic12_tableau": generic_tableau(12), "zero_den_tableau": ZERO_DEN_TABLEAU}
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, text in files.items():
         paths[name].write_text(text, encoding="utf-8")

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import rkpos.gamma as gamma_module
 from rkpos.bounds import radius_abs_monotonicity, ssp_feasible
 from rkpos.errors import CapacityError, InputError, ParameterDomainError
 from rkpos.gamma import (SWEEP_POINT_COST, _STACK_BYTES, _failing_cells, _frange,
@@ -512,6 +513,20 @@ def test_limb_signs_and_cell_sums_match_python_ints(poly, num, den):
     least = [[sum(g) for g in zip(c[0], *[s for s in c[1:] if s < zero])] < zero
              for c in cells]
     assert _failing_cells(table[None], k, width, count)[0].tolist() == least
+
+
+@pytest.mark.parametrize("tol", [F(0), F(-1), 0])
+def test_nonpositive_tol_is_refused_before_generate(monkeypatch, tol):
+    ps = generate(generic(3), upwind)
+
+    def refuse(*args):
+        raise AssertionError("generate or the zero test called")
+
+    monkeypatch.setattr(gamma_module, "generate", refuse)
+    monkeypatch.setattr(gamma_module, "gamma_zero_test", refuse)
+    for source in (generic(3), ps):
+        with pytest.raises(InputError, match="tolerance must be positive"):
+            compute_gamma(source, upwind, tol=tol)
 
 
 def test_set_budget_is_checked_before_any_table(monkeypatch):

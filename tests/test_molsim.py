@@ -606,6 +606,38 @@ def test_run_steps_as_chained_erk_step(provider, mode):
         assert list(map(float.hex, rep.final_state)) == list(map(float.hex, u))
 
 
+@pytest.mark.parametrize("limiter, mode, steps", [
+    (koren, "rational", 3), (koren, "float", 3), ("soft", "rational", 6)],
+    ids=["rational", "float", "switch-to-float"])
+def test_stage_times_are_t0_plus_c_dt(limiter, mode, steps):
+    """a(t) is called at t0 + c_j * dt, from the Fraction c_j, at each stage
+    of each step, t0 advancing by dt: equal in rational mode, the same bits
+    in float mode and after a run passes the rational size limit (SOFT's
+    third step here) and continues in float."""
+    seen, n, start = [], 24, F(1, 1000)
+    u0 = tuple(F((7 * k * k + 3 * k) % 17, 16) for k in range(n))
+    a = advection(lambda now: seen.append(now) or F(1), SOFT if limiter == "soft" else limiter,
+                  a_sup=F(1))
+    p = SemiDiscreteProblem(n, F(1, n), upwind, a, u0)
+    t = erk33_case2(F(1, 2))
+    dt = tau0(p) / 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = run(p, t, dt, steps, mode=mode, stop_on_violation=False, t_start=start)
+    switch = 3 if limiter == "soft" else steps
+    assert len(caught) == (limiter == "soft") and rep.steps_run == steps
+    convert = F if mode == "rational" else float
+    now, dt, expect = convert(start), convert(dt), []
+    for step in range(steps):
+        if step == switch:
+            now, dt = float(now), float(dt)
+        expect += [now + c * dt for c in t.c]
+        now = now + dt
+    assert [type(v) for v in seen] == [type(v) for v in expect]
+    assert [v.hex() if type(v) is float else v for v in seen] == [
+        v.hex() if type(v) is float else v for v in expect]
+
+
 # --- exact arrays over one scale and per cell ---------------------------------
 
 
@@ -699,6 +731,31 @@ def test_mixed_forms_match_fractions(x_form, y_form, values, c):
     assert x.sum() == sum(xs) and y[-1] == ys[-1]
     longest = max(v.denominator.bit_length() for v in xs)
     assert [x.den_longer_than(b) for b in (longest - 1, longest)] == [True, False]
+
+
+WEIGHTS = st.sampled_from([0, 1, -1, 2]) | st.fractions(-3, 3, max_denominator=12)
+
+
+@st.composite
+def _stage_operands(draw):
+    """(u, [(w, x), ...]) as (values, form) pairs of one size: up to 4 terms."""
+    size = draw(st.integers(1, 6))
+    operand = st.tuples(_cells_of(size), st.sampled_from(FORMS))
+    return draw(operand), draw(st.lists(st.tuples(WEIGHTS, operand), max_size=4))
+
+
+@settings(max_examples=80)
+@given(_stage_operands())
+def test_stage_sum_matches_fractions(operands):
+    """u + sum w * x equals Fraction arithmetic cell by cell; it is over one
+    scale exactly when u and every x are."""
+    (us, u_form), terms = operands
+    got = molsim._stage_sum(_held(us, u_form),
+                            [(w, _held(xs, form)) for w, (xs, form) in terms])
+    expect = [u + sum(w * xs[k] for w, (xs, _) in terms) for k, u in enumerate(us)]
+    _check_held(got, expect, "stage sum")
+    forms = [u_form, *(form for _, (_, form) in terms)]
+    assert (got.scale is None) == ("cells" in forms)
 
 
 def test_exact_koren_state_is_held_over_one_scale():
