@@ -25,8 +25,9 @@ anything with a per-cell operand or an array divisor stays per cell.
 Every + - * / is reduced as it happens: over one scale by one gcd per
 array, per cell by the gcd splits Fraction uses.  The one exception is a
 stage sum u + sum_l a_jl xi^l (S y^l) (and u_next): over one scale it is
-one integer pass reduced once at its end.  Exact upwind advection with a
-piecewise-affine limiter steps in flux form, one reduction per stage.
+one integer pass reduced once at its end.  An exact upwind conservation
+law with a piecewise-affine limiter steps in flux form over the state's
+one scale; advection is its constant-speed case.
 The kernel's numpy calls reach it through numpy's __array_ufunc__ /
 __array_function__ protocols.  What callers see is unchanged: StepTrace
 and RunReport hold Fractions, a provider called with exact values
@@ -186,20 +187,20 @@ def _select(take, x, y):
         return np.where(take, a, c), np.where(take, b, d)
     (a, b), (c, d) = x, y
     scale = b // math.gcd(b, d) * d
-    return _shared(np.where(take, a * (scale // b), c * (scale // d)), scale)
-
-
-def _maximum(x, y):
-    return _select(x[0] * y[1] >= y[0] * x[1], x, y)
-
-
-def _minimum(x, y):
-    return _select(x[0] * y[1] <= y[0] * x[1], x, y)
+    return _shared(np.where(take, _scaled(scale // b, a), _scaled(scale // d, c)), scale)
 
 
 def _comparison(ufunc):
-    # Denominators are positive: a/b ? c/d  iff  a*d ? c*b.
-    return lambda x, y: ufunc(x[0] * y[1], y[0] * x[1])
+    # Denominators are positive: a/b ? c/d  iff  a*d ? c*b, and a ? c over one shared scale.
+    return lambda x, y: ufunc(x[0], y[0]) if x[1] is y[1] else ufunc(x[0] * y[1], y[0] * x[1])
+
+
+def _maximum(x, y):
+    return _select(_comparison(np.greater_equal)(x, y), x, y)
+
+
+def _minimum(x, y):
+    return _select(_comparison(np.less_equal)(x, y), x, y)
 
 
 _ARITHMETIC = {
@@ -387,7 +388,8 @@ class Limiter:
     numpy's arithmetic ufuncs, np.maximum/np.minimum and np.where (the
     kernel otherwise applies psi_fn per cell).  pieces, when given, define
     psi = max(0, min_i(alpha_i + beta_i theta)), psi(0) = 0, and psi_fn and
-    psi_array (pass psi_fn=None); exact upwind advection then steps in flux form.
+    psi_array (pass psi_fn=None); exact upwind conservation laws and
+    advection then step in flux form.
     """
 
     name: str
@@ -488,40 +490,59 @@ class _Provider:
         return _returned(u, self._q(_state(u), t))
 
 
-class _Advection(_Provider):
-    def __init__(self, a, limiter: Limiter, a_sup: Optional[Number] = None):
-        self.a = a
-        self.limiter = limiter
-        if a_sup is None and not callable(a):
-            a_sup = a
-        self.q_bound = None if a_sup is None else (limiter.mu + 1) * a_sup
-        # Pieces times the lcm L of their denominators.  Where s_k = 0, q_k / a = 1 - psi_{k-1}
-        # + ratio_k is negative iff _flat_hit[i + 3 j], i = 0, 1, 2 as s_{k-1} = 0, > 0, < 0
-        # (psi_{k-1} = 0 or a limit; i = sign % 3), j = [d_k != 0] (ratio_k = 0 or ratio_at_zero).
+class _Limited(_Provider):
+    """q_k = lambda_k (1 - psi(theta_{k-1}) + psi(theta_k)/theta_k) for a slope limiter.
+    Advection (fprime None) has the one speed lambda = a, or a(t); a conservation law
+    has lambda_k the larger f' at cell k's two interface states u_{k+1/2} = u_k +
+    psi(theta_k) d_k (the mean-value form's local wave speed) and needs f' >= 0."""
+
+    def __init__(self, limiter: Limiter, a=None, fprime=None, sup=None):
+        self.a, self.fprime, self.limiter = a, fprime, limiter
+        self.q_bound = None if sup is None else (limiter.mu + 1) * sup
+        # Pieces times the lcm L of their denominators.  Where s_k = 0, q_k / lambda_k = 1 -
+        # psi_{k-1} + ratio_k is negative iff _flat_hit[i + 3 j], i = 0, 1, 2 as s_{k-1} = 0, > 0,
+        # < 0 (psi_{k-1} = 0 or a limit; i = sign % 3), j = [d_k != 0] (ratio_k = 0 or ratio_at_zero).
         lcm = math.lcm(*(v.denominator for piece in limiter.pieces for v in piece))
         self._lines = lcm, [(int(a * lcm), int(b * lcm)) for a, b in limiter.pieces]
         self._flat_hit = np.array([1 - p + r < 0 for r in (0, limiter.ratio_at_zero) for p in
                                    (0, limiter.psi_at_plus_inf, limiter.psi_at_minus_inf)])
 
+    def sup_q(self, u0) -> Optional[Number]:
+        """The q bound; a conservation law's f' sup defaults to the max of f' over u0."""
+        if self.q_bound is None and self.fprime is not None:
+            return (self.limiter.mu + 1) * max(map(self.fprime, u0))
+        return self.q_bound
+
+    def _speed(self, t, num, fp):
+        """lambda: for advection a or a(t) converted by num, else the larger of f' at
+        cell k's two interfaces, from fp = f' at every interface state."""
+        if self.fprime is None:
+            return num(self.a(t) if callable(self.a) else self.a)
+        return np.maximum(_roll(fp, 1), fp)
+
     def _q(self, x, t):
-        at = _num(x)(self.a(t) if callable(self.a) else self.a)
-        value, ratio, _ = _limiter_terms(self.limiter, x)
-        q = at * ((1 - _roll(value, 1)) + ratio)
-        k = _first_negative(q)
+        value, ratio, d = _limiter_terms(self.limiter, x)
+        law = self.fprime is not None
+        lam = self._speed(t, _num(x), law and _map(self.fprime, x + value * d))
+        q = lam * ((1 - _roll(value, 1)) + ratio)
+        k = _first_negative(np.minimum(lam, q) if law else q)
+        if k is not None and law and lam[k] < 0:
+            raise InputError("conservation-law provider requires f' >= 0 on the data range")
         if k is not None:
             raise LimiterContractError(
-                f"limiter {self.limiter.name!r} produced q[{k}] = {q[k]} < 0; "
-                f"psi lies outside the positivity contract for this data"
+                f"limiter {self.limiter.name!r} produced q[{k}] = {q[k]} < 0" +
+                ("" if law else "; psi lies outside the positivity contract for this data")
             )
         return q
 
     def _flux(self, rate, y, t):
         """rate q(y, t) (S y) for the upwind stencil and a limiter with pieces, in flux
-        form, or None off one-scale states and exact a >= 0.  q_k (S y)_k = -a (s_k +
-        F_k - F_{k-1}), F_k = psi(theta_k) d_k, and L F_k over y's scale is an int: max(0,
-        min_i) of alpha_i L d_k + beta_i L s_k if d_k > 0, min(0, max_i) if < 0, or 0."""
-        if not (isinstance(y, RationalArray) and y.scale and
-                _all_exact(at := self.a(t) if callable(self.a) else self.a) and at >= 0):
+        form, or None off one-scale states and for an inexact a.  q_k (S y)_k =
+        -lambda_k (s_k + F_k - F_{k-1}), F_k = psi(theta_k) d_k, and L F_k over y's scale
+        is an int: max(0, min_i) of alpha_i L d_k + beta_i L s_k if d_k > 0, min(0,
+        max_i) if < 0, or 0.  The interface states y_k + F_k are (L y + L F) over L
+        times y's scale."""
+        if not (isinstance(y, RationalArray) and y.scale):
             return None
         lcm, pieces = self._lines
         s = y._n - _roll(y._n, 1)
@@ -531,16 +552,22 @@ class _Advection(_Provider):
                           else _scaled(b, s) for a, b in pieces])
         flux = np.where(d > 0, np.maximum(np.minimum.reduce(lines), 0),
                         np.where(d < 0, np.minimum(np.maximum.reduce(lines), 0), 0))
+        law = self.fprime is not None
+        lam = self._speed(t, _keep, law and RationalArray.of(
+            self.fprime(Fraction(v, lcm * y.scale)) for v in (lcm * y._n + flux).tolist()))
+        if not (law or _all_exact(lam)):
+            return None
         total = lcm * s + flux - _roll(flux, 1)
-        # q_k = a total_k / (L s_k) where s_k != 0: negative iff the signs
-        # differ; where s_k = 0 by _flat_hit.  On a hit, q raises its error.
+        # q_k / lambda_k = total_k / (L s_k) where s_k != 0: negative iff the signs differ;
+        # where s_k = 0 by _flat_hit.  On a hit or a lambda_k < 0, q runs: it raises where q
+        # is negative, or a conservation law's lambda is.
         hit = ((total < 0) & (s > 0)) | ((total > 0) & (s < 0))
         if self._flat_hit.any():
             hit |= (s == 0) & self._flat_hit[np.sign(_roll(s, 1)).astype(int) % 3 + 3 * (d != 0)]
-        if at > 0 and hit.any():
+        if (hit | (lam < 0)).any():
             self._q(y, t)
-        c = Fraction(at) * rate
-        return RationalArray(*_shared(-c.numerator * total, c.denominator * lcm * y.scale))
+        c, e = _parts(lam * rate)
+        return RationalArray(*_shared(-c * total, e * lcm * y.scale))
 
 
 def _scaled(c: int, x):
@@ -548,10 +575,10 @@ def _scaled(c: int, x):
     return x if c == 1 else c * x
 
 
-def advection(a, limiter: Limiter, a_sup: Optional[Number] = None) -> _Advection:
+def advection(a, limiter: Limiter, a_sup: Optional[Number] = None) -> _Limited:
     """Flux-limited advection coefficients; `a` is a constant or a
     callable a(t) >= 0 (then pass a_sup for step-size budgeting)."""
-    return _Advection(a, limiter, a_sup)
+    return _Limited(limiter, a=a, sup=a if a_sup is None and not callable(a) else a_sup)
 
 
 def q_advection(u: Sequence[Number], t: Number, a, limiter: Limiter) -> np.ndarray:
@@ -563,37 +590,10 @@ def q_advection(u: Sequence[Number], t: Number, a, limiter: Limiter) -> np.ndarr
     return advection(a, limiter).q(u, t)
 
 
-class _ConservationLaw(_Provider):
-    def __init__(self, fprime, limiter, fprime_sup=None):
-        self.fprime = fprime
-        self.limiter = limiter
-        self.fprime_sup = fprime_sup
-        self.q_bound = None if fprime_sup is None else (limiter.mu + 1) * fprime_sup
-
-    def _q(self, x, t):
-        value, ratio, d = _limiter_terms(self.limiter, x)
-        # f' (a scalar function) at the interface states
-        # u_{k+1/2} = u_k + psi(theta_k)(u_{k+1} - u_k).  The local wave
-        # speed of cell k, from the mean-value form, is the larger value at
-        # its two interfaces.
-        fp = _map(self.fprime, x + value * d)
-        lam = np.maximum(_roll(fp, 1), fp)
-        q = lam * ((1 - _roll(value, 1)) + ratio)
-        k = _first_negative(np.minimum(lam, q))
-        if k is not None and lam[k] < 0:
-            raise InputError(
-                "conservation-law provider requires f' >= 0 on the data range"
-            )
-        if k is not None:
-            raise LimiterContractError(
-                f"limiter {self.limiter.name!r} produced q[{k}] = {q[k]} < 0"
-            )
-        return q
-
-
-def conservation_law(f, fprime, limiter: Limiter, fprime_sup=None) -> _ConservationLaw:
-    """q for u_t + f(u)_x = 0 needs only f' >= 0; the flux f is unused."""
-    return _ConservationLaw(fprime, limiter, fprime_sup)
+def conservation_law(f, fprime, limiter: Limiter, fprime_sup=None) -> _Limited:
+    """q for u_t + f(u)_x = 0 needs only f' >= 0; the flux f is unused.  sup f'
+    is fprime_sup, or else the max of f' over the initial data (see tau0)."""
+    return _Limited(limiter, fprime=fprime, sup=fprime_sup)
 
 
 @dataclass(frozen=True)
@@ -676,16 +676,14 @@ class SemiDiscreteProblem:
 def tau0(p: SemiDiscreteProblem, q_bound: Optional[Number] = None) -> Number:
     """Forward-Euler positivity threshold dx^pow / sup q.
 
-    For advection this is dx / ((mu+1) sup a); for a conservation law the
-    f' sup defaults to the maximum of f' over the initial data values.
-    Scripted providers carry no bound: pass q_bound explicitly.
+    sup q is the provider's sup_q(u0), or else its q_bound.  For advection
+    this is dx / ((mu+1) sup a); for a conservation law the f' sup defaults
+    to the maximum of f' over the initial data values.  Scripted providers
+    carry no bound: pass q_bound explicitly.
     """
     if q_bound is None:
-        q_bound = getattr(p.q_provider, "q_bound", None)
-    if q_bound is None and isinstance(p.q_provider, _ConservationLaw):
-        q_bound = (p.q_provider.limiter.mu + 1) * max(
-            p.q_provider.fprime(v) for v in p.u0
-        )
+        sup_q = getattr(p.q_provider, "sup_q", None)
+        q_bound = sup_q(p.u0) if sup_q else getattr(p.q_provider, "q_bound", None)
     if q_bound is None:
         raise InputError(
             "q provider declares no bound; pass q_bound explicitly"
@@ -737,13 +735,13 @@ def _plan(p: SemiDiscreteProblem, t: ButcherTableau, dt: Number, u) -> Callable:
     """advance(u, t0) -> (stages, u_next) for the steps of a run in state u's
     arithmetic, from what they share, built once: the nonzero a_jl and b_j as (l,
     weight) pairs, each c_j * dt with c_j a Fraction, the stencil's (offset,
-    coefficient) pairs, dt, dx^p and the flux route of exact upwind advection."""
+    coefficient) pairs, dt, dx^p and the flux route of a limited provider."""
     num, q = _num(u), p.q_provider
     rows = [[(l, num(w)) for l, w in enumerate(row) if w != 0] for row in (*t.a, t.b)]
     times = [c * dt for c in t.c]
     coeffs = [(o, num(c)) for o, c in p.stencil.coeffs.items()]
     dtn, scale = num(dt), num(p.dx ** p.stencil.dx_power)
-    flux = (partial(q._flux, Fraction(dt) / scale) if isinstance(q, _Advection) and
+    flux = (partial(q._flux, Fraction(dt) / scale) if isinstance(q, _Limited) and
             q.limiter.pieces and isinstance(u, RationalArray) and
             p.stencil.coeffs == upwind.coeffs else None)
 

@@ -288,12 +288,12 @@ class MultilinearPoly:
         """Print format: terms ascending by subset code, constant term first."""
         if not self.terms:
             return "0"
+        names = {i: labels[self.vars[i]] if labels else str(self.vars[i]) for i in self.support}
         parts = []
         for code in sorted(self.terms):
             factors = [f"({Fraction(self.terms[code], self.scale)})"]
-            for i in range(self.n):
-                if code >> i & 1:
-                    tag = self.vars[i]
-                    factors.append(labels[tag] if labels else str(tag))
+            while code:  # the set bits, lowest first
+                factors.append(names[(code & -code).bit_length() - 1])
+                code &= code - 1
             parts.append("·".join(factors))
         return " + ".join(parts)

@@ -758,33 +758,48 @@ def test_stage_sum_matches_fractions(operands):
     assert (got.scale is None) == ("cells" in forms)
 
 
+def _one_scale_case(name):
+    """(p, t, dt, steps) of a golden case, or of "koren-burgers": the golden
+    Burgers case with koren.  Burgers' scale grows with its state: 5 steps."""
+    if name == "koren-burgers":
+        _, p, t, dt = next(case for case in _golden_problems() if case[0] == "burgers")
+        p = dataclasses.replace(p, q_provider=conservation_law(None, lambda v: v, koren))
+        return p, t, tau0(p), 5
+    _, p, t, dt = next(case for case in _golden_problems() if case[0] == name)
+    return p, t, dt, RATIONAL_STEPS.get(name, 20)
+
+
 def test_exact_koren_state_is_held_over_one_scale():
-    # The state's cells share one denominator, so a koren step works over
-    # one scale; a silent fallback to per-cell denominators fails here.
-    _, p, t, dt = next(case for case in _golden_problems()
-                       if case[0] == "koren-upwind")
-    u = molsim._state(p.u0)
-    for step in range(20):
-        u = molsim._step(p, t, dt, u, step * dt)[1]
-    assert u.scale is not None
+    # The state's cells share one denominator, so a koren step (advection or
+    # Burgers, and minmod Burgers) works over one scale; a silent fallback to
+    # per-cell denominators fails here.
+    for name in ("koren-upwind", "burgers", "koren-burgers"):
+        p, t, dt, steps = _one_scale_case(name)
+        u = molsim._state(p.u0)
+        for step in range(steps):
+            u = molsim._step(p, t, dt, u, step * dt)[1]
+            assert u.scale is not None, (name, step)
 
 
 def test_exact_koren_step_builds_no_per_cell_array(monkeypatch):
-    # Exact upwind koren steps in flux form over the state's one scale; a
-    # silent fallback to q * (S y) builds per-cell limiter values here.
-    _, p, t, dt = next(case for case in _golden_problems()
-                       if case[0] == "koren-upwind")
-    u = molsim._state(p.u0)
+    # Exact upwind advection and conservation laws with a pieces limiter step
+    # in flux form over the state's one scale; a silent fallback to q * (S y)
+    # builds per-cell limiter values here.
     per_cell, init = [], RationalArray.__init__
 
     def build(self, num, den):
         per_cell.append(isinstance(den, np.ndarray))
         init(self, num, den)
 
-    monkeypatch.setattr(RationalArray, "__init__", build)
-    for step in range(3):
-        u = molsim._step(p, t, dt, u, step * dt)[1]
-    assert per_cell and not any(per_cell) and u.scale is not None
+    for name in ("koren-upwind", "burgers", "koren-burgers"):
+        p, t, dt, _ = _one_scale_case(name)
+        u = molsim._state(p.u0)
+        with monkeypatch.context() as patch:
+            patch.setattr(RationalArray, "__init__", build)
+            for step in range(3):
+                u = molsim._step(p, t, dt, u, step * dt)[1]
+        assert per_cell and not any(per_cell) and u.scale is not None, name
+        per_cell.clear()
 
 
 # psi(theta) = theta+ / (1 + theta+): its values never cancel, so over one
@@ -823,17 +838,26 @@ def test_non_cancelling_limiter_keeps_its_report_and_a_bounded_scale():
 # --- the flux form against q * (S y) --------------------------------------------
 
 
-def _stepped(u, limiter, speed, t, dt, dx):
-    """erk_step's trace and the time of a(t)'s last call, or the
-    LimiterContractError message and that time."""
+def _stepped(u, limiter, speed, t, dt, dx, fprime=None):
+    """erk_step's trace and the time of a(t)'s last call, or the contract
+    error's type and message and that time.  With fprime, the problem is the
+    conservation law with that f' (speed unused), and in place of the time
+    come the arguments of f''s last len(u) calls: one stage's interface
+    states, so an error is matched to its stage."""
     seen = []
-    a = speed if not callable(speed) else lambda now: seen.append(now) or speed(now)
-    p = SemiDiscreteProblem(len(u), dx, upwind, advection(a, limiter, a_sup=F(3)), u)
+
+    def record(fn):
+        return lambda v: seen.append(v) or fn(v)
+    if fprime is None:
+        provider = advection(speed if not callable(speed) else record(speed), limiter, a_sup=F(3))
+    else:
+        provider = conservation_law(None, record(fprime), limiter)
+    p = SemiDiscreteProblem(len(u), dx, upwind, provider, u)
     try:
         outcome = erk_step(p, t, dt, u, F(1, 7))
-    except LimiterContractError as exc:
-        outcome = str(exc)
-    return outcome, seen[-1:]
+    except (InputError, LimiterContractError) as exc:
+        outcome = type(exc).__name__, str(exc)
+    return outcome, seen[-len(u) if fprime else -1:]
 
 
 @settings(max_examples=120, deadline=None)
@@ -857,4 +881,26 @@ def test_flux_form_matches_q_times_sy(u, name, speed, t, dt):
     generic = dataclasses.replace(limiter, pieces=())
     dt, dx = (dt, 1) if isinstance(dt, int) else (dt / len(u), F(1, len(u)))
     flux, plain = (_stepped(u, lim, speed, t, dt, dx) for lim in (limiter, generic))
+    assert flux == plain
+
+
+@settings(max_examples=120, deadline=None)
+@given(GRIDS, st.sampled_from(sorted(LIMITERS)),
+       st.sampled_from(["v", "v*v + 1/3", "1 - v"]),
+       st.sampled_from([erk22(F(1)), erk33_case2(F(1, 2)), rk4_classical()]),
+       st.sampled_from([F(1, 8), F(1, 3), F(1), 1]))
+@example((F(0), F(1), F(3), F(4), F(4), F(0)), "mc", "v", erk22(F(1)), F(1, 8))
+@example((F(-1), F(-1), F(1)), "minmod", "v", erk22(F(1)), F(1, 8))  # lambda_1 = -1
+@example((F(1, 2), F(3, 2), F(1)), "koren", "1 - v", erk22(F(1)), 1)  # stage 2 raises
+@example((F(1, 4), F(1, 2), F(1, 2)), "minmod", "1 - v", rk4_classical(), F(1))
+def test_conservation_law_flux_form_matches_q_times_sy(u, name, fprime, t, dt):
+    # As for advection: Burgers (f' = v), a positive f' and an f' that turns
+    # negative on the data (f' = 1 - v, or v on negative data, reaching the
+    # f' >= 0 InputError) give the same stages and u_next with the limiter's
+    # pieces as without them, and the same error at the same stage.
+    limiter = LIMITERS[name]
+    generic = dataclasses.replace(limiter, pieces=())
+    f = {"v": lambda v: v, "v*v + 1/3": lambda v: v * v + F(1, 3), "1 - v": lambda v: 1 - v}
+    dt, dx = (dt, 1) if isinstance(dt, int) else (dt / len(u), F(1, len(u)))
+    flux, plain = (_stepped(u, lim, None, t, dt, dx, f[fprime]) for lim in (limiter, generic))
     assert flux == plain
