@@ -26,8 +26,8 @@ Every + - * / is reduced as it happens: over one scale by one gcd per
 array, per cell by the gcd splits Fraction uses.  The one exception is a
 stage sum u + sum_l a_jl xi^l (S y^l) (and u_next): over one scale it is
 one integer pass reduced once at its end.  An exact upwind conservation
-law with a piecewise-affine limiter steps in flux form over the state's
-one scale; advection is its constant-speed case.
+law with a piecewise-affine limiter steps in flux form, over one scale
+but for an f' such as 1/(1+v); advection is its constant-speed case.
 The kernel's numpy calls reach it through numpy's __array_ufunc__ /
 __array_function__ protocols.  What callers see is unchanged: StepTrace
 and RunReport hold Fractions, a provider called with exact values
@@ -190,17 +190,17 @@ def _select(take, x, y):
     return _shared(np.where(take, _scaled(scale // b, a), _scaled(scale // d, c)), scale)
 
 
-def _comparison(ufunc):
-    # Denominators are positive: a/b ? c/d  iff  a*d ? c*b, and a ? c over one shared scale.
-    return lambda x, y: ufunc(x[0], y[0]) if x[1] is y[1] else ufunc(x[0] * y[1], y[0] * x[1])
-
-
 def _maximum(x, y):
-    return _select(_comparison(np.greater_equal)(x, y), x, y)
+    return _select(x[0] * y[1] >= y[0] * x[1], x, y)
 
 
 def _minimum(x, y):
-    return _select(_comparison(np.less_equal)(x, y), x, y)
+    return _select(x[0] * y[1] <= y[0] * x[1], x, y)
+
+
+def _comparison(ufunc):
+    # Denominators are positive: a/b ? c/d  iff  a*d ? c*b.
+    return lambda x, y: ufunc(x[0] * y[1], y[0] * x[1])
 
 
 _ARITHMETIC = {
@@ -513,17 +513,14 @@ class _Limited(_Provider):
             return (self.limiter.mu + 1) * max(map(self.fprime, u0))
         return self.q_bound
 
-    def _speed(self, t, num, fp):
-        """lambda: for advection a or a(t) converted by num, else the larger of f' at
-        cell k's two interfaces, from fp = f' at every interface state."""
-        if self.fprime is None:
-            return num(self.a(t) if callable(self.a) else self.a)
-        return np.maximum(_roll(fp, 1), fp)
-
     def _q(self, x, t):
         value, ratio, d = _limiter_terms(self.limiter, x)
         law = self.fprime is not None
-        lam = self._speed(t, _num(x), law and _map(self.fprime, x + value * d))
+        if law:
+            fp = _map(self.fprime, x + value * d)
+            lam = np.maximum(_roll(fp, 1), fp)
+        else:
+            lam = _num(x)(self.a(t) if callable(self.a) else self.a)
         q = lam * ((1 - _roll(value, 1)) + ratio)
         k = _first_negative(np.minimum(lam, q) if law else q)
         if k is not None and law and lam[k] < 0:
@@ -540,8 +537,7 @@ class _Limited(_Provider):
         form, or None off one-scale states and for an inexact a.  q_k (S y)_k =
         -lambda_k (s_k + F_k - F_{k-1}), F_k = psi(theta_k) d_k, and L F_k over y's scale
         is an int: max(0, min_i) of alpha_i L d_k + beta_i L s_k if d_k > 0, min(0,
-        max_i) if < 0, or 0.  The interface states y_k + F_k are (L y + L F) over L
-        times y's scale."""
+        max_i) if < 0, or 0."""
         if not (isinstance(y, RationalArray) and y.scale):
             return None
         lcm, pieces = self._lines
@@ -552,10 +548,15 @@ class _Limited(_Provider):
                           else _scaled(b, s) for a, b in pieces])
         flux = np.where(d > 0, np.maximum(np.minimum.reduce(lines), 0),
                         np.where(d < 0, np.minimum(np.maximum.reduce(lines), 0), 0))
-        law = self.fprime is not None
-        lam = self._speed(t, _keep, law and RationalArray.of(
-            self.fprime(Fraction(v, lcm * y.scale)) for v in (lcm * y._n + flux).tolist()))
-        if not (law or _all_exact(lam)):
+        if self.fprime is not None:
+            # f' at the interface states (L y + L F) / (L scale), over one scale unless that has
+            # over twice the bits of the widest cell's own: so for Burgers' f', not for 1/(1+v).
+            n, e = _fractions(self.fprime(Fraction(v, lcm * y.scale))
+                              for v in (lcm * y._n + flux).tolist())
+            wide = (scale := math.lcm(*e.tolist())).bit_length() > 2 * max(e.tolist()).bit_length()
+            fp = RationalArray(*((n, e) if wide else (n * (scale // e), scale)))
+            lam = np.maximum(_roll(fp, 1), fp)
+        elif not _all_exact(lam := self.a(t) if callable(self.a) else self.a):
             return None
         total = lcm * s + flux - _roll(flux, 1)
         # q_k / lambda_k = total_k / (L s_k) where s_k != 0: negative iff the signs differ;
@@ -567,6 +568,8 @@ class _Limited(_Provider):
         if (hit | (lam < 0)).any():
             self._q(y, t)
         c, e = _parts(lam * rate)
+        if _per_cell((c, e)):
+            return RationalArray(*_multiply((c, e), _shared(-total, lcm * y.scale)))
         return RationalArray(*_shared(-c * total, e * lcm * y.scale))
 
 
@@ -685,9 +688,7 @@ def tau0(p: SemiDiscreteProblem, q_bound: Optional[Number] = None) -> Number:
         sup_q = getattr(p.q_provider, "sup_q", None)
         q_bound = sup_q(p.u0) if sup_q else getattr(p.q_provider, "q_bound", None)
     if q_bound is None:
-        raise InputError(
-            "q provider declares no bound; pass q_bound explicitly"
-        )
+        raise InputError("q provider declares no bound; pass q_bound explicitly")
     if q_bound <= 0:
         raise InputError("sup q must be positive for a finite threshold")
     return p.dx ** p.stencil.dx_power / q_bound

@@ -802,6 +802,16 @@ def test_exact_koren_step_builds_no_per_cell_array(monkeypatch):
         per_cell.clear()
 
 
+def test_rational_fprime_speed_is_held_per_cell():
+    # f' = 1/(1 + v) gives each interface state's value its own denominator;
+    # over one scale their lcm would be about n times wider than any of them,
+    # so the speed, the increment and the state stay per cell.
+    p, t, dt, _ = _one_scale_case("burgers")
+    p = dataclasses.replace(p, q_provider=conservation_law(None, lambda v: 1 / (1 + v), minmod))
+    u = molsim._step(p, t, dt, molsim._state(p.u0), 0)[1]
+    assert u.scale is None
+
+
 # psi(theta) = theta+ / (1 + theta+): its values never cancel, so over one
 # scale the state's scale grows to about 3 times its longest cell
 # denominator (5,710 against 1,681 bits after 3 steps here), and the 4-step
@@ -886,21 +896,25 @@ def test_flux_form_matches_q_times_sy(u, name, speed, t, dt):
 
 @settings(max_examples=120, deadline=None)
 @given(GRIDS, st.sampled_from(sorted(LIMITERS)),
-       st.sampled_from(["v", "v*v + 1/3", "1 - v"]),
+       st.sampled_from(["v", "v*v + 1/3", "1 - v", "1/(1 + v*v)"]),
        st.sampled_from([erk22(F(1)), erk33_case2(F(1, 2)), rk4_classical()]),
        st.sampled_from([F(1, 8), F(1, 3), F(1), 1]))
 @example((F(0), F(1), F(3), F(4), F(4), F(0)), "mc", "v", erk22(F(1)), F(1, 8))
 @example((F(-1), F(-1), F(1)), "minmod", "v", erk22(F(1)), F(1, 8))  # lambda_1 = -1
 @example((F(1, 2), F(3, 2), F(1)), "koren", "1 - v", erk22(F(1)), 1)  # stage 2 raises
 @example((F(1, 4), F(1, 2), F(1, 2)), "minmod", "1 - v", rk4_classical(), F(1))
+# f' values over per-cell denominators: their lcm is too wide for one scale.
+@example((F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1), F(3, 2)), "koren", "1/(1 + v*v)",
+         erk22(F(1)), F(1, 8))
 def test_conservation_law_flux_form_matches_q_times_sy(u, name, fprime, t, dt):
-    # As for advection: Burgers (f' = v), a positive f' and an f' that turns
-    # negative on the data (f' = 1 - v, or v on negative data, reaching the
-    # f' >= 0 InputError) give the same stages and u_next with the limiter's
-    # pieces as without them, and the same error at the same stage.
+    # As for advection: Burgers (f' = v), a positive f', a rational one and an
+    # f' that turns negative on the data (f' = 1 - v, or v on negative data,
+    # reaching the f' >= 0 InputError) give the same stages and u_next with
+    # the limiter's pieces as without them, and the same error at the same stage.
     limiter = LIMITERS[name]
     generic = dataclasses.replace(limiter, pieces=())
-    f = {"v": lambda v: v, "v*v + 1/3": lambda v: v * v + F(1, 3), "1 - v": lambda v: 1 - v}
+    f = {"v": lambda v: v, "v*v + 1/3": lambda v: v * v + F(1, 3), "1 - v": lambda v: 1 - v,
+         "1/(1 + v*v)": lambda v: 1 / (1 + v * v)}
     dt, dx = (dt, 1) if isinstance(dt, int) else (dt / len(u), F(1, len(u)))
     flux, plain = (_stepped(u, lim, None, t, dt, dx, f[fprime]) for lim in (limiter, generic))
     assert flux == plain
