@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InputError, PreconditionError, rational
+from .errors import CapacityError, InputError, PreconditionError, rational
 from .molsim import ScriptedQ, SemiDiscreteProblem, erk_step
 from .multilinear import VarTag
 from .polygen import PropagationSet, StencilSpec, generate, upwind
@@ -70,31 +70,20 @@ class CounterexampleReport:
         return erk_step(p, self.tableau, self.dt, self.u0).u_next
 
 
-def _scripted_point(
-    ps: PropagationSet, script: ScriptedQ, cell: int, n: int,
-    dt: Fraction, dx: Fraction,
-) -> dict[VarTag, Fraction]:
-    """The effective xi assignment the script induces at one cell."""
+def _scripted_point(ps: PropagationSet, script: ScriptedQ, cell: int, n: int,
+                    dt: Fraction) -> dict[VarTag, Fraction]:
+    """The effective xi assignment the script induces at one cell, dx = 1."""
     t = ps.tableau
-    scale = dx ** ps.stencil.dx_power
-    return {
-        v: dt * script.value((cell + v.offset) % n, t.c[v.stage - 1] * dt) / scale
-        for v in ps.vars
-    }
+    return {v: dt * script.value((cell + v.offset) % n, t.c[v.stage - 1] * dt)
+            for v in ps.vars}
 
 
-def _poly_u1(ps, script, cell, n, u0, dt, dx) -> Fraction:
-    """u1 at one cell predicted by the propagation polynomials."""
-    point = _scripted_point(ps, script, cell, n, dt, dx)
-    return sum(
-        (poly.eval(point) * u0[(cell - i) % n] for i, poly in ps.polys.items()),
-        Fraction(0),
-    )
-
-
-def _build_report(t, stencil, n, dt, u0, script, locus, description):
-    ps = generate(t, stencil)
-    expect = _poly_u1(ps, script, locus, n, u0, dt, Fraction(1))
+def _build_report(ps, n, dt, u0, script, locus, description):
+    t, stencil = ps.tableau, ps.stencil
+    # u1 at the locus predicted by the propagation polynomials.
+    point = _scripted_point(ps, script, locus, n, dt)
+    expect = sum((poly.eval(point) * u0[(locus - i) % n] for i, poly in ps.polys.items()),
+                 Fraction(0))
     p = SemiDiscreteProblem(n, Fraction(1), stencil, script, u0)
     trace = erk_step(p, t, dt, u0)
     got = trace.u_next[locus]
@@ -167,14 +156,14 @@ def first_step_counterexample(
          for tag, val in assignment.items() if val != 0],
     )
     requested = {v: assignment.get(v, Fraction(0)) for v in ps.vars}
-    effective = _scripted_point(ps, script, target, n, Fraction(1), Fraction(1))
+    effective = _scripted_point(ps, script, target, n, Fraction(1))
     if ps.polys[offset_i].eval(requested) < 0 <= ps.polys[offset_i].eval(effective):
         raise PreconditionError(
             f"{t.name}: coincident stage times activate extra xi "
             f"variables and destroy the requested witness"
         )
     return _build_report(
-        t, stencil, n, Fraction(1), u0, script, target,
+        ps, n, Fraction(1), u0, script, target,
         f"first-step witness: P_{offset_i} evaluated at the scripted vertex",
     )
 
@@ -208,6 +197,14 @@ def _negative_chain(t: ButcherTableau):
     )
 
 
+# Vertex restrictions `_closed_negativity_witness` may evaluate, charged
+# len(polys) << classes before the first.  One costs about 10 us on 6-stage
+# upwind sets (21 variables, about 220 terms) and 48 us on an 8-stage one
+# (36 variables, 4,775 terms; 2-CPU Xeon), so a full scan takes at most
+# about 5 s at 6 stages; 8 polynomials over 16 classes still fit.
+_CLOSED_SCAN = 1 << 19
+
+
 def _closed_negativity_witness(ps: PropagationSet):
     """Negativity witness at a schedule-realizable box vertex.
 
@@ -216,7 +213,8 @@ def _closed_negativity_witness(ps: PropagationSet):
     grouping are realizable.  Scans every propagation polynomial over
     the closed subsets for a vertex restriction whose lowest nonzero
     coefficient is negative; such a restriction is negative for all
-    small enough delta.  Returns (offset, point) or None.
+    small enough delta.  Returns (offset, point) or None.  A scan over
+    _CLOSED_SCAN restrictions raises CapacityError before the first.
     """
     t = ps.tableau
     classes: dict[tuple, int] = {}
@@ -224,20 +222,17 @@ def _closed_negativity_witness(ps: PropagationSet):
         key = (v.offset, t.c[v.stage - 1])
         classes[key] = classes.get(key, 0) | 1 << idx
     masks = list(classes.values())
+    scan = len(ps.polys) << len(masks)
+    if scan > _CLOSED_SCAN:
+        raise CapacityError(f"the closed-vertex scan needs {scan} restrictions ({len(masks)} "
+                            f"classes), over the limit of {_CLOSED_SCAN}")
     for offset in ps.offsets:
-        poly = ps.polys[offset]
         for pick in range(1, 1 << len(masks)):
-            subset = 0
-            for i, mask in enumerate(masks):
-                if pick >> i & 1:
-                    subset |= mask
-            g = poly.vertex_restriction(subset)
-            if not g.negative_germ:
-                continue
-            delta = g.germ_witness()
-            point = {v: delta
-                     for i, v in enumerate(ps.vars) if subset >> i & 1}
-            return offset, point
+            subset = sum(mask for i, mask in enumerate(masks) if pick >> i & 1)
+            g = ps.polys[offset].vertex_restriction(subset)
+            if g.negative_germ:
+                delta = g.germ_witness()
+                return offset, {v: delta for i, v in enumerate(ps.vars) if subset >> i & 1}
     return None
 
 
@@ -255,6 +250,7 @@ def negative_entry_counterexample(t: ButcherTableau) -> CounterexampleReport:
         raise PreconditionError(
             f"{t.name}: method has unused stages (DJ-reducible); reduce first"
         )
+    ps = generate(t, upwind)  # refuses a tableau over TERMS before any chain is listed
     J, chain, planned = _negative_chain(t)
     if planned >= 0:
         raise AssertionError("planned chain value is not negative")
@@ -270,7 +266,7 @@ def negative_entry_counterexample(t: ButcherTableau) -> CounterexampleReport:
     script = _schedule(t, entries)
     locus = p_cell + len(chain)
     report = _build_report(
-        t, upwind, n, Fraction(1), u0, script, locus,
+        ps, n, Fraction(1), u0, script, locus,
         f"negative entry in column {J + 1}; relay chain through stages "
         f"{[s + 1 for s in chain]}",
     )
@@ -279,7 +275,6 @@ def negative_entry_counterexample(t: ButcherTableau) -> CounterexampleReport:
     # Coincident stage times cancelled the planned chain value.  Fall
     # back to a witness over confluence-closed vertex subsets, which a
     # schedule realizes without collateral activation.
-    ps = generate(t, upwind)
     found = _closed_negativity_witness(ps)
     if found is None:
         raise PreconditionError(
@@ -306,7 +301,7 @@ def rk4_counterexample(eps: Fraction) -> CounterexampleReport:
             (3, 4, Fraction(1))], dt=eps,
     )
     report = _build_report(
-        t, upwind, n, eps, u0, script, 3,
+        generate(t, upwind), n, eps, u0, script, 3,
         "four-stage schedule forcing a negative fourth cell at the first step",
     )
     full = (

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from .adversary import (first_step_counterexample, negative_entry_counterexample,
@@ -279,9 +280,17 @@ def cmd_simulate(args, out) -> int:
         gamma = cert.exact if cert.exact is not None else cert.lower
         dt = args.cfl_fraction * max_step(gamma, prob)
         certified = f"gamma={_fmt(gamma)} tau0={_fmt(tau0(prob))} dt={_fmt(dt)}"
-    rep = run(prob, t, dt, args.steps, monitors=tuple(args.monitors),
-              mode=args.mode)
-    # Printed once the run is done, so an error is the only stderr line.
+    with warnings.catch_warnings(record=True) as caught:
+        rep = run(prob, t, dt, args.steps, monitors=tuple(args.monitors),
+                  mode=args.mode)
+    # Issued again once the run is done, so an error is the only stderr
+    # line, and shown as one `warning:` line each.
+    shown, warnings.formatwarning = warnings.formatwarning, lambda w, *_: f"warning: {w}\n"
+    try:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    finally:
+        warnings.formatwarning = shown
     if certified is not None:
         print(certified, file=sys.stderr)
     for i in range(rep.steps_run):

@@ -26,7 +26,7 @@ from math import lcm
 
 from .errors import CapacityError, PreconditionError, rational
 from .multilinear import TABLE_BYTES, MultilinearPoly, VarTag, move_bits
-from .tableau import ButcherTableau, chain_weights
+from .tableau import ButcherTableau, _chain_counts, chain_weights
 
 __all__ = [
     "StencilSpec",
@@ -198,19 +198,12 @@ TERMS = TABLE_BYTES >> 8
 
 
 def term_count(t: ButcherTableau, s: StencilSpec) -> int:
-    """The terms `generate` builds: 1 + sum over r of N_r * w**r.
-
-    N_r counts the stage chains of length r with a nonzero weight, the
-    increasing paths through nonzero entries of A that end at a nonzero
-    entry of b, and w is the stencil's width: each chain and row of
-    stencil shifts is one term.  O(m**3) operations on the nonzero
-    pattern, summed by the stage a chain ends at.
-    """
-    ends, total = [1] * t.m, 1  # ends[j]: the chains of the length so far ending at j
-    for r in range(1, t.m + 1):
-        total += sum(e for e, b in zip(ends, t.b) if b) * len(s.coeffs) ** r
-        ends = [sum(ends[i] for i in range(j) if t.a[j][i]) for j in range(t.m)]
-    return total
+    """The terms `generate` builds: 1 + sum over r of N_r * w**r, with N_r
+    the nonzero stage chains of r stages (`tableau._chain_counts`, O(m**3)
+    operations on the nonzero pattern) and w the stencil's width: each
+    chain and row of stencil shifts is one term."""
+    return 1 + sum(sum(level) * len(s.coeffs) ** r
+                   for r, level in enumerate(_chain_counts(t), 1))
 
 
 def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:

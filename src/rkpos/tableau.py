@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, ParameterDomainError, rational
@@ -87,16 +86,8 @@ class ButcherTableau:
         return None
 
     def is_dj_irreducible(self) -> bool:
-        """Every stage feeds the output through a chain of nonzero coefficients."""
-        reached = {j for j in range(self.m) if self.b[j] != 0}
-        frontier = list(reached)
-        while frontier:
-            i = frontier.pop()
-            for j in range(i):
-                if self.a[i][j] != 0 and j not in reached:
-                    reached.add(j)
-                    frontier.append(j)
-        return len(reached) == self.m
+        """Every stage starts a stage chain of nonzero coefficients."""
+        return all(map(any, zip(*_chain_counts(self))))
 
 
 def chain_weights(t: ButcherTableau) -> Iterator[tuple[tuple[int, ...], Fraction]]:
@@ -105,15 +96,26 @@ def chain_weights(t: ButcherTableau) -> Iterator[tuple[tuple[int, ...], Fraction
     Yields (stages, weight) with 0-based stages s1 < ... < sr, shortest
     chains first, then in `itertools.combinations` order.  The weights of
     the r-stage chains are the terms of b . A^(r-1) e, Butcher's
-    elementary weight of the tall tree with r vertices.
+    elementary weight of the tall tree with r vertices.  A chain of r + 1
+    stages is a nonzero a_{s1,i}, i < s1, put in front of an r-stage chain
+    s1 < ..., so the work grows with the chains, not the 2**m subsets.
     """
-    for r in range(1, t.m + 1):
-        for stages in combinations(range(t.m), r):
-            weight = t.b[stages[-1]]
-            for lo, hi in zip(stages, stages[1:]):
-                weight *= t.a[hi][lo]
-            if weight != 0:
-                yield stages, weight
+    level = [((j,), b) for j, b in enumerate(t.b) if b]
+    while level:
+        yield from level
+        level = sorted(((i, *stages), t.a[stages[0]][i] * weight)
+                       for stages, weight in level
+                       for i in range(stages[0]) if t.a[stages[0]][i])
+
+
+def _chain_counts(t: ButcherTableau) -> list[list[int]]:
+    """Per length r = 1, ..., m, the nonzero chains of r stages by first
+    stage: `chain_weights`'s walk, counted in O(m**3) integer operations."""
+    level, counts = [int(b != 0) for b in t.b], []
+    for _ in range(t.m):
+        counts.append(level)
+        level = [sum(level[j] for j in range(i + 1, t.m) if t.a[j][i]) for i in range(t.m)]
+    return counts
 
 
 def erk22(alpha) -> ButcherTableau:

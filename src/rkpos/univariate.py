@@ -210,9 +210,7 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
     first); violating that raises ValueError.  A nonpositive `tol` raises
     InputError, since bisection to it would never end.
     """
-    tol = rational(tol)
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
+    tol = positive_tol(tol)
     if p.negative_germ:
         raise ValueError("polynomial is negative immediately right of 0")
     h = list(dropwhile(lambda c: c == 0, p.ints))  # delta^k factor dropped; h(0) > 0

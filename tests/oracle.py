@@ -8,12 +8,15 @@ every member; `first_negative_root`, the first negativity of a polynomial
 read off its factorization; `derivative`, `_divmod`, `_sturm_chain` and
 `_squarefree`, the Euclidean Sturm chain and squarefree part over Fraction,
 whose root counts the integer Sturm chain of `rkpos.univariate` must match;
-and `ssp_feasible`, the SSP feasibility check by forward substitution over
-Fraction, the reference for the integer one of `rkpos.bounds`."""
+`ssp_feasible`, the SSP feasibility check by forward substitution over
+Fraction, the reference for the integer one of `rkpos.bounds`; and
+`chain_weights_subsets`, the stage chains from a scan of all 2**m - 1 stage
+subsets, the reference for the backward walk of `rkpos.tableau`."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
-from typing import Iterable, Optional, TypeVar
+from typing import Iterable, Iterator, Optional, TypeVar
 
 from rkpos.errors import InputError
 
@@ -232,3 +235,16 @@ def ssp_feasible(t: ButcherTableau, r: Fraction) -> bool:
                 x = [v - r * kij * w for v, w in zip(x, sol[j])]
         sol.append(x)
     return all(v >= 0 for x in sol for v in x)
+
+
+def chain_weights_subsets(t: ButcherTableau) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """(stages, weight) of every stage subset s1 < ... < sr whose weight
+    b_sr * a_{sr,s(r-1)} * ... * a_{s2,s1} is nonzero, shortest first, then
+    in `itertools.combinations` order."""
+    for r in range(1, t.m + 1):
+        for stages in combinations(range(t.m), r):
+            weight = t.b[stages[-1]]
+            for lo, hi in zip(stages, stages[1:]):
+                weight *= t.a[hi][lo]
+            if weight != 0:
+                yield stages, weight

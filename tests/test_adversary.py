@@ -131,6 +131,23 @@ def test_negative_entry_relay_chain(rows, b, value, stages):
     assert rep.resimulate() == tuple(rep.u1)
 
 
+def test_negative_entry_falls_back_to_a_closed_vertex_witness():
+    """Stages 1 and 2 share the abscissa 0, so scripting b2 = -1/2's stage
+    also activates stage 1 and cancels the planned value; the scan over
+    confluence-closed vertices then finds P_1 = -1."""
+    rep = negative_entry_counterexample(
+        lower_tableau([[], [0], [F(-1, 2), F(1, 4)]], (1, F(-1, 2), -1)))
+    assert rep.description.startswith("first-step witness: P_1 ")
+    assert rep.negative_value == -1
+    assert rep.resimulate() == tuple(rep.u1)
+
+
+def test_negative_entry_fallback_without_a_realizable_witness():
+    with pytest.raises(PreconditionError, match="no realizable vertex witness was found"):
+        negative_entry_counterexample(
+            lower_tableau([[], [F(1, 4)], [F(1, 4), 0]], (F(3, 4), F(-1, 2), F(3, 4))))
+
+
 def test_negative_entry_requires_a_negative_entry():
     with pytest.raises(PreconditionError):
         negative_entry_counterexample(rk4_classical())

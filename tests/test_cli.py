@@ -170,6 +170,24 @@ def test_simulate_prints_fractions_past_the_digit_limit(capsys):
     assert final["steps_run"] == 10 and final["first_violation"] is None
 
 
+def cli_process(*argv):
+    """`python -m rkpos.cli argv` in a fresh process, with this tree's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "rkpos.cli", *argv],
+                          capture_output=True, text=True, timeout=10, env=env)
+
+
+def test_simulate_float_switch_warns_in_one_line():
+    proc = cli_process("simulate", "--method", "erk22:1", "--n", "16", "--steps", "10",
+                       "--limiter", "minmod", "--stencil", "heat", "--mode", "rational")
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: rational state size exceeded the practical limit; "
+                           "switching to float arithmetic\n"
+                           "gamma=1/2 tau0=1/512 dt=1/1024\n")
+
+
 def test_reproduce_ok(capsys):
     for rid in ("erk22-table", "rk4-negative", "heat-table"):
         code, out = invoke(capsys, "reproduce", rid)
@@ -249,6 +267,15 @@ def generic_tableau(m):
 
 # Its heat-stencil vertex tables need 34 GiB, over the byte budget.
 GENERIC7_TABLEAU = generic_tableau(7)
+# Its negative-entry plan cancels, and the closed-vertex fallback would scan
+# 9 polynomials over 2**34 closed subsets.
+CONFLUENT8_TABLEAU = json.dumps({"m": 8, "A": [
+    ["0"] * 8, ["1/4"] + ["0"] * 7, ["1/2", "3/4"] + ["0"] * 6,
+    ["-1/2", "1/4", "3/4"] + ["0"] * 5, ["0", "0", "1/2", "1/4"] + ["0"] * 4,
+    ["-1/2", "3/4", "1/2", "0", "1/4", "0", "0", "0"],
+    ["0", "0", "1/2", "1/4", "1/4", "-1/2", "0", "0"],
+    ["1", "1/4", "0", "1/2", "0", "1", "1", "0"]],
+    "b": ["3/4", "0", "-1/2", "1/4", "-1/2", "-1", "1", "1/4"]})
 
 
 @pytest.mark.parametrize("argv", [
@@ -291,6 +318,20 @@ def test_oversized_work_exits_2_before_doing_it(tmp_path, capsys, argv):
     assert lines[0].startswith("error:") and "over the limit" in lines[0]
 
 
+@pytest.mark.parametrize("command", ["gamma", "polys", "ssp", "rphi", "adversary"])
+def test_sparse_30_stage_file_exits_quickly(tmp_path, capsys, command):
+    """A = 0 and b_j = 1/30: 31 terms, but 2**30 stage subsets.  Each command
+    finishes, or refuses the file with one error line, within 5 s."""
+    path = tmp_path / "sparse30.json"
+    path.write_text(json.dumps({"m": 30, "A": [["0"] * 30] * 30, "b": ["1/30"] * 30}),
+                    encoding="utf-8")
+    start = time.perf_counter()
+    code = main([command, "--tableau-file", str(path)])
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert code == 0 or code == 2 and len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma", "--method", "erk22:1", "--tol", "0"],
     ["gamma", "--method", "erk22:1", "--tol", "-1"],
@@ -321,22 +362,19 @@ def test_oversized_work_exits_2_before_doing_it(tmp_path, capsys, argv):
     ["adversary", "--method", "erk33c3:1", "--eps", "5"],
     ["simulate", "--method", "erk22:1", "--dt", "1/1000", "--tol", "0"],
     ["polys", "--tableau-file", "{generic12_tableau}"],
+    ["adversary", "--tableau-file", "{confluent8_tableau}"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejected_input_exits_2(tmp_path, argv):
     files = {"float_tableau": FLOAT_TABLEAU, "generic7_tableau": GENERIC7_TABLEAU,
-             "generic12_tableau": generic_tableau(12), "zero_den_tableau": ZERO_DEN_TABLEAU}
+             "generic12_tableau": generic_tableau(12), "zero_den_tableau": ZERO_DEN_TABLEAU,
+             "confluent8_tableau": CONFLUENT8_TABLEAU}
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, text in files.items():
         paths[name].write_text(text, encoding="utf-8")
     paths.update(missing=tmp_path / "missing.json", directory=tmp_path,
                  binary=tmp_path / "binary.json")
     paths["binary"].write_bytes(b"\xff\xfe")
-    argv = [a.format(**paths) for a in argv]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "rkpos.cli", *argv],
-                          capture_output=True, text=True, timeout=10, env=env)
+    proc = cli_process(*[a.format(**paths) for a in argv])
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

@@ -1,8 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracle import chain_weights_subsets
 from rkpos.errors import InputError, ParameterDomainError
+from rkpos.polygen import centered, heat, term_count, upwind
 from rkpos.tableau import (ButcherTableau, chain_weights, check_order, erk22,
                            erk33_case1, erk33_case2, erk33_case3,
                            forward_euler, make_family, parse_method,
@@ -33,6 +36,35 @@ def test_rk4_chain_weights():
         ((0, 1, 2), F(1, 12)), ((1, 2, 3), F(1, 12)),
         ((0, 1, 2, 3), F(1, 24)),
     ]
+
+
+# Mostly zero, some negative: zero rows share the abscissa 0, and rows with
+# equal sums share theirs.
+SPARSE = st.sampled_from([F(0), F(0), F(0), F(-1, 2), F(1, 4), F(1, 2), F(1)])
+
+
+@st.composite
+def sparse_tableaux(draw):
+    """Strictly lower-triangular tableaux with m <= 8 stages from SPARSE."""
+    m = draw(st.integers(1, 8))
+    a = [[draw(SPARSE) if j < i else 0 for j in range(m)] for i in range(m)]
+    return ButcherTableau(a, [draw(SPARSE) for _ in range(m)])
+
+
+@settings(max_examples=300)
+@given(sparse_tableaux())
+@example(rk4_classical())
+@example(ButcherTableau([[0, 0, 0], [0, 0, 0], [F(-1, 2), F(1, 4), 0]], [1, F(-1, 2), -1]))
+@example(ButcherTableau([[0] * 8] * 8, [0] * 7 + [1]))
+def test_chain_walk_matches_the_subset_scan(t):
+    """The backward walk yields the subset scan's chains, in its order and
+    with its weights; term_count and is_dj_irreducible, from the walk's
+    counts, agree with counting and covering the scanned chains."""
+    chains = list(chain_weights_subsets(t))
+    assert list(chain_weights(t)) == chains
+    for s in (upwind, heat, centered):
+        assert term_count(t, s) == 1 + sum(len(s.coeffs) ** len(c) for c, _ in chains)
+    assert t.is_dj_irreducible() == ({j for c, _ in chains for j in c} == set(range(t.m)))
 
 
 def _order_ok(t, p):
@@ -150,6 +182,8 @@ def test_validation_rejects_non_number_entries(entry):
 def test_dj_irreducible():
     assert erk22(F(1)).is_dj_irreducible()
     assert rk4_classical().is_dj_irreducible()
+    assert not ButcherTableau([[0, 0], [0, 0]], [0, 1]).is_dj_irreducible()
+    assert not ButcherTableau([[0]], [0]).is_dj_irreducible()
 
 
 def test_json_accepts_strings_and_integers():
