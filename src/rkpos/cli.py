@@ -16,31 +16,29 @@ from fractions import Fraction
 from .adversary import (first_step_counterexample, negative_entry_counterexample,
                         rk4_counterexample)
 from .bounds import radius_abs_monotonicity, ssp_coefficient, stability_polynomial
-from .errors import CapacityError, InputError, PreconditionError, RkposError
+from .errors import CapacityError, InputError, PreconditionError, RkposError, rational
 from .gamma import (compute_gamma, gamma_zero_test, region_scan, subset_bits,
                     sweep)
 from .molsim import (LIMITERS, MONITORS, SemiDiscreteProblem, advection,
                      check_work, max_step, run, tau0)
 from .polygen import BUILTIN_STENCILS, generate, term_count, x_labels
 from .tableau import parse_method, tableau_from_json
-from .univariate import DEFAULT_TOL
+from .univariate import DEFAULT_TOL, positive_tol
 
 __all__ = ["main"]
 
 
-def _frac(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(
-            f"zero denominator in {text!r}") from None
+def _option(convert):
+    """An argparse type that reports convert's InputError as the option's."""
+    def parse(text: str) -> Fraction:
+        try:
+            return convert(text)
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
-def _positive(text: str) -> Fraction:
-    value = _frac(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
+_frac, _positive = _option(rational), _option(positive_tol)
 
 
 # 10**600 has fewer digits than the lowest int-to-str limit Python allows

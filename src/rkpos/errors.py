@@ -1,7 +1,12 @@
 """Exception types shared across the package, and `rational`, the one
 converter of the exact numbers the public functions take."""
 
+import re
 from fractions import Fraction
+
+# Digits that number text may give a numerator or a denominator.
+TEXT_DIGITS = 1000
+_DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
 
 
 class RkposError(Exception):
@@ -41,12 +46,29 @@ class InputError(RkposError, ValueError):
 
 
 def rational(x) -> Fraction:
-    """x as a Fraction; a float, a bool or a non-number raises InputError."""
+    """x as a Fraction; a float, a bool or a non-number raises InputError.
+
+    So does text whose numerator or denominator has over TEXT_DIGITS digits,
+    counting an exponent's zeros ("1e1000") and a decimal denominator 10**k
+    as k places ("1e-1001"), before the power of 10 is built."""
     if type(x) is Fraction:
         return x
     if isinstance(x, (float, bool)):
         raise InputError(f"{type(x).__name__} {x!r} not accepted; pass an exact rational")
     try:
+        if isinstance(x, str) and _text_digits(x) > TEXT_DIGITS:
+            raise ValueError(f"numerator or denominator over {TEXT_DIGITS} digits")
         return Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"entry {x!r} is not a number: {exc}") from exc
+
+
+def _text_digits(text: str) -> int:
+    """Digits of text's numerator or denominator, as `rational` counts them."""
+    most = 0
+    for part in text.split("/"):
+        if (m := _DECIMAL.fullmatch(part)) is not None:
+            whole, places, exp = (g.replace("_", "") for g in m.groups(""))
+            shift = int(exp or 0) - len(places)
+            most = max(most, len((whole + places).lstrip("0")) + shift, -shift)
+    return most

@@ -272,7 +272,7 @@ def _json_entries(field: str, value) -> list[Fraction]:
     strings and non-bool integers."""
     if type(value) is not list or any(type(x) not in (str, int) for x in value):
         raise InputError(f"{field} must be a list of strings and integers")
-    return [Fraction(x) for x in value]
+    return [rational(x) for x in value]
 
 
 def tableau_from_json(text: str) -> ButcherTableau:
@@ -284,7 +284,7 @@ def tableau_from_json(text: str) -> ButcherTableau:
         b = _json_entries("b", obj["b"])
         if type(obj["m"]) is not int or obj["m"] != len(b):
             raise InputError("field 'm' must be an integer equal to len(b)")
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"malformed tableau file: {exc}") from exc
     return ButcherTableau(a, b, "from-file")
 
@@ -303,8 +303,8 @@ def parse_method(text: str) -> ButcherTableau:
     if ":" in text:
         head, _, tail = text.partition(":")
         try:
-            params = [Fraction(part) for part in tail.split(",") if part]
-        except (ValueError, ZeroDivisionError) as exc:
+            params = [rational(part) for part in tail.split(",") if part]
+        except InputError as exc:
             raise InputError(f"bad parameter in method {text!r}: {exc}") from exc
         kinds = {
             "erk22": "ERK22",

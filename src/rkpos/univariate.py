@@ -2,15 +2,15 @@
 
 Houses the vertex-restriction polynomials g_S(delta) and the machinery for
 locating the first point on (0, oo) where such a polynomial turns negative:
-Sturm-chain root counting, sign-variation bisection, and rational-root
-snapping.  A `UniPoly` holds integer numerators over one positive scale,
-so the search reads signs straight from them: the sign of p at num/den is
-that of the integer den**deg * p(num/den), computed by homogeneous Horner,
-which evaluation shares.  The bisection that narrows a bracket to `tol`
-runs on integer numerators over one shared denominator and builds
-Fractions only for the `Cut` it returns.  `refine`, behind gamma, C and
-R(phi), finds and confirms the sup of a monotone exact check by cutting
-only the restrictions that the check names.  No floating point anywhere.
+one left-to-right pass that isolates roots by Sturm counts, bisects the
+first crossing and snaps it to a rational root.  A `UniPoly` holds integer
+numerators over one positive scale, so the pass reads signs straight from
+them: the sign of p at num/den is that of the integer den**deg *
+p(num/den), computed by homogeneous Horner, which evaluation shares.  The
+bisection runs on integer numerators over one shared denominator.
+`refine`, behind gamma, C and R(phi), finds and confirms the sup of a
+monotone exact check by cutting only the restrictions that the check
+names.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -209,6 +209,16 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
     nonzero coefficient of p must be positive (callers run the zero test
     first); violating that raises ValueError.  A nonpositive `tol` raises
     InputError, since bisection to it would never end.
+
+    One pass, left to right, over (0, bound), bound past every real root of
+    h = p / delta**k: Sturm counts split it at non-root midpoints into
+    pieces that each hold one distinct root, and h > 0 at each piece's
+    left end.  A piece whose right end is positive holds a touch and is
+    skipped.  The first whose right end is negative is bisected: a
+    midpoint where h = 0 is the exact cut; otherwise halving goes on until
+    the upper end is a midpoint where h < 0, and then until the width is
+    at most `tol`.  A bracket whose simplest rational is a root snaps to
+    it.
     """
     tol = positive_tol(tol)
     if p.negative_germ:
@@ -225,76 +235,45 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
         # A positive multiple of h(x).
         return _horner(h, x.numerator, x.denominator)
 
-    def nroots(a: Fraction, b: Fraction) -> int:
-        # Distinct roots of h in (a, b); endpoints must not be roots.
-        return _variations(chain, a) - _variations(chain, b)
-
-    def nonroot_between(a: Fraction, b: Fraction) -> Fraction:
-        t = (a + b) / 2
-        while value(t) == 0:
-            t = (a + t) / 2
-        return t
-
-    def refine_bracket(a: Fraction, neg: Fraction) -> Cut:
-        # Single root of h in (a, neg); h(a) > 0, h(neg) < 0.  The bracket
-        # is (lo / den, hi / den) with den = q * 2**j, q the lcm of the
-        # ends' denominators; halving it doubles den and keeps hi - lo.
-        den = lcm(a.denominator, neg.denominator)
-        lo = a.numerator * (den // a.denominator)
-        hi = neg.numerator * (den // neg.denominator)
-        while (hi - lo) * tol.denominator > tol.numerator * den:
-            mid = lo + hi
-            den *= 2
-            sign = _horner(h, mid, den)
-            if sign == 0:
-                root = Fraction(mid, den)
-                return Cut(exact=root, lo=root, hi=root)
-            if sign < 0:
-                lo, hi = 2 * lo, mid
-            else:
-                lo, hi = mid, 2 * hi
-        a, neg = Fraction(lo, den), Fraction(hi, den)
-        # A rational root with modest denominator is the simplest rational
-        # in a tight enough bracket; accept the candidate only if it is
-        # genuinely a root.
-        cand = _simplest_between(a, neg)
-        if value(cand) == 0:
-            return Cut(exact=cand, lo=cand, hi=cand)
-        return Cut(exact=None, lo=a, hi=neg)
-
-    def single_root(a: Fraction, b: Fraction) -> Optional[Cut]:
-        # Exactly one distinct root r of h in (a, b); h(a) > 0, endpoints non-roots.
-        while True:
-            mid = (a + b) / 2
-            sign = value(mid)
-            if sign == 0:
-                if value(nonroot_between(mid, b)) < 0:
-                    return Cut(exact=mid, lo=mid, hi=mid)
-                return None  # touches zero, stays nonnegative
-            if sign < 0:
-                return refine_bracket(a, mid)
-            if nroots(a, mid) == 1:
-                # Root lies left of mid with h(mid) > 0: an even touch.
-                return None
-            a = mid
-
-    def search(a: Fraction, b: Fraction) -> Optional[Cut]:
-        # First negativity of h in (a, b); h(a) > 0, endpoints non-roots.
-        n = nroots(a, b)
-        if n == 0:
-            return None  # no roots, so h keeps the sign it has at a
-        if n == 1:
-            return single_root(a, b)
-        t = nonroot_between(a, b)
-        left = search(a, t)
-        if left is not None:
-            return left
-        return search(t, b)  # h(t) > 0 since (a, t) held no negativity
-
-    result = search(Fraction(0), bound)
-    if result is None and lead < 0:
-        raise AssertionError("negative leading coefficient but no cut found")
-    return result
+    a, ends = Fraction(0), [bound]  # the piece (a, ends[-1]); h(a) > 0
+    while ends:
+        b = ends[-1]
+        roots = _variations(chain, a) - _variations(chain, b)
+        if roots > 1:
+            t = (a + b) / 2
+            while value(t) == 0:
+                t = (a + t) / 2
+            ends.append(t)
+        elif roots == 1 and value(b) < 0:
+            break
+        else:
+            a = ends.pop()  # no root, or a touch: h(b) > 0
+    else:
+        if lead < 0:
+            raise AssertionError("negative leading coefficient but no cut found")
+        return None
+    # The crossing in (a, b) is bracketed by (lo / den, hi / den): halving
+    # doubles den and keeps hi - lo.
+    den = lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    negative_mid = False
+    while not negative_mid or (hi - lo) * tol.denominator > tol.numerator * den:
+        mid, den = lo + hi, 2 * den
+        sign = _horner(h, mid, den)
+        if sign == 0:
+            root = Fraction(mid, den)
+            return Cut(exact=root, lo=root, hi=root)
+        if sign < 0:
+            lo, hi, negative_mid = 2 * lo, mid, True
+        else:
+            lo, hi = mid, 2 * hi
+    a, b = Fraction(lo, den), Fraction(hi, den)
+    # A rational root with modest denominator is the simplest rational in a
+    # tight enough bracket.
+    cand = _simplest_between(a, b)
+    if value(cand) == 0:
+        return Cut(exact=cand, lo=cand, hi=cand)
+    return Cut(exact=None, lo=a, hi=b)
 
 
 def positive_tol(tol) -> Fraction:

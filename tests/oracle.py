@@ -9,12 +9,15 @@ read off its factorization; `derivative`, `_divmod`, `_sturm_chain` and
 `_squarefree`, the Euclidean Sturm chain and squarefree part over Fraction,
 whose root counts the integer Sturm chain of `rkpos.univariate` must match;
 `ssp_feasible`, the SSP feasibility check by forward substitution over
-Fraction, the reference for the integer one of `rkpos.bounds`; and
+Fraction, the reference for the integer one of `rkpos.bounds`;
 `chain_weights_subsets`, the stage chains from a scan of all 2**m - 1 stage
-subsets, the reference for the backward walk of `rkpos.tableau`."""
+subsets, the reference for the backward walk of `rkpos.tableau`; and
+`first_negative_cut_search`, the first negativity from a recursive Sturm
+search with a bisection for the single root and another for its bracket,
+the reference for the one pass of `rkpos.univariate`."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, dropwhile
 from math import lcm
 from typing import Iterable, Iterator, Optional, TypeVar
 
@@ -23,6 +26,7 @@ from rkpos.errors import InputError
 from rkpos.multilinear import MultilinearPoly, VarTag, canonical_order
 from rkpos.polygen import PropagationSet, StencilSpec, _check_unity
 from rkpos.tableau import ButcherTableau
+from rkpos import univariate
 from rkpos.univariate import Cut, UniPoly, first_negative_cut
 
 K = TypeVar("K")
@@ -248,3 +252,72 @@ def chain_weights_subsets(t: ButcherTableau) -> Iterator[tuple[tuple[int, ...], 
                 weight *= t.a[hi][lo]
             if weight != 0:
                 yield stages, weight
+
+
+def first_negative_cut_search(p: UniPoly, tol: Fraction) -> Optional[Cut]:
+    """`first_negative_cut(p, tol)` from a recursive search: split (0,
+    bound) at non-root midpoints until a piece holds one distinct root,
+    bisect that piece, testing each positive midpoint for a touch by a
+    Sturm count, until a midpoint is negative, then bisect that bracket
+    to `tol`.  p must have a positive germ and tol > 0."""
+    h = list(dropwhile(lambda c: c == 0, p.ints))
+    if all(c >= 0 for c in h):
+        return None
+    h = univariate._primitive(h)
+    chain, lead = univariate._sturm_chain(h), h[-1]
+    bound = Fraction(abs(lead) + max(map(abs, h)), abs(lead))
+
+    def value(x: Fraction) -> int:
+        return univariate._horner(h, x.numerator, x.denominator)
+
+    def nroots(a: Fraction, b: Fraction) -> int:
+        return univariate._variations(chain, a) - univariate._variations(chain, b)
+
+    def nonroot_between(a: Fraction, b: Fraction) -> Fraction:
+        t = (a + b) / 2
+        while value(t) == 0:
+            t = (a + t) / 2
+        return t
+
+    def refine_bracket(a: Fraction, neg: Fraction) -> Cut:
+        # Single root in (a, neg); h(a) > 0, h(neg) < 0.
+        while neg - a > tol:
+            mid = (a + neg) / 2
+            sign = value(mid)
+            if sign == 0:
+                return Cut(exact=mid, lo=mid, hi=mid)
+            if sign < 0:
+                neg = mid
+            else:
+                a = mid
+        cand = univariate._simplest_between(a, neg)
+        if value(cand) == 0:
+            return Cut(exact=cand, lo=cand, hi=cand)
+        return Cut(exact=None, lo=a, hi=neg)
+
+    def single_root(a: Fraction, b: Fraction) -> Optional[Cut]:
+        # One distinct root in (a, b); h(a) > 0, endpoints non-roots.
+        while True:
+            mid = (a + b) / 2
+            sign = value(mid)
+            if sign == 0:
+                if value(nonroot_between(mid, b)) < 0:
+                    return Cut(exact=mid, lo=mid, hi=mid)
+                return None
+            if sign < 0:
+                return refine_bracket(a, mid)
+            if nroots(a, mid) == 1:
+                return None  # the root left of mid is a touch
+            a = mid
+
+    def search(a: Fraction, b: Fraction) -> Optional[Cut]:
+        # First negativity in (a, b); h(a) > 0, endpoints non-roots.
+        n = nroots(a, b)
+        if n == 0:
+            return None
+        if n == 1:
+            return single_root(a, b)
+        t = nonroot_between(a, b)
+        return search(a, t) or search(t, b)
+
+    return search(Fraction(0), bound)

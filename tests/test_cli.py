@@ -13,11 +13,14 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rkpos import cli
 from rkpos.cli import main
-from rkpos.tableau import erk22, tableau_to_json
+from rkpos.errors import InputError, rational
+from rkpos.gamma import SWEEP_POINT_COST
+from rkpos.multilinear import GRID_POINTS
+from rkpos.tableau import FAMILY_KINDS, erk22, tableau_to_json
 
 
 def invoke(capsys, *argv):
@@ -256,6 +259,8 @@ def test_tableau_file_entries_must_be_strings_or_integers(tmp_path, capsys, text
 
 FLOAT_TABLEAU = '{"m": 2, "A": [[0, 0], [0.1, 0]], "b": ["1/2", "1/2"]}'
 ZERO_DEN_TABLEAU = '{"m": 1, "A": [["0"]], "b": ["1/0"]}'
+# Fraction alone would build 10**10000000 for this entry.
+BIG_EXPONENT_TABLEAU = '{"m": 1, "A": [["0"]], "b": ["1e10000000"]}'
 
 
 def generic_tableau(m):
@@ -363,11 +368,21 @@ def test_sparse_30_stage_file_exits_quickly(tmp_path, capsys, command):
     ["simulate", "--method", "erk22:1", "--dt", "1/1000", "--tol", "0"],
     ["polys", "--tableau-file", "{generic12_tableau}"],
     ["adversary", "--tableau-file", "{confluent8_tableau}"],
+    # Number text past TEXT_DIGITS: slow to build, or too long to print.
+    ["gamma", "--method", "fe", "--tol", "1e-10000000"],
+    ["gamma", "--method", "erk22:1", "--tol", "1e-100000"],
+    ["gamma", "--tableau-file", "{big_exponent_tableau}"],
+    ["gamma", "--method", "erk22:1e5000"],
+    ["sweep", "--family", "ERK22", "--lo", "1e5000", "--hi", "2e5000", "--step", "1"],
+    ["region", "--spacing", "1e-5000"],
+    ["simulate", "--method", "fe", "--speed=-1e5000", "--dt", "1", "--steps", "1",
+     "--n", "4"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejected_input_exits_2(tmp_path, argv):
     files = {"float_tableau": FLOAT_TABLEAU, "generic7_tableau": GENERIC7_TABLEAU,
              "generic12_tableau": generic_tableau(12), "zero_den_tableau": ZERO_DEN_TABLEAU,
-             "confluent8_tableau": CONFLUENT8_TABLEAU}
+             "confluent8_tableau": CONFLUENT8_TABLEAU,
+             "big_exponent_tableau": BIG_EXPONENT_TABLEAU}
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, text in files.items():
         paths[name].write_text(text, encoding="utf-8")
@@ -384,8 +399,11 @@ def test_rejected_input_exits_2(tmp_path, argv):
 # --- simulate under drawn and hostile options -----------------------------------
 
 
+# 1e5000 and 1e-100000 pass TEXT_DIGITS; Fraction alone would build
+# 10**100000000 for the last.
 HOSTILE = st.sampled_from(["0", "-1", "-3/2", "1e-5", "1/1000", "1", "5/2",
-                           "1e30", "1e400", "1/0", "abc"])
+                           "1e30", "1e400", "1/0", "abc", "1e5000", "1e-100000",
+                           "1e100000000"])
 
 
 @st.composite
@@ -433,12 +451,84 @@ def test_simulate_exits_0_3_or_2_with_one_error_line(argv):
         assert json.loads(out.splitlines()[-1])["final"]["steps_run"] >= 1
 
 
+# --- sweep, region and reproduce under drawn and hostile options ---------------
+
+
+def _grid_points(lo, hi, step):
+    """Points of the grid lo, lo + step, ... up to hi, or 0 when a text is
+    not a number or step is not positive: such a grid is refused unbuilt."""
+    try:
+        lo, hi, step = (rational(x) for x in (lo, hi, step))
+    except InputError:
+        return 0
+    return max(0, (hi - lo) // step + 1) if step > 0 else 0
+
+
+def _sane_or_hostile(draw, sane):
+    return draw(HOSTILE) if draw(st.integers(0, 3)) == 0 else str(draw(sane))
+
+
+@st.composite
+def grid_argv(draw):
+    """sweep, region or reproduce argv from the parser's choices, with
+    hostile number text.  A grid is admitted only when it is small (a sweep
+    of at most 20 points, a region of at most 33**2), so each run is short;
+    larger ones are drawn over GRID_POINTS, where they are refused."""
+    command = draw(st.sampled_from(["sweep", "region", "reproduce"]))
+    fmt = ["--format", draw(st.sampled_from(["csv", "json"]))]
+    if command == "reproduce":
+        return ["reproduce", draw(st.sampled_from(sorted(cli._REPRODUCE))), *fmt]
+    lo = _sane_or_hostile(draw, st.fractions(-1, 1, max_denominator=8))
+    step = _sane_or_hostile(draw, st.sampled_from([F(1, 16), F(1, 8), F(1, 4), F(1)]))
+    try:
+        sane_hi = rational(lo) + draw(st.integers(0, 19)) * rational(step)
+    except InputError:
+        sane_hi = F(1)
+    hi = _sane_or_hostile(draw, st.just(sane_hi))
+    points = _grid_points(lo, hi, step)
+    if command == "sweep":
+        assume(points <= 20 or points * SWEEP_POINT_COST > GRID_POINTS)
+        argv = ["sweep", "--family", draw(st.sampled_from([*FAMILY_KINDS, "bogus"])),
+                "--lo", lo, "--hi", hi, "--step", step,
+                "--stencil", draw(st.sampled_from(sorted(cli.BUILTIN_STENCILS)))]
+        argv += ["--ssp"] if draw(st.booleans()) else []
+        argv += ["--tol", draw(HOSTILE)] if draw(st.booleans()) else []
+    else:
+        assume(points <= 33 or points**2 > GRID_POINTS)
+        argv = ["region", "--lo", lo, "--hi", hi, "--spacing", step]
+        argv += ["--delta", draw(HOSTILE)] if draw(st.booleans()) else []
+    return argv + fmt
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_argv())
+@example(["sweep", "--family", "ERK22", "--lo", "1e5000", "--hi", "2e5000", "--step", "1"])
+@example(["region", "--spacing", "1e-5000"])
+@example(["sweep", "--family", "ERK33_CaseII", "--lo", "3/8", "--hi", "3/4",
+          "--step", "1/16", "--ssp", "--stencil", "heat", "--tol", "1/1000"])
+def test_grid_commands_exit_0_or_2_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert time.perf_counter() - start < 5, argv
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, err)
+    if code == 2:
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+
+
 # --- certificate commands on drawn and hostile tableau files --------------------
 
 
 HOSTILE_ENTRY = st.one_of(
     st.integers(-3, 3), st.fractions(-2, 2, max_denominator=9).map(str),
-    st.sampled_from(["1e-5", "1_0", "1/0", "0/0", "abc", "", "9" * 5000]),
+    st.sampled_from(["1e-5", "1_0", "1/0", "0/0", "abc", "", "9" * 5000, "1e5000",
+                     "1e-100000", "1e100000000"]),
     st.booleans(), st.floats(), st.none())
 
 

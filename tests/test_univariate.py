@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rkpos.errors import InputError
 from rkpos.univariate import (DESCENT_LIMIT, Cut, UniPoly, descend,
@@ -232,6 +232,39 @@ def test_repeated_roots_cut_at_the_factorization_reference():
     p = UniPoly.from_coeffs(_mul(_mul([F(1), F(-2), F(1)], [F(2), F(-1)]),
                                  _mul([F(2), F(-1)], [F(2), F(-1)])))
     assert first_negative_cut(p).exact == 2 == oracle.first_negative_root({F(1): 2, F(2): 3})
+
+
+ROOTS = st.fractions(min_value=-4, max_value=4, max_denominator=16).filter(bool)
+
+
+@st.composite
+def factored_polys(draw):
+    """x**j times (1 - x / r)**m for drawn roots r and multiplicities m in
+    1..4, times root-free quadratics x**2 + b x + c, b**2 < 4c; sometimes
+    one coefficient is moved by 1/10**6, which splits roots into close
+    irrational ones.  The lowest-order coefficient stays positive."""
+    poly = [F(0)] * draw(st.integers(0, 2)) + [F(1)]
+    for r in draw(st.lists(ROOTS, max_size=3)):
+        for _ in range(draw(st.integers(1, 4))):
+            poly = _mul(poly, [F(1), -1 / r])
+    for _ in range(draw(st.integers(0, 1))):
+        b = draw(st.fractions(-2, 2, max_denominator=8))
+        poly = _mul(poly, [b * b / 4 + draw(st.sampled_from([F(1, 16), F(1, 2), F(3)])),
+                           b, F(1)])
+    if draw(st.booleans()):
+        poly[draw(st.integers(0, len(poly) - 1))] += draw(st.sampled_from([-1, 1])) * F(1, 10**6)
+    p = UniPoly.from_coeffs(poly)
+    assume(not p.negative_germ)
+    return p
+
+
+@settings(max_examples=300)
+@given(factored_polys())
+def test_first_negative_cut_matches_the_recursive_search(p):
+    """The one pass returns the (exact, lo, hi), or None, of the recursive
+    search in `oracle`, at coarse and at fine tol."""
+    for tol in (F(1, 2**2), F(1, 2**4), F(1, 2**10), F(1, 2**40)):
+        assert first_negative_cut(p, tol) == oracle.first_negative_cut_search(p, tol), tol
 
 
 def test_sturm_chain_is_divided_by_its_last_member():
