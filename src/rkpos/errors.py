@@ -1,12 +1,10 @@
 """Exception types shared across the package, and `rational`, the one
 converter of the exact numbers the public functions take."""
 
-import re
 from fractions import Fraction
 
-# Digits that number text may give a numerator or a denominator.
+# Digits that number text may give a numerator, and places a denominator.
 TEXT_DIGITS = 1000
-_DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
 
 
 class RkposError(Exception):
@@ -46,11 +44,9 @@ class InputError(RkposError, ValueError):
 
 
 def rational(x) -> Fraction:
-    """x as a Fraction; a float, a bool or a non-number raises InputError.
-
-    So does text whose numerator or denominator has over TEXT_DIGITS digits,
-    counting an exponent's zeros ("1e1000") and a decimal denominator 10**k
-    as k places ("1e-1001"), before the power of 10 is built."""
+    """x as a Fraction; a float, a bool, a non-number, or text whose numerator
+    has over TEXT_DIGITS digits ("1e1000") or denominator over TEXT_DIGITS
+    digits (10**k counts as k: "1e-1001"), raises InputError unbuilt."""
     if type(x) is Fraction:
         return x
     if isinstance(x, (float, bool)):
@@ -64,11 +60,15 @@ def rational(x) -> Fraction:
 
 
 def _text_digits(text: str) -> int:
-    """Digits of text's numerator or denominator, as `rational` counts them."""
+    """Digits of text's numerator or denominator, as `rational` counts them,
+    in one linear scan; Fraction refuses a part that is not a number."""
     most = 0
     for part in text.split("/"):
-        if (m := _DECIMAL.fullmatch(part)) is not None:
-            whole, places, exp = (g.replace("_", "") for g in m.groups(""))
+        mantissa, _, exp = part.strip().replace("_", "").replace("E", "e").partition("e")
+        whole, _, places = mantissa.lstrip("+-").partition(".")
+        try:
             shift = int(exp or 0) - len(places)
-            most = max(most, len((whole + places).lstrip("0")) + shift, -shift)
+        except ValueError:
+            continue
+        most = max(most, len((whole + places).lstrip("0")) + shift, -shift)
     return most

@@ -261,6 +261,42 @@ FLOAT_TABLEAU = '{"m": 2, "A": [[0, 0], [0.1, 0]], "b": ["1/2", "1/2"]}'
 ZERO_DEN_TABLEAU = '{"m": 1, "A": [["0"]], "b": ["1/0"]}'
 # Fraction alone would build 10**10000000 for this entry.
 BIG_EXPONENT_TABLEAU = '{"m": 1, "A": [["0"]], "b": ["1e10000000"]}'
+# Padding that a backtracking number pattern would scan quadratically.
+SPACES = " " * 100_000
+SPACES_TABLEAU = json.dumps({"m": 1, "A": [["0"]], "b": [SPACES + "x"]})
+# Number text past TEXT_DIGITS (slow to build, or too long to print) or
+# padded with SPACES: refused within 1 s, interpreter start included.
+NUMBER_TEXT_ARGV = [
+    ["gamma", "--method", "fe", "--tol", "1e-10000000"],
+    ["gamma", "--method", "erk22:1", "--tol", "1e-100000"],
+    ["gamma", "--tableau-file", "{big_exponent_tableau}"],
+    ["gamma", "--method", "erk22:1e5000"],
+    ["sweep", "--family", "ERK22", "--lo", "1e5000", "--hi", "2e5000", "--step", "1"],
+    ["region", "--spacing", "1e-5000"],
+    ["simulate", "--method", "fe", "--speed=-1e5000", "--dt", "1", "--steps", "1",
+     "--n", "4"],
+    ["gamma", "--method", "fe", "--tol", "{spaces}x"],
+    ["gamma", "--method", "erk22:{spaces}x"],
+    ["gamma", "--tableau-file", "{spaces_tableau}"],
+]
+
+
+@pytest.mark.parametrize("text, admitted", [
+    ("1" + "0" * 999, True), ("1" + "0" * 1000, False),
+    ("1e999", True), ("1e1000", False), ("0.5e1000", True), ("-1_0E999", False),
+    ("1e-1000", True), ("1e-1001", False), ("10e-1001", False),
+    ("0." + "0" * 999 + "1", True), ("0." + "0" * 1000 + "1", False),
+    ("1/" + "9" * 1000, True), ("1/" + "9" * 1001, False), (" 1e-1000 ", True),
+])
+def test_rational_bounds_number_text_at_its_edge(text, admitted):
+    """A numerator may have TEXT_DIGITS digits, an exponent's zeros counted;
+    a denominator TEXT_DIGITS digits, or TEXT_DIGITS places for 10**k, as
+    written (10e-1001 is charged 1001 places)."""
+    if admitted:
+        assert rational(text) == F(text)
+    else:
+        with pytest.raises(InputError, match="over 1000 digits"):
+            rational(text)
 
 
 def generic_tableau(m):
@@ -368,42 +404,38 @@ def test_sparse_30_stage_file_exits_quickly(tmp_path, capsys, command):
     ["simulate", "--method", "erk22:1", "--dt", "1/1000", "--tol", "0"],
     ["polys", "--tableau-file", "{generic12_tableau}"],
     ["adversary", "--tableau-file", "{confluent8_tableau}"],
-    # Number text past TEXT_DIGITS: slow to build, or too long to print.
-    ["gamma", "--method", "fe", "--tol", "1e-10000000"],
-    ["gamma", "--method", "erk22:1", "--tol", "1e-100000"],
-    ["gamma", "--tableau-file", "{big_exponent_tableau}"],
-    ["gamma", "--method", "erk22:1e5000"],
-    ["sweep", "--family", "ERK22", "--lo", "1e5000", "--hi", "2e5000", "--step", "1"],
-    ["region", "--spacing", "1e-5000"],
-    ["simulate", "--method", "fe", "--speed=-1e5000", "--dt", "1", "--steps", "1",
-     "--n", "4"],
+    *NUMBER_TEXT_ARGV,
 ], ids=lambda argv: " ".join(argv))
 def test_rejected_input_exits_2(tmp_path, argv):
     files = {"float_tableau": FLOAT_TABLEAU, "generic7_tableau": GENERIC7_TABLEAU,
              "generic12_tableau": generic_tableau(12), "zero_den_tableau": ZERO_DEN_TABLEAU,
              "confluent8_tableau": CONFLUENT8_TABLEAU,
-             "big_exponent_tableau": BIG_EXPONENT_TABLEAU}
+             "big_exponent_tableau": BIG_EXPONENT_TABLEAU,
+             "spaces_tableau": SPACES_TABLEAU}
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, text in files.items():
         paths[name].write_text(text, encoding="utf-8")
     paths.update(missing=tmp_path / "missing.json", directory=tmp_path,
                  binary=tmp_path / "binary.json")
     paths["binary"].write_bytes(b"\xff\xfe")
-    proc = cli_process(*[a.format(**paths) for a in argv])
+    start = time.perf_counter()
+    proc = cli_process(*[a.format(**paths, spaces=SPACES) for a in argv])
+    elapsed = time.perf_counter() - start
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert "Traceback" not in proc.stderr
+    assert argv not in NUMBER_TEXT_ARGV or elapsed < 1, elapsed
 
 
 # --- simulate under drawn and hostile options -----------------------------------
 
 
-# 1e5000 and 1e-100000 pass TEXT_DIGITS; Fraction alone would build
-# 10**100000000 for the last.
+# 1e5000, 1e-100000 and 1e100000000 pass TEXT_DIGITS (Fraction alone would
+# build 10**100000000 for the last), and SPACES + "x" must scan in linear time.
 HOSTILE = st.sampled_from(["0", "-1", "-3/2", "1e-5", "1/1000", "1", "5/2",
                            "1e30", "1e400", "1/0", "abc", "1e5000", "1e-100000",
-                           "1e100000000"])
+                           "1e100000000", SPACES + "x"])
 
 
 @st.composite
@@ -528,7 +560,7 @@ def test_grid_commands_exit_0_or_2_with_one_error_line(argv):
 HOSTILE_ENTRY = st.one_of(
     st.integers(-3, 3), st.fractions(-2, 2, max_denominator=9).map(str),
     st.sampled_from(["1e-5", "1_0", "1/0", "0/0", "abc", "", "9" * 5000, "1e5000",
-                     "1e-100000", "1e100000000"]),
+                     "1e-100000", "1e100000000", SPACES + "x"]),
     st.booleans(), st.floats(), st.none())
 
 
