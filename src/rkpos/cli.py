@@ -38,7 +38,14 @@ def _option(convert):
     return parse
 
 
-_frac, _positive = _option(rational), _option(positive_tol)
+def _positive_rational(text: str) -> Fraction:
+    value = rational(text)
+    if value <= 0:
+        raise InputError(f"must be positive, got {value}")
+    return value
+
+
+_frac, _positive, _step = _option(rational), _option(positive_tol), _option(_positive_rational)
 
 
 # 10**600 has fewer digits than the lowest int-to-str limit Python allows
@@ -484,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dx", type=_frac, default=None)
     p.add_argument("--speed", type=_frac, default=Fraction(1))
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--dt", type=_frac, default=None)
-    group.add_argument("--cfl-fraction", type=_frac, default=Fraction(1))
+    group.add_argument("--dt", type=_step, default=None)
+    group.add_argument("--cfl-fraction", type=_step, default=Fraction(1))
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--monitors", nargs="+", choices=MONITORS,
                    default=list(MONITORS))

@@ -328,9 +328,12 @@ class SweepRow:
     skipped: Optional[str]  # reason when the parameter point is singular
 
 
-# Region points a sweep point is charged.  A sweep point took 0.37-1.45 ms
-# (ERK33 Case II upwind with --ssp the most) and a region point 0.083 ms
-# (Python 3.11), so the largest sweep admitted is no slower than a region.
+# Region points a sweep point is charged at the default tol.  A sweep point
+# took 0.37-1.45 ms (ERK33 Case II upwind with --ssp the most) and a region
+# point 0.083 ms (Python 3.11), so the largest sweep admitted is no slower
+# than a region.  Its cuts are bisected down to tol, so a point is charged
+# this once more for each 40 bits of 1/tol past the first 40: an ERK22 --ssp
+# point took 1.0-1.1 ms at 2^-40 and 8.7-11.7 ms at 1e-1000 (84 times).
 SWEEP_POINT_COST = 20
 
 
@@ -367,10 +370,13 @@ def sweep(
     Singular parameter values (where the family is undefined) are kept in
     the output as skipped rows with the reason.  `with_ssp` additionally
     computes the exact SSP coefficient per row.  Each point is charged
-    SWEEP_POINT_COST region points against GRID_POINTS.
+    SWEEP_POINT_COST * max(1, ceil(b / 40)) region points against
+    GRID_POINTS, b being the bits of 1/tol.
     """
+    tol = positive_tol(tol)
+    bits = tol.denominator.bit_length() - tol.numerator.bit_length()
     rows = []
-    for alpha in _frange(lo, hi, step, cost=SWEEP_POINT_COST):
+    for alpha in _frange(lo, hi, step, cost=SWEEP_POINT_COST * max(1, -(-bits // 40))):
         try:
             t = make_family(kind, (alpha,))
         except ParameterDomainError as exc:

@@ -17,15 +17,16 @@ constants converted to float once per run and the limiter and q
 constants once per q evaluation; every elementwise operation keeps the
 order of the per-cell definition, so float results are the same bits it
 gives.  An exact state is a RationalArray: Python-int numerators over one scale in lowest terms,
-or over per-cell denominators.  Its form comes from how it was built:
-data goes over the lcm of its denominators, a scalar function applied
-cell by cell keeps each cell's own, an operation on one-scale operands
-and exact scalars stays over one scale except division by an array, and
-anything with a per-cell operand or an array divisor stays per cell.
-Every + - * / is reduced as it happens: over one scale by one gcd per
-array, per cell by the gcd splits Fraction uses.  The one exception is a
-stage sum u + sum_l a_jl xi^l (S y^l) (and u_next): over one scale it is
-one integer pass reduced once at its end.  An exact upwind conservation
+or one Fraction per cell.  Its form comes from how it was built: data
+goes over the lcm of its denominators, a scalar function applied cell by
+cell gives Fractions, an operation on one-scale operands and exact
+scalars stays over one scale except division by an array, and anything
+with a per-cell operand or an array divisor gives Fractions.  Over one
+scale every + - * / is reduced as it happens by one gcd per array; with
+a per-cell operand it is numpy's object ufunc, so Fraction's own
+arithmetic, cell by cell.  The one exception is a stage sum u + sum_l
+a_jl xi^l (S y^l) (and u_next): over one scale it is one integer pass
+reduced once at its end.  An exact upwind conservation
 law with a piecewise-affine limiter steps in flux form, over one scale
 but for an f' such as 1/(1+v); advection is its constant-speed case.
 The kernel's numpy calls reach it through numpy's __array_ufunc__ /
@@ -82,21 +83,19 @@ Number = Union[Fraction, float, int]
 
 # --- exact arrays -----------------------------------------------------------
 #
-# An operand (n, d) is an exact scalar's ints, or a RationalArray's
-# numerators over one int scale d (d > 0, gcd(d, *n) == 1: d is the lcm of
-# the cells' reduced denominators) or over per-cell denominators, by the
-# rule of the module docstring.  One-scale operations do their integer
-# work, then divide out one math.gcd(d, *n), which stops once the running
-# gcd is 1; per-cell ones reduce each cell by Fraction's gcd splits
-# (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  x + 0 and x * +-1 return x (or -x).
+# An operand (n, d) is an exact scalar's ints, a RationalArray's numerators
+# over one int scale d (d > 0, gcd(d, *n) == 1: d is the lcm of the cells'
+# reduced denominators), or a per-cell RationalArray's Fractions with d None,
+# by the rule of the module docstring.  One-scale operations do their integer
+# work, then divide out one math.gcd(d, *n), which stops once the running gcd
+# is 1.  An operation with a per-cell operand is numpy's object ufunc on every
+# operand's cells as Fractions, so Fraction reduces each cell by its gcd
+# splits (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  x + 0 and x * +-1 return x
+# (or -x).
 
 
 def _is_scalar(x, value) -> bool:
     return not isinstance(x[0], np.ndarray) and x == (value, 1)
-
-
-def _per_cell(x) -> bool:
-    return isinstance(x[1], np.ndarray)
 
 
 def _gcd(k: int, n) -> int:
@@ -110,12 +109,13 @@ def _shared(n, d: int):
     return (n, d) if h == 1 else (n // h, d // h)
 
 
+_fraction = np.frompyfunc(Fraction, 2, 1)
+
+
 def _cells(x):
-    """x with per-cell denominators; a scalar as it is."""
-    if _per_cell(x) or not isinstance(x[0], np.ndarray):
-        return x
-    g = np.gcd(*x)
-    return x[0] // g, x[1] // g
+    """The cells of operand x as Fractions: an object array, or a scalar's one."""
+    n, d = x
+    return n if d is None else _fraction(n, d)
 
 
 def _add(x, y):
@@ -123,13 +123,6 @@ def _add(x, y):
         return y
     if _is_scalar(y, 0):
         return x
-    if _per_cell(x) or _per_cell(y):
-        (a, b), (c, d) = _cells(x), _cells(y)
-        g = np.gcd(b, d)
-        s = b // g
-        t = a * (d // g) + c * s
-        g2 = np.gcd(t, g)
-        return t // g2, s * (d // g2)
     (a, b), (c, d) = x, y
     g = math.gcd(b, d)
     return _shared(a * (d // g) + c * (b // g), b // g * d)
@@ -145,22 +138,10 @@ def _multiply(x, y):
             return other
         if _is_scalar(one, -1):
             return -other[0], other[1]
-    if _per_cell(y):
-        x, y = y, x
     (a, b), (c, d) = x, y
-    if not _per_cell(x):
-        # Each scale cancels against the other side's numerators first.
-        g1, g2 = _gcd(d, a), _gcd(b, c)
-        return _shared((a // g1) * (c // g2), (b // g2) * (d // g1))
-    if _per_cell(y) or not isinstance(c, np.ndarray):
-        g1, g2 = np.gcd(a, d), np.gcd(c, b)
-        return (a // g1) * (c // g2), (b // g2) * (d // g1)
-    # Per-cell x times one-scale y, as xi * (S y): each cell's denominator
-    # cancels against y's numerator, then y's scale against the product.
-    g = np.gcd(c, b)
-    n = a * (c // g)
-    h = np.gcd(n, d)
-    return n // h, b // g * (d // h)
+    # Each scale cancels against the other side's numerators first.
+    g1, g2 = _gcd(d, a), _gcd(b, c)
+    return _shared((a // g1) * (c // g2), (b // g2) * (d // g1))
 
 
 def _divide(x, y):
@@ -169,22 +150,14 @@ def _divide(x, y):
         raise ZeroDivisionError("division by zero in exact arithmetic")
     if not isinstance(c, np.ndarray):
         return _multiply(x, (-d, -c) if c < 0 else (d, c))
-    if _per_cell(x) or _per_cell(y):
-        c, d = _cells(y)
-        return _multiply(x, (np.where(c < 0, -d, d), np.abs(c)))
-    # Both over one scale (or x a scalar): one gcd per cell.
+    # By an array over one scale (or x a scalar): one Fraction, so one gcd, per cell.
     a, b = x
-    g, sign = math.gcd(b, d), np.where(c < 0, -1, 1).astype(object)
-    n, m = sign * a * (d // g), sign * c * (b // g)
-    h = np.gcd(n, m)
-    return n // h, m // h
+    g = math.gcd(b, d)
+    return _fraction(a * (d // g), c * (b // g)), None
 
 
 def _select(take, x, y):
     """x where take holds, y elsewhere."""
-    if _per_cell(x) or _per_cell(y):
-        (a, b), (c, d) = _cells(x), _cells(y)
-        return np.where(take, a, c), np.where(take, b, d)
     (a, b), (c, d) = x, y
     scale = b // math.gcd(b, d) * d
     return _shared(np.where(take, _scaled(scale // b, a), _scaled(scale // d, c)), scale)
@@ -216,9 +189,9 @@ _COMPARISONS = {ufunc: _comparison(ufunc) for ufunc in (
 
 class RationalArray(NDArrayOperatorsMixin):
     """An exact 1-D array: Python-int numerators over one positive scale in
-    lowest terms, or over positive per-cell denominators, each cell in
-    lowest terms.  `of` builds one scale and arithmetic keeps it, except
-    division by an array; a per-cell operand gives a per-cell result.
+    lowest terms, or an object array of Fractions, one per cell.  `of`
+    builds one scale and arithmetic keeps it, except division by an array;
+    a per-cell operand gives a per-cell result.
 
     numpy's arithmetic, comparison, maximum/minimum and absolute ufuncs and
     np.roll / np.where accept it, so one kernel steps it and a float64
@@ -237,71 +210,83 @@ class RationalArray(NDArrayOperatorsMixin):
     @classmethod
     def of(cls, values) -> "RationalArray":
         """Ints and Fractions over the lcm of their reduced denominators."""
-        n, d = _fractions(values)
-        scale = math.lcm(*d.tolist())
-        return cls(n * (scale // d), scale)
+        values = _fractions(values)
+        scale = math.lcm(*(v.denominator for v in values))
+        return cls(np.array([v.numerator * (scale // v.denominator) for v in values],
+                            dtype=object), scale)
 
-    num = property(lambda self: _cells((self._n, self._d))[0],
+    num = property(lambda self: np.array([v.numerator for v in self.tolist()], dtype=object),
                    doc="The cells' lowest-terms numerators.")
-    den = property(lambda self: _cells((self._n, self._d))[1],
+    den = property(lambda self: np.array([v.denominator for v in self.tolist()], dtype=object),
                    doc="The cells' lowest-terms denominators.")
-    scale = property(lambda self: None if _per_cell((self._n, self._d)) else self._d,
+    scale = property(lambda self: self._d,
                      doc="The one denominator of all cells, or None per cell.")
 
     def __len__(self) -> int:
         return len(self._n)
 
     def __getitem__(self, k: int) -> Fraction:
-        return Fraction(self._n[k], self._d if self.scale else self._d[k])
+        return self._n[k] if self._d is None else Fraction(self._n[k], self._d)
 
     def tolist(self) -> list:
-        d = self._d.tolist() if self.scale is None else [self.scale] * len(self)
-        return [Fraction(n, e) for n, e in zip(self._n.tolist(), d)]
+        return _cells((self._n, self._d)).tolist()
 
     def sum(self) -> Fraction:
-        """The exact sum of the cells, of their numerators over one scale."""
-        scale = self.scale or math.lcm(*self._d.tolist())
-        return Fraction(sum((self._n * (scale // self._d)).tolist()), scale)
+        """The exact sum of the cells (of their numerators, over one scale)."""
+        if self._d is None:
+            return sum(self._n.tolist(), Fraction(0))
+        return Fraction(sum(self._n.tolist()), self._d)
 
     def den_longer_than(self, bits: int) -> bool:
         """Whether a cell's lowest-terms denominator has over `bits` bits."""
-        if self.scale and self.scale.bit_length() <= bits:
+        if self._d and self._d.bit_length() <= bits:
             return False
-        return any(d.bit_length() > bits for d in self.den.tolist())
+        return any(v.denominator.bit_length() > bits for v in self.tolist())
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs:
+        if method != "__call__" or kwargs or ufunc not in _ARITHMETIC and ufunc not in _COMPARISONS:
             return NotImplemented
+        parts = [_parts(x) for x in inputs]
+        # One or two operands: a per-cell one makes it numpy's object ufunc on Fractions.
+        if parts[0][1] is None or parts[-1][1] is None:
+            out = ufunc(*map(_cells, parts))
+            return out if ufunc in _COMPARISONS else RationalArray(out, None)
         if ufunc in _COMPARISONS:
-            return _COMPARISONS[ufunc](*map(_parts, inputs))
-        if ufunc in _ARITHMETIC:
-            return RationalArray(*_ARITHMETIC[ufunc](*map(_parts, inputs)))
-        return NotImplemented
+            return _COMPARISONS[ufunc](*parts)
+        return RationalArray(*_ARITHMETIC[ufunc](*parts))
 
     def __array_function__(self, func, types, args, kwargs):
         if func is np.roll and not kwargs:
             return _roll(*args)
         if func is np.where and not kwargs:
             take, x, y = args
-            return RationalArray(*_select(take, _parts(x), _parts(y)))
+            x, y = _parts(x), _parts(y)
+            if x[1] is None or y[1] is None:
+                return RationalArray(np.where(take, _cells(x), _cells(y)), None)
+            return RationalArray(*_select(take, x, y))
         return NotImplemented
 
 
-def _fractions(values):
-    """(numerators, denominators) of ints and Fractions, as object arrays."""
+def _fractions(values) -> list:
+    """values as a list, or InputError if one is not an int or a Fraction."""
     values = list(values)
     for v in values:
         if not isinstance(v, (int, Fraction)):
             raise InputError(f"exact arithmetic needs ints or Fractions, got {v!r}")
-    return (np.array([v.numerator for v in values], dtype=object),
-            np.array([v.denominator for v in values], dtype=object))
+    return values
+
+
+def _per_cell(values) -> RationalArray:
+    """Ints and Fractions as a per-cell RationalArray."""
+    return RationalArray(np.array([v if isinstance(v, Fraction) else Fraction(v)
+                                   for v in _fractions(values)], dtype=object), None)
 
 
 def _roll(a, shift: int):
     """np.roll of a 1-D array or a RationalArray, by slicing (np.roll's
     overhead is several times the copy at these sizes)."""
     if isinstance(a, RationalArray):
-        return RationalArray(_roll(a._n, shift), a.scale or _roll(a._d, shift))
+        return RationalArray(_roll(a._n, shift), a._d)
     k = len(a) - shift % len(a) if len(a) else 0
     return np.concatenate((a[k:], a[:k]))
 
@@ -353,7 +338,7 @@ def _map(fn, x):
     """fn applied cell by cell: a scalar function of the state's numbers
     (Fractions in exact arithmetic, floats in float)."""
     if isinstance(x, RationalArray):
-        return RationalArray(*_fractions(map(fn, x.tolist())))
+        return _per_cell(map(fn, x.tolist()))
     return np.frompyfunc(fn, 1, 1)(x).astype(np.float64)
 
 
@@ -382,14 +367,11 @@ class Limiter:
     degenerate slope-ratio cases: ratio_at_zero is lim psi(theta)/theta
     as theta -> 0, and the two infinity values are the limits of psi
     itself (used when the local denominator slope vanishes).  psi_fn is
-    the scalar definition, called with Fractions in exact arithmetic and
-    floats in float.  psi_array, when given, is the same function on a
-    state array: a float64 array or a RationalArray, which both take
-    numpy's arithmetic ufuncs, np.maximum/np.minimum and np.where (the
-    kernel otherwise applies psi_fn per cell).  pieces, when given, define
-    psi = max(0, min_i(alpha_i + beta_i theta)), psi(0) = 0, and psi_fn and
-    psi_array (pass psi_fn=None); exact upwind conservation laws and
-    advection then step in flux form.
+    the scalar definition, which the kernel applies cell by cell: to
+    Fractions in exact arithmetic and floats in float.  pieces, when given,
+    define psi = max(0, min_i(alpha_i + beta_i theta)), psi(0) = 0, and
+    psi_fn (pass psi_fn=None), which then also takes a whole state array;
+    exact upwind conservation laws and advection then step in flux form.
     """
 
     name: str
@@ -398,7 +380,6 @@ class Limiter:
     ratio_at_zero: Fraction
     psi_at_plus_inf: Fraction
     psi_at_minus_inf: Fraction
-    psi_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
     pieces: tuple = ()
 
     def __post_init__(self):
@@ -406,8 +387,8 @@ class Limiter:
         if pieces and min(a for a, _ in pieces) > 0 or not pieces and self.psi_fn is None:
             raise InputError(f"limiter {self.name!r} needs psi_fn, or pieces giving psi(0) = 0")
         object.__setattr__(self, "pieces", pieces)
-        for name in ("psi_fn", "psi_array") if pieces else ():
-            object.__setattr__(self, name, lambda t: _affine(pieces, t))
+        if pieces:
+            object.__setattr__(self, "psi_fn", lambda t: _affine(pieces, t))
 
 
 def _affine(pieces, t):
@@ -458,10 +439,7 @@ def _limiter_terms(limiter: Limiter, u):
     d = _roll(s, -1)
     live = d != 0
     theta = s / np.where(live, d, 1)
-    if limiter.psi_array is not None:
-        value = limiter.psi_array(theta)
-    else:
-        value = _map(limiter.psi_fn, theta)
+    value = limiter.psi_fn(theta) if limiter.pieces else _map(limiter.psi_fn, theta)
     steep = theta != 0
     ratio = np.where(steep, value / np.where(steep, theta, 1),
                      num(limiter.ratio_at_zero))
@@ -551,10 +529,11 @@ class _Limited(_Provider):
         if self.fprime is not None:
             # f' at the interface states (L y + L F) / (L scale), over one scale unless that has
             # over twice the bits of the widest cell's own: so for Burgers' f', not for 1/(1+v).
-            n, e = _fractions(self.fprime(Fraction(v, lcm * y.scale))
-                              for v in (lcm * y._n + flux).tolist())
-            wide = (scale := math.lcm(*e.tolist())).bit_length() > 2 * max(e.tolist()).bit_length()
-            fp = RationalArray(*((n, e) if wide else (n * (scale // e), scale)))
+            values = _fractions(self.fprime(Fraction(v, lcm * y.scale))
+                                for v in (lcm * y._n + flux).tolist())
+            e = [v.denominator for v in values]
+            fp = (_per_cell if math.lcm(*e).bit_length() > 2 * max(e).bit_length()
+                  else RationalArray.of)(values)
             lam = np.maximum(_roll(fp, 1), fp)
         elif not _all_exact(lam := self.a(t) if callable(self.a) else self.a):
             return None
@@ -567,9 +546,9 @@ class _Limited(_Provider):
             hit |= (s == 0) & self._flat_hit[np.sign(_roll(s, 1)).astype(int) % 3 + 3 * (d != 0)]
         if (hit | (lam < 0)).any():
             self._q(y, t)
-        c, e = _parts(lam * rate)
-        if _per_cell((c, e)):
-            return RationalArray(*_multiply((c, e), _shared(-total, lcm * y.scale)))
+        c, e = _parts(speed := lam * rate)
+        if e is None:
+            return speed * RationalArray(*_shared(-total, lcm * y.scale))
         return RationalArray(*_shared(-c * total, e * lcm * y.scale))
 
 

@@ -402,6 +402,10 @@ def test_sparse_30_stage_file_exits_quickly(tmp_path, capsys, command):
     ["adversary", "--construction", "rk4", "--method", "erk22:1"],
     ["adversary", "--method", "erk33c3:1", "--eps", "5"],
     ["simulate", "--method", "erk22:1", "--dt", "1/1000", "--tol", "0"],
+    ["simulate", "--method", "fe", "--dt", "0"],
+    ["simulate", "--method", "fe", "--dt", "-1"],
+    ["simulate", "--method", "fe", "--cfl-fraction", "0"],
+    ["simulate", "--method", "fe", "--cfl-fraction", "-1"],
     ["polys", "--tableau-file", "{generic12_tableau}"],
     ["adversary", "--tableau-file", "{confluent8_tableau}"],
     *NUMBER_TEXT_ARGV,
@@ -426,6 +430,16 @@ def test_rejected_input_exits_2(tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert "Traceback" not in proc.stderr
     assert argv not in NUMBER_TEXT_ARGV or elapsed < 1, elapsed
+
+
+@pytest.mark.parametrize("option", ["--dt", "--cfl-fraction"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_step_options_must_be_positive(capsys, option, value):
+    # The error names the option, not the step size certificate.
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--method", "fe", option, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and f"argument {option}: must be positive" in err
 
 
 # --- simulate under drawn and hostile options -----------------------------------
@@ -519,6 +533,8 @@ def grid_argv(draw):
     hi = _sane_or_hostile(draw, st.just(sane_hi))
     points = _grid_points(lo, hi, step)
     if command == "sweep":
+        # Every HOSTILE tol that parses has under 40 bits of 1/tol, so a point
+        # is charged SWEEP_POINT_COST at any --tol drawn here.
         assume(points <= 20 or points * SWEEP_POINT_COST > GRID_POINTS)
         argv = ["sweep", "--family", draw(st.sampled_from([*FAMILY_KINDS, "bogus"])),
                 "--lo", lo, "--hi", hi, "--step", step,

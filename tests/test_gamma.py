@@ -593,6 +593,13 @@ def test_sweep_points_are_charged_their_cost():
     assert len(_frange(F(1, 2), F(1), F(1, 100000))) == 50001
     with pytest.raises(CapacityError, match="50001 points"):
         _frange(F(1, 2), F(1), F(1, 100000), cost=SWEEP_POINT_COST)
+    # A point's cuts are bisected down to tol: at 1e-1000 (3,321 bits of
+    # 1/tol) it is charged 84 times as much, so 40 points are admitted and
+    # 196 are not.
+    tol = F(1, 10**1000)
+    assert len(sweep("ERK22", F(1, 8), F(5), F(1, 8), tol=tol)) == 40
+    with pytest.raises(CapacityError, match=r"196 points \(charged 1680 each\)"):
+        sweep("ERK22", F(1, 8), F(5), F(1, 40), tol=tol)
 
 
 def test_in_bowtie():

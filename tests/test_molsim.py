@@ -261,7 +261,7 @@ def test_limiter_pieces_are_exact_and_give_psi_0_of_0():
         Limiter("n", None, **fields)
     # Pieces define psi: a psi_fn passed with them is replaced.
     lim = Limiter("h", lambda t: 7, pieces=((1, 0), (0, 1)), **fields)
-    assert lim.psi_fn(F(1, 2)) == F(1, 2) and lim.psi_array is not None
+    assert lim.psi_fn(F(1, 2)) == F(1, 2) and lim.psi_fn(np.array([0.5])).tolist() == [0.5]
 
 
 @pytest.mark.parametrize("name", sorted(LIMITERS))
@@ -271,7 +271,7 @@ def test_builtin_psi_takes_its_limits_at_float_infinity(name):
     assert psi(limiter, -math.inf)[0] == limiter.psi_at_minus_inf
     theta = np.array([-math.inf, -1.5, -0.0, 0.0, 0.25, 1.0, 3.0, math.inf])
     # Equal values; a zero's sign may differ between the two.
-    assert limiter.psi_array(theta).tolist() == [limiter.psi_fn(float(v)) for v in theta]
+    assert limiter.psi_fn(theta).tolist() == [limiter.psi_fn(float(v)) for v in theta]
 
 
 # --- float mode, pinned -----------------------------------------------------
@@ -470,8 +470,8 @@ def test_float_run_tracks_rational_run(u, limiter):
 @given(GRIDS)
 @example((F(1), F(1), F(0), F(1, 2), F(1, 2), F(2)))  # plateaus: d = 0
 def test_scalar_psi_limiter_matches_minmod(u):
-    # psi_array=None sends theta through psi_fn cell by cell, as Fractions
-    # in exact arithmetic and as floats in float.
+    # A limiter without pieces sends theta through psi_fn cell by cell, as
+    # Fractions in exact arithmetic and as floats in float.
     seen = set()
 
     def psi_fn(theta):
@@ -642,13 +642,12 @@ def test_stage_times_are_t0_plus_c_dt(limiter, mode, steps):
 
 
 def _held(values, form):
-    """values as a RationalArray over their one lcm scale ("scale") or over
-    per-cell denominators ("cells")."""
+    """values as a RationalArray over their one lcm scale ("scale") or as
+    one Fraction per cell ("cells")."""
+    if form == "cells":
+        return RationalArray(np.array([F(v) for v in values], dtype=object), None)
     nums = [v.numerator for v in values]
     dens = [v.denominator for v in values]
-    if form == "cells":
-        return RationalArray(np.array(nums, dtype=object),
-                             np.array(dens, dtype=object))
     scale = math.lcm(*dens)
     return RationalArray(np.array([n * (scale // d) for n, d in zip(nums, dens)],
                                   dtype=object), scale)
@@ -728,6 +727,10 @@ def test_mixed_forms_match_fractions(x_form, y_form, values, c):
         assert name not in results or (results[name][0].scale is None) == per_cell, name
     assert (x == y).tolist() == [a == b for a, b in zip(xs, ys)]
     assert (x > c).tolist() == [a > c for a in xs]
+    # A float operand is refused in either form, as a scalar or an array.
+    for bad in (0.5, np.full(len(xs), 0.5)):
+        with pytest.raises(TypeError):
+            x * bad
     assert x.sum() == sum(xs) and y[-1] == ys[-1]
     longest = max(v.denominator.bit_length() for v in xs)
     assert [x.den_longer_than(b) for b in (longest - 1, longest)] == [True, False]
@@ -756,6 +759,39 @@ def test_stage_sum_matches_fractions(operands):
     _check_held(got, expect, "stage sum")
     forms = [u_form, *(form for _, (_, form) in terms)]
     assert (got.scale is None) == ("cells" in forms)
+
+
+# str() digests of exact runs held per cell, recorded with the kernel that
+# reduced per-cell denominators by its own copy of Fraction's gcd splits:
+# minmod advection on the heat stencil (the golden data at tau0/4) and the
+# conservation law f' = 1/(1 + v) with minmod (32 cells of (k mod 16 + 1)/16
+# at tau0/2).  Both pass the rational size limit at step 5, and str() of
+# minmod-heat's fourth step passes Python's int digit limit: 3 are run.
+PER_CELL_RUNS = {
+    "minmod-heat": ("c8d5eda406b74446", "05e23b134dd59446", "3a12e42dd25dbcd4",
+                    "b19ac197981a67bf"),
+    "fprime": ("f8a70a6ce0565746", "1de9dd6bdad424f2", "cd6b385847156faf",
+               "d5aae9c039d602f9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_CELL_RUNS))
+def test_per_cell_runs_are_pinned(name):
+    n = 32
+    if name == "minmod-heat":
+        u0 = tuple(F((7 * k * k + 3 * k) % 17, 16) for k in range(n))
+        stencil, provider, cfl = heat, advection(F(1), minmod), F(1, 4)
+    else:
+        u0 = tuple(F(k % 16 + 1, 16) for k in range(n))
+        law = conservation_law(None, lambda v: 1 / (1 + v), minmod)
+        stencil, provider, cfl = upwind, law, F(1, 2)
+    p = SemiDiscreteProblem(n, F(1, n), stencil, provider, u0)
+    t, dt = erk22(F(1)), tau0(p) * cfl
+    assert molsim._step(p, t, dt, molsim._state(u0), 0)[1].scale is None
+    rep = run(p, t, dt, 3, stop_on_violation=False)
+    assert (rep.mode, rep.steps_run, rep.first_violation) == ("rational", 3, None)
+    fields = (rep.final_state, rep.mins, rep.maxs, rep.tvs)
+    assert tuple(map(_strdigest, fields)) == PER_CELL_RUNS[name]
 
 
 def _one_scale_case(name):
@@ -788,7 +824,7 @@ def test_exact_koren_step_builds_no_per_cell_array(monkeypatch):
     per_cell, init = [], RationalArray.__init__
 
     def build(self, num, den):
-        per_cell.append(isinstance(den, np.ndarray))
+        per_cell.append(den is None)
         init(self, num, den)
 
     for name in ("koren-upwind", "burgers", "koren-burgers"):
@@ -819,10 +855,11 @@ def test_rational_fprime_speed_is_held_per_cell():
 # values are built cell by cell, so the state is held per cell.  Its report
 # digests were recorded with the per-cell kernel that preceded the
 # one-scale form.
-SOFT = Limiter("soft", lambda t: max(t, 0) / (1 + max(t, 0)), mu=F(1),
+# Its psi_fn gives a Fraction for a Fraction: max(t, 0) / (1 + max(t, 0))
+# would give the float 0.0 for a negative one, which exact arithmetic refuses.
+SOFT = Limiter("soft", lambda t: t / (1 + t) if t > 0 else 0 * t, mu=F(1),
                ratio_at_zero=F(1), psi_at_plus_inf=F(1),
-               psi_at_minus_inf=F(0),
-               psi_array=lambda t: np.maximum(t, 0) / (1 + np.maximum(t, 0)))
+               psi_at_minus_inf=F(0))
 
 
 def test_non_cancelling_limiter_keeps_its_report_and_a_bounded_scale():
