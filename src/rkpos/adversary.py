@@ -168,20 +168,17 @@ def first_step_counterexample(
     )
 
 
-def _negative_chain(t: ButcherTableau):
+def _negative_chain(t: ButcherTableau, found: tuple[str, int, int]):
     """Plan the scripted cells realizing a negative output entry.
 
     Returns (J, [stage chain], planned value): cell p is scripted at the
     stage time of column J; each subsequent cell at the time of the
     previous scheduled stage; the output row finishes the chain.  For the
-    first negative a[i][J] (row-major) the chain is the shortest, then
-    lexicographically first, stage chain starting at i whose weight
-    times a[i][J] is negative.  Without one, a negative b[J] is used
-    directly with an empty chain.
+    first negative a[i][J] (row-major), `found` as `has_negative_entry`
+    names it, the chain is the shortest, then lexicographically first,
+    stage chain starting at i whose weight times a[i][J] is negative.
+    Without one, a negative b[J] is used directly with an empty chain.
     """
-    found = t.has_negative_entry()
-    if found is None:
-        raise PreconditionError(f"{t.name}: all tableau entries are nonnegative")
     kind, i, J = found
     if kind == "a":
         entry = t.a[i - 1][J - 1]
@@ -250,8 +247,11 @@ def negative_entry_counterexample(t: ButcherTableau) -> CounterexampleReport:
         raise PreconditionError(
             f"{t.name}: method has unused stages (DJ-reducible); reduce first"
         )
+    found = t.has_negative_entry()
+    if found is None:
+        raise PreconditionError(f"{t.name}: all tableau entries are nonnegative")
     ps = generate(t, upwind)  # refuses a tableau over TERMS before any chain is listed
-    J, chain, planned = _negative_chain(t)
+    J, chain, planned = _negative_chain(t, found)
     if planned >= 0:
         raise AssertionError("planned chain value is not negative")
     m = t.m

@@ -350,12 +350,10 @@ def _repro_erk22_table():
 
 
 def _repro_case2_figure():
-    a = Fraction(3, 8)
-    while a <= Fraction(3, 4):
-        t = parse_method(f"erk33c2:{a}")
-        yield f"gamma(erk33c2:{a})", _case2_gamma(a), compute_gamma(t).exact
-        yield f"ssp(erk33c2:{a})", _case2_ssp(a), ssp_coefficient(t).exact
-        a += Fraction(1, 16)
+    for r in sweep("ERK33_CaseII", Fraction(3, 8), Fraction(3, 4), Fraction(1, 16),
+                   with_ssp=True):
+        yield f"gamma(erk33c2:{r.alpha})", _case2_gamma(r.alpha), r.cert.exact
+        yield f"ssp(erk33c2:{r.alpha})", _case2_ssp(r.alpha), r.ssp
 
 
 def _repro_case1_region():

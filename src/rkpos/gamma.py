@@ -22,12 +22,16 @@ exactly in int64 limbs and takes the least value over the block's
 vertices per column; there is one path and no sampling fallback.  A set
 whose tables exceed the byte budget of `rkpos.multilinear` raises
 CapacityError before any table is built.
+
+The check runs on a stack of sets with one layout, each set at its own
+delta: a stack of one for `condition_at`, `gamma_zero_test` and
+`compute_gamma`, and chunks of a parameter grid for `sweep` and
+`region_scan`, a sweep's refinements advancing in lockstep.
 """
 
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from operator import add, attrgetter
 from typing import Optional, Union
 
@@ -38,7 +42,7 @@ from .errors import CapacityError, InputError, ParameterDomainError, rational
 from .multilinear import GRID_POINTS, TABLE_BYTES, move_bits, planes
 from .polygen import PropagationSet, StencilSpec, _check_unity, generate, layout, upwind
 from .tableau import ButcherTableau, chain_weights, make_family
-from .univariate import DEFAULT_TOL, positive_tol, refine
+from .univariate import DEFAULT_TOL, Cut, UniPoly, positive_tol, refinement
 
 __all__ = [
     "GammaCertificate",
@@ -103,11 +107,11 @@ _TABLES = weakref.WeakKeyDictionary()
 
 
 def _poly_tables(ps: PropagationSet):
-    """(offset, support, lo, k, scale, table, planes) per polynomial,
-    ascending offset: P_offset's support, its eliminated block
-    support[lo:lo + k], its `vertex_table()` and its (count, width, bound)
-    of `multilinear.planes`.  The tables' total size is checked against
-    the byte budget before the first one is built."""
+    """(offset, support, lo, k, scales, table, planes) per polynomial,
+    ascending offset, as a stack of one: P_offset's support, its eliminated
+    block support[lo:lo + k], [its scale], its `vertex_table()` of shape
+    (1, rows, columns) and its (count, width, bound) of `multilinear.planes`.
+    The total size is checked against the byte budget before any is built."""
     if ps in _TABLES:
         return _TABLES[ps]
     polys = [(offset, ps.polys[offset]) for offset in ps.offsets]
@@ -118,8 +122,9 @@ def _poly_tables(ps: PropagationSet):
             f"vertex tables need {total} bytes, over the {TABLE_BYTES}-byte "
             f"budget; the largest, P_{offset}'s over {len(poly.support)} support "
             f"variables, needs {poly.table_bytes()} bytes")
-    _TABLES[ps] = out = [(offset, poly.support, *poly.block, *poly.vertex_table(),
-                          planes(poly.magnitude, len(poly.terms))) for offset, poly in polys]
+    _TABLES[ps] = out = [(offset, poly.support, *poly.block, [scale], table[None],
+                          planes(poly.magnitude, len(poly.terms)))
+                         for offset, poly in polys for scale, table in [poly.vertex_table()]]
     return out
 
 
@@ -182,30 +187,70 @@ def _failing_cells(rows, k: int, bits: int, width: int):
     return _germs(np.where(take, cells, 0).sum(axis=3), bits, width) < 0
 
 
-def _first_negative(table, lo: int, k: int, limbs, bits: int, width: int, weights):
-    """The first vertex, in support subset order, with a negative germ:
-    (support code, germ as a list of rows), or None.
-
-    The table's rows, or `limbs` times them, go through `_failing_cells`
-    a chunk of `_STACK_BYTES` at a time.  Support subset order is (high
-    bits, block, low bits) order, so the first failing vertex has the high
-    index of the first failing cell, whose cells become Python ints,
-    `weights` dotted with each group of rows.  Its block subset is fixed
-    from the top bit down, in Python lists, which compare
-    lexicographically: a bit is clear if some vertex with the bits above
-    fixed and the bits below free still fails there.
-    """
-    cell = k + 1
-    step = cell * max(1, _STACK_BYTES // (8 * cell * len(table if limbs is None else limbs)))
-    for start in range(0, table.shape[1], step):
-        rows = table[:, start:start + step]
-        rows = rows if limbs is None else limbs.dot(rows)
-        bad = _failing_cells(rows[None], k, bits, width)[0]
-        if bad[c := int(bad.argmax())]:
+def _failing(tables, sets, deltas=None):
+    """Per set of `sets`, ascending indices into a stack of vertex tables
+    (see `_poly_tables`): None, or (i, cell, weights), its first failing
+    cell in tables[i], the first table where it fails, and the weights
+    `_vertex` takes.  The check is of germs at 0+ for deltas None, else of
+    values at deltas[j] for sets[j]: `_limbs` per distinct delta, padded
+    with leading zero limbs, times the tables in one batched matmul.  A
+    table goes through `_failing_cells` a chunk of `_STACK_BYTES` at a
+    time, up to the chunk where every set still checked has failed."""
+    found, pending = [None] * len(sets), list(range(len(sets)))
+    if deltas is not None:
+        distinct = {(d.numerator, d.denominator): d for d in deltas}
+        position = {key: u for u, key in enumerate(distinct)}
+        which = [position[d.numerator, d.denominator] for d in deltas]
+    for i, (_, _, _, k, _, table, (count, width, bound)) in enumerate(tables):
+        if not pending:
             break
-    else:
-        return None
-    high = (start // cell + c) >> lo
+        stack = table if len(pending) == len(table) else table[[sets[j] for j in pending]]
+        if deltas is None:
+            limbs, bits, size = None, width, count
+        else:
+            per = [_limbs(d, table.shape[1] // count - 1, count, width, bound)
+                   for d in distinct.values()]
+            bits, size = per[0][2], max(len(l) for _, l, _ in per)
+            limbs = per[0][1]
+            if len(per) > 1:
+                padded = np.zeros((len(per), size, table.shape[1]), dtype=np.int64)
+                for row, (_, l, _) in zip(padded, per):
+                    row[size - len(l):] = l
+                limbs = padded[[which[j] for j in pending]]
+        cell = k + 1
+        step = cell * max(1, _STACK_BYTES // (8 * cell * len(stack) * (
+            table.shape[1] if limbs is None else size)))
+        first = [-1] * len(pending)
+        for start in range(0, table.shape[2], step):
+            rows = stack[:, :, start:start + step]
+            bad = _failing_cells(rows if limbs is None else limbs @ rows, k, bits, size)
+            for j, (hit, c) in enumerate(zip(bad.any(axis=1).tolist(),
+                                             bad.argmax(axis=1).tolist())):
+                if hit and first[j] < 0:
+                    first[j] = start // cell + c
+            if min(first) >= 0:
+                break
+        for j, c in zip(pending, first):
+            if c >= 0:
+                found[j] = i, c, [1 << width * q for q in reversed(range(count))] if (
+                    deltas is None) else per[which[j]][0]
+        pending = [j for j, c in zip(pending, first) if c < 0]
+    return found
+
+
+def _vertex(table, lo: int, k: int, at: int, weights):
+    """The first vertex, in support subset order, with a negative germ in
+    a table whose first failing cell is `at`: (support code, germ as a
+    list of rows).
+
+    Support subset order is (high bits, block, low bits) order, so the
+    first failing vertex has the high index of the first failing cell,
+    whose cells become Python ints, `weights` dotted with each group of
+    rows.  Its block subset is fixed from the top bit down, in Python
+    lists, which compare lexicographically: a bit is clear if some vertex
+    with the bits above fixed and the bits below free still fails there.
+    """
+    cell, high = k + 1, at >> lo
     slab = table[:, (high << lo) * cell:(high + 1 << lo) * cell].astype(object)
     part = np.array(weights, dtype=object) @ slab.reshape(-1, len(weights), slab.shape[1])
     zero = [0] * len(part)
@@ -229,53 +274,58 @@ def _plus(u: list, v: list) -> list:
     return list(map(add, u, v))
 
 
-def gamma_zero_test(ps: PropagationSet) -> Optional[NegativityWitness]:
-    """Decide gamma > 0 without computing gamma.
-
-    gamma > 0 iff for every vertex restriction g_{i,S} the lowest-order
-    nonzero coefficient is positive (then g > 0 on some (0, eps)).  Returns
-    None when gamma > 0, otherwise a witness at the first such vertex in
-    offset, then global subset order (see `condition_at`), evaluated at a
-    concrete small delta where it is negative.
-    """
-    for offset, support, lo, k, _scale, table, (count, width, _) in _poly_tables(ps):
-        found = _first_negative(table, lo, k, None, width, count,
-                                [1 << width * q for q in reversed(range(count))])
-        if found is not None:
-            subset = move_bits(found[0], support)
-            g = ps.polys[offset].vertex_restriction(subset)
+def _negatives(tables, sets, deltas=None) -> list[Optional[NegativityWitness]]:
+    """Per set of `sets`, checked as `_failing` checks it, None or the
+    witness at its first negative vertex in global subset order: its
+    first in support subset order, since a global subset takes the value
+    of its intersection with the support.  At a delta the vertex's value
+    comes times scale * den**maxdeg; at 0+ its germ is its restriction's
+    coefficients times scale."""
+    out = []
+    for j, found in enumerate(_failing(tables, sets, deltas)):
+        if found is None:
+            out.append(None)
+            continue
+        i, at, weights = found
+        offset, support, lo, k, scales, table, (count, _, _) = tables[i]
+        code, germ = _vertex(table[sets[j]], lo, k, at, weights)
+        subset, scale = move_bits(code, support), scales[sets[j]]
+        if deltas is None:
+            g = UniPoly(tuple(germ), scale)
             delta = g.germ_witness()
-            return NegativityWitness(offset, subset, delta, g(delta))
-    return None
+            out.append(NegativityWitness(offset, subset, delta, g(delta)))
+        else:
+            delta = deltas[j]
+            out.append(NegativityWitness(offset, subset, delta, Fraction(
+                germ[0], scale * delta.denominator ** (table.shape[1] // count - 1))))
+    return out
+
+
+def gamma_zero_test(ps: PropagationSet) -> Optional[NegativityWitness]:
+    """Decide gamma > 0 without computing gamma: `_negatives` at 0+ on the
+    set's stack of one.  gamma > 0 iff for every vertex restriction
+    g_{i,S} the lowest-order nonzero coefficient is positive (then g > 0
+    on some (0, eps)).  Returns None when gamma > 0, otherwise a witness at
+    the first such vertex in offset, then global subset order, evaluated
+    at a concrete small delta where it is negative."""
+    return _negatives(_poly_tables(ps), [0])[0]
 
 
 def condition_at(
     ps: PropagationSet, delta: Union[Fraction, int]
 ) -> Optional[NegativityWitness]:
-    """Check `every P_i >= 0 on [0, delta]^n` exactly at one delta.
-
-    Returns None when the condition holds, else a witness vertex with a
-    negative value.  Exact: vertices suffice because the polynomials are
-    multilinear, and each column's value times scale * den**maxdeg is one
-    dot of the `_limbs` powers with the table, taken in int64 limbs; the
-    least over a cell's block vertices is slice 0 plus the negative
-    slices.  The first negative vertex in support subset order is the
-    first negative global subset, since a global subset takes the value
-    of its intersection with the support, a subset no larger than itself;
-    it is reported by its global code.
-    """
+    """Check `every P_i >= 0 on [0, delta]^n` exactly at one delta:
+    `_negatives` on the set's stack of one.  Returns None when the
+    condition holds, else the witness at the first negative vertex in
+    offset, then global subset order.  Vertices suffice because the
+    polynomials are multilinear; each column's value times scale *
+    den**maxdeg is one dot of the `_limbs` powers with the table, in int64
+    limbs, and the least over a cell's block vertices is slice 0 plus the
+    negative slices."""
     delta = rational(delta)
     if delta < 0:
         raise ParameterDomainError("delta must be nonnegative")
-    for offset, support, lo, k, scale, table, (count, width, bound) in _poly_tables(ps):
-        top = len(table) // count - 1
-        powers, limbs, bits = _limbs(delta, top, count, width, bound)
-        found = _first_negative(table, lo, k, limbs, bits, len(limbs), powers)
-        if found is not None:
-            code, (value,) = found
-            return NegativityWitness(offset, move_bits(code, support), delta,
-                                     Fraction(value, scale * delta.denominator**top))
-    return None
+    return _negatives(_poly_tables(ps), [0], [delta])[0]
 
 
 def compute_gamma(
@@ -283,31 +333,49 @@ def compute_gamma(
     stencil: StencilSpec = upwind,
     tol: Fraction = DEFAULT_TOL,
 ) -> GammaCertificate:
-    """Certify gamma for a method/stencil pair (or a ready PropagationSet).
-
-    `univariate.refine` over vertex tables built once, checked by
-    `condition_at`; a vertex the zero test finds binds at 0 and is the
-    witness.  Otherwise gamma is finite iff some P_i has a negative term
-    c_T, the top coefficient of the restriction to T's own vertex, and
-    the first such restriction is cut first.  `tol` must be positive; it
-    is checked before anything is generated.
-    """
+    """Certify gamma for a method/stencil pair (or a ready PropagationSet):
+    `_certify` on its vertex tables, built once, as a stack of one.  `tol`
+    must be positive; it is checked before anything is generated."""
     tol = positive_tol(tol)
     ps = source if isinstance(source, PropagationSet) else generate(source, stencil)
-    zero = gamma_zero_test(ps)
+    return _certify([ps], _poly_tables(ps), tol)[0]
+
+
+def _certify(sets: list[PropagationSet], tables, tol: Fraction) -> list[GammaCertificate]:
+    """The certificates of the sets of one stack of vertex tables, their
+    `_refinement`s run in lockstep: each round checks every unfinished set
+    at the delta its refinement asks for, in one `_negatives` call.  A
+    vertex the zero test finds binds at 0 and is the witness."""
+    zeros = _negatives(tables, range(len(sets)))
+    steps = [_refinement(ps, zero, tol) for ps, zero in zip(sets, zeros)]
+    found, answers = [None] * len(sets), dict.fromkeys(range(len(sets)))
+    while answers:
+        deltas = {}
+        for s, failure in answers.items():
+            try:
+                deltas[s] = steps[s].send(failure)
+            except StopIteration as stop:
+                found[s] = stop.value
+        answers = dict(zip(deltas, _negatives(tables, list(deltas), list(deltas.values()))))
+    certs = []
+    for ps, zero, refined in zip(sets, zeros, found):  # None: unbounded
+        cut, _, n_cut, witness = refined or (Cut(None, Fraction(0), None), None, 0, None)
+        certs.append(GammaCertificate(cut.lower, cut.upper, cut.exact, refined is None,
+                                      zero or witness, len(ps.vars), len(ps.polys), n_cut))
+    return certs
+
+
+def _refinement(ps: PropagationSet, zero: Optional[NegativityWitness], tol: Fraction):
+    """The set's `univariate.refinement` over its vertex restrictions,
+    keyed by (offset, subset).  Without a zero key gamma is finite iff
+    some P_i has a negative term c_T, the top coefficient of the
+    restriction to T's own vertex, and the first such restriction, in
+    offset, then subset code order, is cut first."""
+    vertex = attrgetter("offset", "subset")
     negative_terms = ((offset, code) for offset in ps.offsets
                       for code, c in sorted(ps.polys[offset].terms.items()) if c < 0)
-    vertex = attrgetter("offset", "subset")
-    found = refine(lambda key: ps.polys[key[0]].vertex_restriction(key[1]),
-                   partial(condition_at, ps), vertex, negative_terms, tol,
-                   None if zero is None else vertex(zero))
-    sizes = dict(n_vars=len(ps.vars), n_polys=len(ps.polys))
-    if found is None:
-        return GammaCertificate(Fraction(0), None, None, True, None,
-                                n_distinct_restrictions=0, **sizes)
-    cut, _, n_cut, witness = found
-    return GammaCertificate(cut.lower, cut.upper, cut.exact, False, zero or witness,
-                            n_distinct_restrictions=n_cut, **sizes)
+    return refinement(lambda key: ps.polys[key[0]].vertex_restriction(key[1]), vertex,
+                      negative_terms, tol, None if zero is None else vertex(zero))
 
 
 def subset_bits(subset: int, n: int) -> str:
@@ -328,12 +396,15 @@ class SweepRow:
     skipped: Optional[str]  # reason when the parameter point is singular
 
 
-# Region points a sweep point is charged at the default tol.  A sweep point
-# took 0.37-1.45 ms (ERK33 Case II upwind with --ssp the most) and a region
-# point 0.083 ms (Python 3.11), so the largest sweep admitted is no slower
-# than a region.  Its cuts are bisected down to tol, so a point is charged
-# this once more for each 40 bits of 1/tol past the first 40: an ERK22 --ssp
-# point took 1.0-1.1 ms at 2^-40 and 8.7-11.7 ms at 1e-1000 (84 times).
+# Region points a sweep point is charged at the default tol.  In stacked
+# chunks a sweep point took 0.13-1.26 ms (ERK33 Case II upwind with --ssp
+# the most, most of it the SSP bound) and a region point 0.07-0.10 ms
+# (Python 3.11, shared 2-CPU box), so the largest sweep admitted is no
+# slower than a region.  Irrational cuts are bisected down to tol, so a
+# point is charged this once more for each 40 bits of 1/tol past the first
+# 40: an ERK22 --ssp point took 0.40-0.64 ms at 2^-40 and 1.6-1.9 ms at
+# 1e-1000, charged 84 times, since its rational cuts stop at the grid of
+# `first_negative_cut`.
 SWEEP_POINT_COST = 20
 
 
@@ -372,19 +443,25 @@ def sweep(
     computes the exact SSP coefficient per row.  Each point is charged
     SWEEP_POINT_COST * max(1, ceil(b / 40)) region points against
     GRID_POINTS, b being the bits of 1/tol.
+
+    The points are never generated one by one: each chunk of `_chunks` is
+    certified by `_certify` on its stacked tables, the lockstep refinement
+    that `compute_gamma` runs on a stack of one, so every row is the one
+    `compute_gamma` gives for its point alone.
     """
     tol = positive_tol(tol)
     bits = tol.denominator.bit_length() - tol.numerator.bit_length()
-    rows = []
-    for alpha in _frange(lo, hi, step, cost=SWEEP_POINT_COST * max(1, -(-bits // 40))):
-        try:
-            t = make_family(kind, (alpha,))
-        except ParameterDomainError as exc:
-            rows.append(SweepRow(alpha, None, None, None, str(exc)))
-            continue
-        cert = compute_gamma(t, stencil, tol)
-        ssp = ssp_coefficient(t).exact if with_ssp else None
-        rows.append(SweepRow(alpha, None, cert, ssp, None))
+    alphas = _frange(lo, hi, step, cost=SWEEP_POINT_COST * max(1, -(-bits // 40)))
+    rows: list[Optional[SweepRow]] = [None] * len(alphas)
+    skipped: dict[int, str] = {}
+    for lay, chunk, tables in _chunks(kind, [(alpha,) for alpha in alphas], stencil, skipped):
+        sets = [PropagationSet(t, stencil, lay.vars, lay.polys(*numerators))
+                for _, t, numerators in chunk]
+        for (i, t, _), cert in zip(chunk, _certify(sets, tables, tol)):
+            rows[i] = SweepRow(alphas[i], None, cert,
+                               ssp_coefficient(t).exact if with_ssp else None, None)
+    for i, reason in skipped.items():
+        rows[i] = SweepRow(alphas[i], None, None, None, reason)
     return rows
 
 
@@ -416,10 +493,11 @@ class RegionCell:
     skipped: Optional[str]
 
 
-# Bytes of stacked vertex table entries, at 8 per entry, that `region_scan`
-# decides at once: 2**18 holds the tables of 128 ERK33 Case I upwind sets
-# (32 heat), enough to make the numpy calls cheap per set, while a grid's
-# peak memory grows by a fraction of a MiB.
+# Bytes of stacked vertex table entries, at 8 per entry, that `sweep` and
+# `region_scan` decide at once, and that one check takes of a large table:
+# 2**18 holds the tables of 128 ERK33 Case I upwind sets (32 heat), enough
+# to make the numpy calls cheap per set, while a grid's peak memory grows
+# by a fraction of a MiB.
 _STACK_BYTES = 1 << 18
 
 
@@ -441,16 +519,11 @@ def region_scan(
     0 and `condition_at(ps, delta)` finds no negative vertex, as gamma = 0
     puts negative points in every box [0, delta]^n with delta > 0.
 
-    The sets are never generated one by one.  The valid points are
-    grouped by their nonzero chain pattern, in grid order, and each
-    group's `layout` is built once: every point of a group has the same
-    variables, terms, supports, blocks and table columns, and only its
-    numerators differ.  A chunk of points, as many as `_STACK_BYTES` of
-    stacked entries allow, is decided from one stack of vertex tables per
-    displacement, in int64 planes and limbs as the per-set tables: the
-    zero test and the check at delta run the failing cell core of
-    `gamma_zero_test` and `condition_at` on the stack, so the cells are
-    those of the per-set checks, exactly, at every delta.
+    The sets are never generated one by one: each chunk of `_chunks` is
+    decided by two `_failing` calls on its stacked tables, the zero test
+    and the check at delta, the core that `gamma_zero_test` and
+    `condition_at` run on a stack of one, so the cells are those of the
+    per-set checks, exactly, at every delta.
     """
     delta = rational(delta)
     if delta < 0:
@@ -459,20 +532,35 @@ def region_scan(
         axis = _frange(lo, hi, spacing, dims=2)
         points = [(a, b) for a in axis for b in axis]
     cells: list[Optional[RegionCell]] = [None] * len(points)
+    skipped: dict[int, str] = {}
+    for _, chunk, tables in _chunks("ERK33_CaseI", points, stencil, skipped):
+        positive = [found is None for found in _failing(tables, range(len(chunk)))]
+        check = [s for s, pos in enumerate(positive) if pos or delta == 0]
+        holds = [found is None for found in _failing(tables, check, [delta] * len(check))]
+        holds = dict(zip(check, holds))
+        for s, (i, _, _) in enumerate(chunk):
+            cells[i] = RegionCell(*points[i], in_bowtie(*points[i]), holds.get(s, False),
+                                  positive[s], None)
+    for i, reason in skipped.items():
+        cells[i] = RegionCell(*points[i], in_bowtie(*points[i]), None, None, reason)
+    return cells
 
-    def decide(lay, products, chunk):
-        positive, holds = _decide(lay, products, [f for _, _, f in chunk], delta)
-        for (i, member, _), pos, ok in zip(chunk, positive.tolist(), holds.tolist()):
-            cells[i] = RegionCell(*points[i], member, ok, pos, None)
-        chunk.clear()
 
+def _chunks(kind: str, points, stencil: StencilSpec, skipped: dict[int, str]):
+    """A family's points as chunks (layout, chunk, tables), in order: the
+    valid points grouped by nonzero chain pattern, whose `layout` and
+    `Layout.products` are built once, and cut into chunks of as many as
+    `_STACK_BYTES` of stacked table entries allow.  A chunk lists (index,
+    tableau, `Layout.numerators` of its chain weights) and comes with its
+    `_stack`; every point of a group has the same variables, terms,
+    supports, blocks and table columns.  A singular point's reason goes
+    to `skipped` under its index."""
     groups: dict[tuple, tuple] = {}
-    for i, (alpha, beta) in enumerate(points):
-        member = in_bowtie(alpha, beta)
+    for i, params in enumerate(points):
         try:
-            t = make_family("ERK33_CaseI", (alpha, beta))
+            t = make_family(kind, params)
         except ParameterDomainError as exc:
-            cells[i] = RegionCell(alpha, beta, member, None, None, str(exc))
+            skipped[i] = str(exc)
             continue
         chains = list(chain_weights(t))
         pattern = tuple(stages for stages, _ in chains)
@@ -483,41 +571,34 @@ def region_scan(
             entries = sum(poly.table_entries() for poly in products.values())
             groups[pattern] = lay, products, max(1, _STACK_BYTES // (8 * entries)), []
         lay, products, size, chunk = groups[pattern]
-        chunk.append((i, member, lay.numerators([w for _, w in chains])[1]))
+        chunk.append((i, t, lay.numerators([w for _, w in chains])))
         if len(chunk) == size:
-            decide(lay, products, chunk)
+            yield lay, chunk[:], _stack(lay, products, chunk)
+            chunk.clear()
     for lay, products, _, chunk in groups.values():
         if chunk:
-            decide(lay, products, chunk)
-    return cells
+            yield lay, chunk, _stack(lay, products, chunk)
 
 
-def _decide(lay, products, factors, delta: Fraction):
-    """(gamma > 0, condition holds at delta) per set of one layout, as
-    boolean arrays, from one stack of vertex tables per displacement.
-
-    `factors` holds each set's chain factors (`Layout.numerators`); its
-    numerators are those times the layout's stencil products, over a
-    positive scale that signs ignore.  The stack's bytes per set, counted
-    as `table_bytes` counts them at the chunk's largest magnitude per
-    displacement, are checked against TABLE_BYTES before any is built.
+def _stack(lay, products, chunk):
+    """The vertex tables of `_poly_tables` for a chunk of `_chunks`, from
+    each set's (scale, chain factors) of `Layout.numerators`, in int64
+    planes at the stack's largest magnitude per displacement.  The bytes
+    per set are checked against TABLE_BYTES before any table is built.
     """
-    positive, fine = np.ones((2, len(factors)), dtype=bool)
-    factors = np.array(factors, dtype=object)
+    factors = np.array([factors for _, _, (_, factors) in chunk], dtype=object)
     stacks = []
-    for d, poly in products.items():
+    for d in sorted(products):
         chain, cprods = zip(*lay.terms[d].values())
-        numerators = factors[:, chain] * np.array(cprods, dtype=object)
-        magnitude = max(np.abs(numerators).sum(axis=1))
-        stacks.append((poly, numerators, magnitude, planes(magnitude, len(poly.terms))))
-    nbytes = sum(8 * count * poly.table_entries() for poly, _, _, (count, _, _) in stacks)
+        terms = factors[:, chain] * np.array(cprods, dtype=object)
+        magnitude = max(np.abs(terms).sum(axis=1))
+        stacks.append((d, products[d], terms, magnitude,
+                       planes(magnitude, len(products[d].terms))))
+    nbytes = sum(8 * count * poly.table_entries() for _, poly, _, _, (count, _, _) in stacks)
     if nbytes > TABLE_BYTES:
         raise CapacityError(
             f"the vertex tables of one set need {nbytes} bytes, over the "
             f"{TABLE_BYTES}-byte budget")
-    for poly, numerators, magnitude, (count, width, bound) in stacks:
-        k, table = poly.block[1], poly.vertex_tables(numerators, magnitude)
-        positive &= ~_failing_cells(table, k, width, count).any(axis=1)
-        _, limbs, bits = _limbs(delta, poly.maxdeg, count, width, bound)
-        fine &= ~_failing_cells(limbs @ table, k, bits, len(limbs)).any(axis=1)
-    return positive, fine & (positive | (delta == 0))
+    scales = [scale for _, _, (scale, _) in chunk]
+    return [(d, poly.support, *poly.block, scales, poly.vertex_tables(terms, magnitude), pl)
+            for d, poly, terms, magnitude, pl in stacks]

@@ -140,6 +140,14 @@ class Layout:
         return scale, [w.numerator * (scale // (w.denominator * self.q ** r))
                        for r, w in pairs]
 
+    def polys(self, scale: int, factors: list[int]) -> dict[int, MultilinearPoly]:
+        """Per displacement, the polynomial whose term numerators are the
+        chain factors of `numerators` times the stencil products, over
+        `scale`."""
+        return {d: MultilinearPoly(self.vars, {code: factors[c] * cprod
+                                               for code, (c, cprod) in terms.items()}, scale)
+                for d, terms in self.terms.items()}
+
     def products(self) -> dict[int, MultilinearPoly]:
         """Per displacement, the terms with their stencil products as
         numerators over scale 1: the support, block and term places that
@@ -222,10 +230,7 @@ def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
                             f"over the limit of {TERMS}")
     chains = list(chain_weights(t))
     lay = layout(tuple(stages for stages, _ in chains), s)
-    scale, factors = lay.numerators([w for _, w in chains])
-    polys = {d: MultilinearPoly(lay.vars, {code: factors[c] * cprod
-                                           for code, (c, cprod) in terms.items()}, scale)
-             for d, terms in lay.terms.items()}
+    polys = lay.polys(*lay.numerators([w for _, w in chains]))
     _check_unity(s, polys.values())
     return PropagationSet(tableau=t, stencil=s, vars=lay.vars, polys=polys)
 

@@ -3,14 +3,16 @@
 Houses the vertex-restriction polynomials g_S(delta) and the machinery for
 locating the first point on (0, oo) where such a polynomial turns negative:
 one left-to-right pass that isolates roots by Sturm counts, bisects the
-first crossing and snaps it to a rational root.  A `UniPoly` holds integer
+first crossing and settles whether it is rational on the grid of 1/|lead|,
+else snaps it to a rational root.  A `UniPoly` holds integer
 numerators over one positive scale, so the pass reads signs straight from
 them: the sign of p at num/den is that of the integer den**deg *
 p(num/den), computed by homogeneous Horner, which evaluation shares.  The
 bisection runs on integer numerators over one shared denominator.
 `refine`, behind gamma, C and R(phi), finds and confirms the sup of a
 monotone exact check by cutting only the restrictions that the check
-names.  No floating point anywhere.
+names; as the generator `refinement` it leaves the checks to its caller,
+so that many refinements share them.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import dropwhile
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Generator, Iterable, Optional, Sequence, TypeVar, Union
 
 from .errors import InputError, rational
 
-__all__ = ["UniPoly", "Cut", "DEFAULT_TOL", "descend", "first_negative_cut", "positive_tol",
-           "refine"]
+__all__ = ["UniPoly", "Cut", "DEFAULT_TOL", "descend", "descent", "first_negative_cut",
+           "positive_tol", "refine", "refinement"]
 
 K = TypeVar("K")
 W = TypeVar("W")
@@ -218,7 +220,7 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
     midpoint where h = 0 is the exact cut; otherwise halving goes on until
     the upper end is a midpoint where h < 0, and then until the width is
     at most `tol`.  A bracket whose simplest rational is a root snaps to
-    it.
+    it, unless the rational-root grid has decided the crossing first.
     """
     tol = positive_tol(tol)
     if p.negative_germ:
@@ -256,8 +258,20 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
     # doubles den and keeps hi - lo.
     den = lcm(a.denominator, b.denominator)
     lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    # A rational root of h has a denominator dividing L = |lead|, so once the
+    # bracket is narrower than 1/L its one multiple of 1/L, if any, is the
+    # crossing or the crossing is irrational.  Under L**2 * tol < 1 a snap to
+    # the simplest rational would find that same root.
+    scale = abs(lead)
+    grid, snap = scale * scale * tol.numerator < tol.denominator, True
     negative_mid = False
     while not negative_mid or (hi - lo) * tol.denominator > tol.numerator * den:
+        if grid and (hi - lo) * scale < den:
+            grid = snap = False
+            k = lo * scale // den + 1
+            if k * den < hi * scale and _horner(h, k, scale) == 0:
+                root = Fraction(k, scale)
+                return Cut(exact=root, lo=root, hi=root)
         mid, den = lo + hi, 2 * den
         sign = _horner(h, mid, den)
         if sign == 0:
@@ -270,8 +284,8 @@ def first_negative_cut(p: UniPoly, tol: Fraction = DEFAULT_TOL) -> Optional[Cut]
     a, b = Fraction(lo, den), Fraction(hi, den)
     # A rational root with modest denominator is the simplest rational in a
     # tight enough bracket.
-    cand = _simplest_between(a, b)
-    if value(cand) == 0:
+    cand = _simplest_between(a, b) if snap else None
+    if cand is not None and value(cand) == 0:
         return Cut(exact=cand, lo=cand, hi=cand)
     return Cut(exact=None, lo=a, hi=b)
 
@@ -287,17 +301,26 @@ def positive_tol(tol) -> Fraction:
 def refine(restriction: Callable[[K], UniPoly], fails: Callable[[Fraction], Optional[W]],
            key: Callable[[W], K], candidates: Iterable[K], tol: Fraction = DEFAULT_TOL,
            zero: Optional[K] = None) -> Optional[tuple[Cut, K, int, W]]:
-    """sup{delta >= 0 : a monotone exact check holds at delta}, confirmed.
+    """`refinement` with each delta it asks for checked by `fails`."""
+    return _drive(refinement(restriction, key, candidates, tol, zero), fails)
 
-    The check holds on [0, delta] wherever it holds at delta; `fails` is
-    None where it holds, else a record whose `key` names a restriction
-    negative there.  A `zero` key binds at 0.  Otherwise the check holds
-    just right of 0, and the first candidate whose restriction turns
-    negative is cut, then, while the check fails at the cut's lower end,
-    the key it names.  `descend` from the lower end, by the bracket's
-    width or by `tol`, confirms the answer.
-    Returns (cut, binding key, restrictions cut, confirming failure), or
-    None when no candidate turns negative.  `tol` must be positive.
+
+def refinement(restriction: Callable[[K], UniPoly], key: Callable[[W], K],
+               candidates: Iterable[K], tol: Fraction = DEFAULT_TOL, zero: Optional[K] = None
+               ) -> Generator[Fraction, Optional[W], Optional[tuple[Cut, K, int, W]]]:
+    """sup{delta >= 0 : a monotone exact check holds at delta}, confirmed,
+    as a generator that yields each delta to check and is sent None where
+    the check holds, else a record whose `key` names a restriction
+    negative there.
+
+    The check holds on [0, delta] wherever it holds at delta.  A `zero`
+    key binds at 0.  Otherwise the check holds just right of 0, and the
+    first candidate whose restriction turns negative is cut, then, while
+    the check fails at the cut's lower end, the key it names.  `descent`
+    from the lower end, by the bracket's width or by `tol`, confirms the
+    answer.  Returns (cut, binding key, restrictions cut, confirming
+    failure), or None when no candidate turns negative.  `tol` must be
+    positive.
     """
     tol = positive_tol(tol)
     cut, bind, n_cut = Cut(Fraction(0), Fraction(0), Fraction(0)), zero, 0
@@ -310,29 +333,34 @@ def refine(restriction: Callable[[K], UniPoly], fails: Callable[[Fraction], Opti
             return None
         # A failing key's restriction is negative at cut.lower, so its cut
         # lies strictly lower: no key repeats and the loop is bounded.
-        while (failure := fails(cut.lower)) is not None:
+        while (failure := (yield cut.lower)) is not None:
             failing = key(failure)
             below = first_negative_cut(restriction(failing), tol)
             if below is None or below.lower >= cut.lower:
                 raise AssertionError(
                     f"restriction {failing} fails at {cut.lower} but its cut is {below}")
             cut, bind, n_cut = below, failing, n_cut + 1
-    return cut, bind, n_cut, descend(fails, cut.lower, cut.upper - cut.lower or tol)
+    return cut, bind, n_cut, (yield from descent(cut.lower, cut.upper - cut.lower or tol))
 
 
 def descend(
     fails: Callable[[Fraction], Optional[W]], point: Fraction, step: Fraction
 ) -> W:
-    """The first failure of an exact check at point + step / 2**k, k >= 0.
+    """`descent` with each point checked by `fails`."""
+    return _drive(descent(point, step), fails)
 
-    `fails(x)` returns None where the check holds and a failure record
-    where it does not.  Callers know the check fails on some interval
-    (point, point + eta), so the descent ends; past DESCENT_LIMIT
-    halvings it raises AssertionError naming the point and the step.
+
+def descent(point: Fraction, step: Fraction) -> Generator[Fraction, Optional[W], W]:
+    """The first failure of an exact check at point + step / 2**k, k >= 0,
+    as a generator that yields each point and is sent None where the
+    check holds, else a failure record.  Callers know the check fails on
+    some interval (point, point + eta), so the descent ends; past
+    DESCENT_LIMIT halvings it raises AssertionError naming the point and
+    the step.
     """
     point, step = rational(point), rational(step)
     for _ in range(DESCENT_LIMIT):
-        failure = fails(point + step)
+        failure = yield point + step
         if failure is not None:
             return failure
         step /= 2
@@ -340,3 +368,14 @@ def descend(
         f"exact check still holds at {point} + {step} after "
         f"{DESCENT_LIMIT} halvings"
     )
+
+
+def _drive(steps: Generator, fails: Callable):
+    """What a `refinement` or `descent` returns when `fails` answers each
+    delta it yields."""
+    try:
+        delta = next(steps)
+        while True:
+            delta = steps.send(fails(delta))
+    except StopIteration as stop:
+        return stop.value

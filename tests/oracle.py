@@ -14,18 +14,22 @@ Fraction, the reference for the integer one of `rkpos.bounds`;
 subsets, the reference for the backward walk of `rkpos.tableau`; and
 `first_negative_cut_search`, the first negativity from a recursive Sturm
 search with a bisection for the single root and another for its bracket,
-the reference for the one pass of `rkpos.univariate`."""
+the reference for the one pass of `rkpos.univariate`; and `sweep_per_point`,
+a sweep that generates and certifies its points one at a time, the
+reference for the stacked chunks of `rkpos.gamma.sweep`."""
 
 from fractions import Fraction
 from itertools import combinations, dropwhile
 from math import lcm
 from typing import Iterable, Iterator, Optional, TypeVar
 
-from rkpos.errors import InputError
+from rkpos.bounds import ssp_coefficient
+from rkpos.errors import InputError, ParameterDomainError
+from rkpos.gamma import SweepRow, _frange, compute_gamma
 
 from rkpos.multilinear import MultilinearPoly, VarTag, canonical_order
 from rkpos.polygen import PropagationSet, StencilSpec, _check_unity
-from rkpos.tableau import ButcherTableau
+from rkpos.tableau import ButcherTableau, make_family
 from rkpos import univariate
 from rkpos.univariate import Cut, UniPoly, first_negative_cut
 
@@ -321,3 +325,20 @@ def first_negative_cut_search(p: UniPoly, tol: Fraction) -> Optional[Cut]:
         return search(a, t) or search(t, b)
 
     return search(Fraction(0), bound)
+
+
+def sweep_per_point(kind: str, lo: Fraction, hi: Fraction, step: Fraction,
+                    stencil: StencilSpec, tol: Fraction, with_ssp: bool) -> list[SweepRow]:
+    """`rkpos.gamma.sweep` one point at a time: each valid point's tableau
+    is generated and certified on its own by `compute_gamma`."""
+    rows = []
+    for alpha in _frange(lo, hi, step):
+        try:
+            t = make_family(kind, (alpha,))
+        except ParameterDomainError as exc:
+            rows.append(SweepRow(alpha, None, None, None, str(exc)))
+            continue
+        cert = compute_gamma(t, stencil, tol)
+        ssp = ssp_coefficient(t).exact if with_ssp else None
+        rows.append(SweepRow(alpha, None, cert, ssp, None))
+    return rows

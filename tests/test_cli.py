@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rkpos import cli
+from rkpos import adversary, cli
 from rkpos.cli import main
 from rkpos.errors import InputError, rational
 from rkpos.gamma import SWEEP_POINT_COST
@@ -357,6 +357,22 @@ def test_oversized_work_exits_2_before_doing_it(tmp_path, capsys, argv):
     lines = captured.err.splitlines()
     assert captured.out == "" and len(lines) == 1
     assert lines[0].startswith("error:") and "over the limit" in lines[0]
+
+
+def test_nonnegative_dense_file_is_refused_before_generate(tmp_path, capsys, monkeypatch):
+    """A dense 13-stage file, all entries nonnegative, has no negative
+    entry to relay: `adversary` exits 2 with one error line before any
+    term is generated."""
+    def refuse(*args):
+        raise AssertionError("generate called")
+
+    monkeypatch.setattr(adversary, "generate", refuse)
+    path = tmp_path / "dense13.json"
+    path.write_text(generic_tableau(13), encoding="utf-8")
+    assert main(["adversary", "--tableau-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: from-file: all tableau entries are nonnegative"]
 
 
 @pytest.mark.parametrize("command", ["gamma", "polys", "ssp", "rphi", "adversary"])

@@ -20,7 +20,7 @@ from rkpos.tableau import (ButcherTableau, chain_weights, erk22, erk33_case1,
                            make_family, rk4_classical)
 from rkpos.univariate import UniPoly
 
-from oracle import coded, min_first_negativity, scaled
+from oracle import coded, min_first_negativity, scaled, sweep_per_point
 from strategies import small_tableaux
 
 
@@ -583,6 +583,40 @@ def test_sweep_skips_singular_points():
     by_alpha = {r.alpha: r for r in rows}
     assert by_alpha[F(0)].skipped is not None
     assert by_alpha[F(1, 2)].cert.exact == 1
+
+
+SWEEP_KINDS = ["ERK22", "ERK33_CaseII", "ERK33_CaseIII"]
+SWEEP_TOLS = [F(1, 2**4), F(1, 2**10), F(1, 2**40)]
+
+
+@st.composite
+def sweep_grids(draw):
+    """(kind, lo, hi, step) of a sweep of up to 12 points with small
+    denominators around the families' singular point 0."""
+    den = draw(st.sampled_from([1, 2, 4, 8, 16, 64]))
+    lo = F(draw(st.integers(-2 * den, 2 * den)), den)
+    step = F(draw(st.integers(1, 2 * den)), den)
+    return (draw(st.sampled_from(SWEEP_KINDS)), lo,
+            lo + (draw(st.integers(1, 12)) - 1) * step, step)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_grids(), st.sampled_from(["upwind", "centered", "heat"]), st.sampled_from(SWEEP_TOLS),
+       st.booleans())
+# The singular point 0, gamma = 0 points, and ERK22's pattern change at 1/2
+# (b1 = 0 drops the chain of stage 1 alone).
+@example(("ERK22", F(-1, 2), F(2), F(1, 8)), "upwind", F(1, 2**40), True)
+@example(("ERK22", F(-1, 2), F(2), F(1, 8)), "heat", F(1, 2**4), True)
+@example(("ERK33_CaseIII", F(-1, 2), F(1), F(1, 4)), "centered", F(1, 2**10), True)
+# 73 points of one pattern, past two chunks of 32 heat sets, and 0.
+@example(("ERK33_CaseII", F(-1, 4), F(2), F(1, 32)), "heat", F(1, 2**40), True)
+@example(("ERK33_CaseII", F(-1, 4), F(2), F(1, 32)), "heat", F(1, 2**4), False)
+def test_sweep_matches_the_per_point_oracle(grid, stencil, tol, with_ssp):
+    """Every row of the stacked sweep equals the row of a sweep that
+    generates and certifies its points one at a time."""
+    stencil = STENCILS[stencil]
+    assert (sweep(*grid, stencil=stencil, tol=tol, with_ssp=with_ssp)
+            == sweep_per_point(*grid, stencil, tol, with_ssp))
 
 
 def test_sweep_points_are_charged_their_cost():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rkpos.errors import InputError
 from rkpos.univariate import (DESCENT_LIMIT, Cut, UniPoly, descend,
-                              first_negative_cut, refine)
+                              first_negative_cut, refine, refinement)
 from rkpos.univariate import (_horner, _primitive, _simplest_between,
                               _sturm_chain, _variations)
 
@@ -366,3 +366,42 @@ def test_refine_confirmation_needs_a_failure_above_the_cut():
     polys = {"a": P(1, -1)}
     with pytest.raises(AssertionError, match="still holds at 1"):
         refine(polys.__getitem__, lambda r: None, lambda label: label, polys, TOL)
+
+
+def _drive_by_hand(steps, fails, asked):
+    """Run a `refinement` generator, answering each delta it yields."""
+    try:
+        delta = next(steps)
+        while True:
+            asked.append(delta)
+            delta = steps.send(fails(delta))
+    except StopIteration as stop:
+        return stop.value
+
+
+def test_refinement_driven_by_hand_matches_refine():
+    polys = {"a": P(2, -1), "b": P(1, -1)}
+    first = _first_negative_label(polys)
+
+    def fails(r):
+        label = first(r)
+        return None if label is None else (label, r)
+
+    asked = []
+    got = _drive_by_hand(refinement(polys.__getitem__, lambda w: w[0], polys, TOL),
+                         fails, asked)
+    assert got == refine(polys.__getitem__, fails, lambda w: w[0], polys, TOL)
+    assert got == (Cut(F(1), F(1), F(1)), "b", 2, ("b", 1 + TOL))
+    assert asked == [2, 1, 1 + TOL]
+    # A check that never fails: the same error past DESCENT_LIMIT halvings.
+    polys = {"a": P(1, -1)}
+    raised = []
+    for run in (lambda: refine(polys.__getitem__, lambda r: None, lambda label: label,
+                               polys, TOL),
+                lambda: _drive_by_hand(refinement(polys.__getitem__, lambda label: label,
+                                                  polys, TOL), lambda r: None, asked)):
+        with pytest.raises(AssertionError, match="still holds at 1") as exc:
+            run()
+        raised.append(str(exc.value))
+    assert raised[0] == raised[1]
+    assert len(asked) == 3 + 1 + DESCENT_LIMIT
