@@ -51,6 +51,7 @@ _frac, _positive, _step = _option(rational), _option(positive_tol), _option(_pos
 # 10**600 has fewer digits than the lowest int-to-str limit Python allows
 # (640), so each chunk below converts under any limit setting.
 _CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
 
 
 def _digits(n: int) -> str:
@@ -58,8 +59,8 @@ def _digits(n: int) -> str:
     if n < 0:
         return "-" + _digits(-n)
     chunks = []
-    while n >= 10**_CHUNK_DIGITS:
-        n, low = divmod(n, 10**_CHUNK_DIGITS)
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
         chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
     chunks.append(str(n))
     return "".join(reversed(chunks))

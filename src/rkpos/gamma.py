@@ -41,7 +41,7 @@ from .bounds import BoundResult, ssp_coefficient
 from .errors import CapacityError, InputError, ParameterDomainError, rational
 from .multilinear import GRID_POINTS, TABLE_BYTES, move_bits, planes
 from .polygen import PropagationSet, StencilSpec, _check_unity, generate, layout, upwind
-from .tableau import ButcherTableau, chain_weights, make_family
+from .tableau import ButcherTableau, _chains, _family, make_family
 from .univariate import DEFAULT_TOL, Cut, UniPoly, positive_tol, refinement
 
 __all__ = [
@@ -398,9 +398,11 @@ class SweepRow:
 
 # Region points a sweep point is charged at the default tol.  In stacked
 # chunks a sweep point took 0.13-1.26 ms (ERK33 Case II upwind with --ssp
-# the most, most of it the SSP bound) and a region point 0.07-0.10 ms
-# (Python 3.11, shared 2-CPU box), so the largest sweep admitted is no
-# slower than a region.  Irrational cuts are bisected down to tol, so a
+# the most, most of it the SSP bound; 0.40 and 0.69 ms for the ERK22 and
+# Case II upwind --ssp sweeps at step 1/64) and a region point 0.03 ms
+# once its chains came from integer family entries (0.07 ms before;
+# Python 3.11, shared 2-CPU box).  The charge stays at 20, so the same
+# grids are admitted as before.  Irrational cuts are bisected down to tol, so a
 # point is charged this once more for each 40 bits of 1/tol past the first
 # 40: an ERK22 --ssp point took 0.40-0.64 ms at 2^-40 and 1.6-1.9 ms at
 # 1e-1000, charged 84 times, since its rational cuts stop at the grid of
@@ -447,7 +449,8 @@ def sweep(
     The points are never generated one by one: each chunk of `_chunks` is
     certified by `_certify` on its stacked tables, the lockstep refinement
     that `compute_gamma` runs on a stack of one, so every row is the one
-    `compute_gamma` gives for its point alone.
+    `compute_gamma` gives for its point alone.  A point's tableau is built
+    only for its `PropagationSet` and its SSP bound.
     """
     tol = positive_tol(tol)
     bits = tol.denominator.bit_length() - tol.numerator.bit_length()
@@ -455,31 +458,26 @@ def sweep(
     rows: list[Optional[SweepRow]] = [None] * len(alphas)
     skipped: dict[int, str] = {}
     for lay, chunk, tables in _chunks(kind, [(alpha,) for alpha in alphas], stencil, skipped):
-        sets = [PropagationSet(t, stencil, lay.vars, lay.polys(*numerators))
-                for _, t, numerators in chunk]
-        for (i, t, _), cert in zip(chunk, _certify(sets, tables, tol)):
+        sets = [PropagationSet(make_family(kind, params), stencil, lay.vars,
+                               lay.polys(*numerators)) for _, params, numerators in chunk]
+        for (i, _, _), ps, cert in zip(chunk, sets, _certify(sets, tables, tol)):
             rows[i] = SweepRow(alphas[i], None, cert,
-                               ssp_coefficient(t).exact if with_ssp else None, None)
+                               ssp_coefficient(ps.tableau).exact if with_ssp else None, None)
     for i, reason in skipped.items():
         rows[i] = SweepRow(alphas[i], None, None, None, reason)
     return rows
 
 
-_HALF, _TWO_THIRDS = Fraction(1, 2), Fraction(2, 3)
-
-
 def in_bowtie(alpha: Fraction, beta: Fraction) -> bool:
     """Membership in the positivity parameter region for the two-parameter
-    third-order family: two triangles meeting at (2/3, 2/3)."""
+    third-order family: two triangles meeting at (2/3, 2/3).  With alpha =
+    p/q and beta = r/s, each bound is decided on integers, 1 - alpha/2
+    being (2q - p)/2q."""
     alpha, beta = rational(alpha), rational(beta)
-    left = (
-        _HALF <= alpha < _TWO_THIRDS
-        and _TWO_THIRDS <= beta <= 1 - alpha / 2
-    )
-    right = (
-        _TWO_THIRDS < alpha <= 1
-        and 1 - alpha / 2 <= beta <= _TWO_THIRDS
-    )
+    p, q, r, s = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    edge = 2 * q * r - (2 * q - p) * s  # the sign of beta - (1 - alpha/2)
+    left = q <= 2 * p and 3 * p < 2 * q and 2 * s <= 3 * r and edge <= 0
+    right = 2 * q < 3 * p and p <= q and edge >= 0 and 3 * r <= 2 * s
     return left or right
 
 
@@ -523,7 +521,7 @@ def region_scan(
     decided by two `_failing` calls on its stacked tables, the zero test
     and the check at delta, the core that `gamma_zero_test` and
     `condition_at` run on a stack of one, so the cells are those of the
-    per-set checks, exactly, at every delta.
+    per-set checks, exactly, at every delta.  No point builds a tableau.
     """
     delta = rational(delta)
     if delta < 0:
@@ -551,19 +549,19 @@ def _chunks(kind: str, points, stencil: StencilSpec, skipped: dict[int, str]):
     valid points grouped by nonzero chain pattern, whose `layout` and
     `Layout.products` are built once, and cut into chunks of as many as
     `_STACK_BYTES` of stacked table entries allow.  A chunk lists (index,
-    tableau, `Layout.numerators` of its chain weights) and comes with its
+    params, `Layout.numerators` of its chain weights) and comes with its
     `_stack`; every point of a group has the same variables, terms,
-    supports, blocks and table columns.  A singular point's reason goes
-    to `skipped` under its index."""
+    supports, blocks and table columns.  A point's chains come from the
+    integer entries of its family (`tableau._family`), so no tableau and
+    no Fraction is built.  A singular point's reason goes to `skipped`
+    under its index."""
     groups: dict[tuple, tuple] = {}
     for i, params in enumerate(points):
         try:
-            t = make_family(kind, params)
+            pattern, weights = zip(*_chains(*_family(kind, params)))
         except ParameterDomainError as exc:
             skipped[i] = str(exc)
             continue
-        chains = list(chain_weights(t))
-        pattern = tuple(stages for stages, _ in chains)
         if pattern not in groups:
             lay = layout(pattern, stencil)
             products = lay.products()
@@ -571,7 +569,7 @@ def _chunks(kind: str, points, stencil: StencilSpec, skipped: dict[int, str]):
             entries = sum(poly.table_entries() for poly in products.values())
             groups[pattern] = lay, products, max(1, _STACK_BYTES // (8 * entries)), []
         lay, products, size, chunk = groups[pattern]
-        chunk.append((i, t, lay.numerators([w for _, w in chains])))
+        chunk.append((i, params, lay.numerators(weights)))
         if len(chunk) == size:
             yield lay, chunk[:], _stack(lay, products, chunk)
             chunk.clear()

@@ -22,11 +22,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import CapacityError, PreconditionError, rational
 from .multilinear import TABLE_BYTES, MultilinearPoly, VarTag, move_bits
-from .tableau import ButcherTableau, _chain_counts, chain_weights
+from .tableau import ButcherTableau, _chain_counts, _chains, _pairs
 
 __all__ = [
     "StencilSpec",
@@ -120,25 +120,27 @@ class Layout:
     as `chain_weights` yields them).  `vars` are the variables the chains
     reach, in canonical order.  `terms[d]` maps the subset code of each
     term of P_d to its chain index and its product of stencil constants,
-    an integer over q**r (q the stencil's common denominator, r the length
-    of the term's chain).  A tableau with this pattern and chain weights w
-    has the term numerators `numerators(w)[1][chain] * product`.
+    an integer over `powers[chain]` = q**r (q the stencil's common
+    denominator, r the length of the chain).  A tableau with this pattern
+    and chain weights w has the term numerators `numerators(w)[1][chain] *
+    product`.
     """
 
     vars: tuple[VarTag, ...]
     chains: tuple[tuple[int, ...], ...]
-    q: int
+    powers: tuple[int, ...]
     terms: dict[int, dict[int, tuple[int, int]]]
 
     def numerators(self, weights) -> tuple[int, list[int]]:
-        """(scale, factors) for the weights of the pattern's chains: the
-        lcm over the chains of the weight's denominator times q**r, and
-        per chain index the weight's numerator over that scale divided by
-        q**r, so that a term's numerator is its factor times its product."""
-        pairs = [(len(chain), w) for chain, w in zip(self.chains, (1, *weights))]
-        scale = lcm(*[w.denominator * self.q ** r for r, w in pairs])
-        return scale, [w.numerator * (scale // (w.denominator * self.q ** r))
-                       for r, w in pairs]
+        """(scale, factors) for the weights of the pattern's chains, given
+        as integer (num, den) pairs in any terms and signs: the lcm over
+        the chains of the weight's lowest-terms denominator times q**r,
+        and per chain index the weight's numerator over that scale
+        divided by q**r, so that a term's numerator is its factor times
+        its product.  The empty chain's factor is the scale itself."""
+        pairs = list(zip(weights, self.powers[1:]))
+        scale = lcm(*[den // gcd(num, den) * power for (num, den), power in pairs])
+        return scale, [scale, *[num * scale // (den * power) for (num, den), power in pairs]]
 
     def polys(self, scale: int, factors: list[int]) -> dict[int, MultilinearPoly]:
         """Per displacement, the polynomial whose term numerators are the
@@ -194,7 +196,7 @@ def layout(pattern: tuple[tuple[int, ...], ...], s: StencilSpec) -> Layout:
             terms.setdefault(d, {})[code] = index, cprod
     if sum(map(len, terms.values())) != sum(len(shift_rows[len(c)]) for c in chains):
         raise AssertionError("a subset code of generate repeats")
-    return Layout(vars, chains, q, terms)
+    return Layout(vars, chains, tuple(q ** len(chain) for chain in chains), terms)
 
 
 # Terms of one `generate`, counted by `term_count` before any is built.  A
@@ -228,7 +230,7 @@ def generate(t: ButcherTableau, s: StencilSpec) -> PropagationSet:
     if terms > TERMS:
         raise CapacityError(f"the propagation polynomials have {terms} terms, "
                             f"over the limit of {TERMS}")
-    chains = list(chain_weights(t))
+    chains = list(_chains(*_pairs(t)))
     lay = layout(tuple(stages for stages, _ in chains), s)
     polys = lay.polys(*lay.numerators([w for _, w in chains]))
     _check_unity(s, polys.values())

@@ -1,7 +1,11 @@
 """Exact Butcher tableaux, the parametric ERK families, and structural tests.
 
 All coefficients are `fractions.Fraction`; the abscissae c are always derived
-as row sums of A.
+as row sums of A.  Each family is defined once, in `_FAMILIES`, with its
+entries as integer (num, den) pairs in the parameters' numerators and
+denominators; `make_family` builds its tableaux from them, and a parameter
+grid walks a point's stage chains (`_chains`) on the integers alone, with
+no tableau built.
 """
 
 from __future__ import annotations
@@ -96,16 +100,33 @@ def chain_weights(t: ButcherTableau) -> Iterator[tuple[tuple[int, ...], Fraction
     Yields (stages, weight) with 0-based stages s1 < ... < sr, shortest
     chains first, then in `itertools.combinations` order.  The weights of
     the r-stage chains are the terms of b . A^(r-1) e, Butcher's
-    elementary weight of the tall tree with r vertices.  A chain of r + 1
-    stages is a nonzero a_{s1,i}, i < s1, put in front of an r-stage chain
-    s1 < ..., so the work grows with the chains, not the 2**m subsets.
+    elementary weight of the tall tree with r vertices.  They come from
+    the integer walk of `_chains`.
     """
-    level = [((j,), b) for j, b in enumerate(t.b) if b]
+    for stages, (num, den) in _chains(*_pairs(t)):
+        yield stages, Fraction(num, den)
+
+
+def _pairs(t: ButcherTableau):
+    """(A, b) of t with every entry an integer (numerator, denominator) pair."""
+    return ([[(x.numerator, x.denominator) for x in row] for row in t.a],
+            [(x.numerator, x.denominator) for x in t.b])
+
+
+def _chains(a, b) -> list:
+    """`chain_weights` of the entries a[i][j], j < i, and b, given as
+    integer (num, den) pairs, each weight an unreduced (num, den) pair.
+
+    A chain of r + 1 stages is a nonzero a_{s1,i}, i < s1, put in front
+    of an r-stage chain s1 < ..., so the work grows with the chains, not
+    the 2**m subsets.
+    """
+    chains, level = [], [((j,), w) for j, w in enumerate(b) if w[0]]
     while level:
-        yield from level
-        level = sorted(((i, *stages), t.a[stages[0]][i] * weight)
-                       for stages, weight in level
-                       for i in range(stages[0]) if t.a[stages[0]][i])
+        chains += level
+        level = sorted([((i, *stages), (num * wn, den * wd)) for stages, (wn, wd) in level
+                        for i, (num, den) in zip(range(stages[0]), a[stages[0]]) if num])
+    return chains
 
 
 def _chain_counts(t: ButcherTableau) -> list[list[int]]:
@@ -118,65 +139,91 @@ def _chain_counts(t: ButcherTableau) -> list[list[int]]:
     return counts
 
 
+# The families, each entry one quotient of integers in alpha = p/q (and
+# beta = r/s): the rows of A below the diagonal and b as (num, den)
+# pairs, once the guards of the family's singular points pass.
+def _erk22(p, q):
+    if p == 0:
+        raise ParameterDomainError("ERK22 requires alpha != 0")
+    return [[], [(p, q)]], [(2 * p - q, 2 * p), (q, 2 * p)]
+
+
+def _erk33_case1(p, q, r, s):
+    if p == 0 or r == 0:
+        raise ParameterDomainError("ERK33 Case I requires alpha, beta != 0")
+    if 3 * p == 2 * q:
+        raise ParameterDomainError("ERK33 Case I requires alpha != 2/3")
+    if p * s == r * q:
+        raise ParameterDomainError("ERK33 Case I requires alpha != beta")
+    d, e = p * s - r * q, 3 * p - 2 * q
+    den = s * s * p * e
+    return ([[], [(p, q)], [(r * s * p * e - d * r * q, den), (d * r * q, den)]],
+            [(6 * p * r - 3 * p * s - 3 * r * q + 2 * q * s, 6 * p * r),
+             ((2 * s - 3 * r) * q * q, 6 * p * d), (e * s * s, 6 * r * d)])
+
+
+def _erk33_case2(p, q):
+    if p == 0:
+        raise ParameterDomainError("ERK33 Case II requires alpha != 0")
+    return ([[], [(2, 3)], [(8 * p - 3 * q, 12 * p), (q, 4 * p)]],
+            [(1, 4), (3 * q - 4 * p, 4 * q), (p, q)])
+
+
+def _erk33_case3(p, q):
+    if p == 0:
+        raise ParameterDomainError("ERK33 Case III requires alpha != 0")
+    return ([[], [(2, 3)], [(-q, 4 * p), (q, 4 * p)]],
+            [(q - 4 * p, 4 * q), (3, 4), (p, q)])
+
+
+_FAMILIES = {  # kind -> (parameter count, name, entries)
+    "ERK22": (1, "ERK22(alpha={})", _erk22),
+    "ERK33_CaseI": (2, "ERK33-I(alpha={},beta={})", _erk33_case1),
+    "ERK33_CaseII": (1, "ERK33-II(alpha={})", _erk33_case2),
+    "ERK33_CaseIII": (1, "ERK33-III(alpha={})", _erk33_case3),
+}
+
+
+def _family(kind: str, params: Sequence):
+    """The (A, b) integer pairs of a family point, from `_FAMILIES`: the
+    kind and parameter count are checked first, then the family's guards,
+    which raise ParameterDomainError at a singular point."""
+    params = [rational(x) for x in params]
+    if kind not in _FAMILIES:
+        raise InputError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
+    arity, _, entries = _FAMILIES[kind]
+    if len(params) != arity:
+        raise InputError(f"{kind} takes {arity} parameter(s), got {len(params)}")
+    return entries(*[n for x in params for n in (x.numerator, x.denominator)])
+
+
+def make_family(kind: str, params: Sequence) -> ButcherTableau:
+    """Build a tableau from one of the named parametric families."""
+    params = [rational(x) for x in params]
+    a, b = _family(kind, params)
+    return ButcherTableau([[Fraction(*x) for x in row] + [Fraction(0)] * (len(b) - i)
+                           for i, row in enumerate(a)],
+                          [Fraction(*x) for x in b], _FAMILIES[kind][1].format(*params))
+
+
 def erk22(alpha) -> ButcherTableau:
     """The one-parameter family of all two-stage second-order ERK methods."""
-    alpha = rational(alpha)
-    if alpha == 0:
-        raise ParameterDomainError("ERK22 requires alpha != 0")
-    return ButcherTableau(
-        [[0, 0], [alpha, 0]],
-        [1 - 1 / (2 * alpha), 1 / (2 * alpha)],
-        f"ERK22(alpha={alpha})",
-    )
+    return make_family("ERK22", (alpha,))
 
 
 def erk33_case1(alpha, beta) -> ButcherTableau:
     """Generic (two-parameter) three-stage third-order methods, Case I."""
-    alpha, beta = rational(alpha), rational(beta)
-    if alpha == 0 or beta == 0:
-        raise ParameterDomainError("ERK33 Case I requires alpha, beta != 0")
-    if alpha == Fraction(2, 3):
-        raise ParameterDomainError("ERK33 Case I requires alpha != 2/3")
-    if alpha == beta:
-        raise ParameterDomainError("ERK33 Case I requires alpha != beta")
-    # Each entry as one quotient of integers, from alpha = p/q and beta = r/s.
-    p, q, r, s = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
-    d, e = p * s - r * q, 3 * p - 2 * q
-    a32 = Fraction(d * r * q, s * s * p * e)
-    b1 = Fraction(6 * p * r - 3 * p * s - 3 * r * q + 2 * q * s, 6 * p * r)
-    b2 = Fraction((2 * s - 3 * r) * q * q, 6 * p * d)
-    b3 = Fraction(e * s * s, 6 * r * d)
-    return ButcherTableau(
-        [[0, 0, 0], [alpha, 0, 0], [beta - a32, a32, 0]],
-        [b1, b2, b3],
-        f"ERK33-I(alpha={alpha},beta={beta})",
-    )
+    return make_family("ERK33_CaseI", (alpha, beta))
 
 
 def erk33_case2(alpha) -> ButcherTableau:
     """One-parameter Case II family of ERK(3,3) methods."""
-    alpha = rational(alpha)
-    if alpha == 0:
-        raise ParameterDomainError("ERK33 Case II requires alpha != 0")
-    q = 1 / (4 * alpha)
-    return ButcherTableau(
-        [[0, 0, 0], [Fraction(2, 3), 0, 0], [Fraction(2, 3) - q, q, 0]],
-        [Fraction(1, 4), Fraction(3, 4) - alpha, alpha],
-        f"ERK33-II(alpha={alpha})",
-    )
+    return make_family("ERK33_CaseII", (alpha,))
 
 
 def erk33_case3(alpha) -> ButcherTableau:
     """One-parameter Case III family of ERK(3,3) methods."""
-    alpha = rational(alpha)
-    if alpha == 0:
-        raise ParameterDomainError("ERK33 Case III requires alpha != 0")
-    q = 1 / (4 * alpha)
-    return ButcherTableau(
-        [[0, 0, 0], [Fraction(2, 3), 0, 0], [-q, q, 0]],
-        [Fraction(1, 4) - alpha, Fraction(3, 4), alpha],
-        f"ERK33-III(alpha={alpha})",
-    )
+    return make_family("ERK33_CaseIII", (alpha,))
 
 
 def rk4_classical() -> ButcherTableau:
@@ -194,25 +241,6 @@ def rk4_classical() -> ButcherTableau:
 
 def forward_euler() -> ButcherTableau:
     return ButcherTableau([[0]], [1], "FE")
-
-
-_FAMILIES = {  # kind -> (builder, parameter count)
-    "ERK22": (erk22, 1),
-    "ERK33_CaseI": (erk33_case1, 2),
-    "ERK33_CaseII": (erk33_case2, 1),
-    "ERK33_CaseIII": (erk33_case3, 1),
-}
-
-
-def make_family(kind: str, params: Sequence) -> ButcherTableau:
-    """Build a tableau from one of the named parametric families."""
-    params = [rational(p) for p in params]
-    if kind not in _FAMILIES:
-        raise InputError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
-    build, arity = _FAMILIES[kind]
-    if len(params) != arity:
-        raise InputError(f"{kind} takes {arity} parameter(s), got {len(params)}")
-    return build(*params)
 
 
 # Standard order conditions through order 4, evaluated exactly.

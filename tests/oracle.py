@@ -14,9 +14,14 @@ Fraction, the reference for the integer one of `rkpos.bounds`;
 subsets, the reference for the backward walk of `rkpos.tableau`; and
 `first_negative_cut_search`, the first negativity from a recursive Sturm
 search with a bisection for the single root and another for its bracket,
-the reference for the one pass of `rkpos.univariate`; and `sweep_per_point`,
+the reference for the one pass of `rkpos.univariate`; `sweep_per_point`,
 a sweep that generates and certifies its points one at a time, the
-reference for the stacked chunks of `rkpos.gamma.sweep`."""
+reference for the stacked chunks of `rkpos.gamma.sweep`; `FAMILIES`, the
+four parametric families built over Fraction, the reference for the
+integer family table of `rkpos.tableau`; `layout_numerators`, a layout's
+(scale, factors) from Fraction chain weights, the reference for
+`Layout.numerators` on integer pairs; and `in_bowtie`, the bowtie region
+over Fraction, the reference for the integer one of `rkpos.gamma`."""
 
 from fractions import Fraction
 from itertools import combinations, dropwhile
@@ -24,11 +29,11 @@ from math import lcm
 from typing import Iterable, Iterator, Optional, TypeVar
 
 from rkpos.bounds import ssp_coefficient
-from rkpos.errors import InputError, ParameterDomainError
+from rkpos.errors import InputError, ParameterDomainError, rational
 from rkpos.gamma import SweepRow, _frange, compute_gamma
 
 from rkpos.multilinear import MultilinearPoly, VarTag, canonical_order
-from rkpos.polygen import PropagationSet, StencilSpec, _check_unity
+from rkpos.polygen import Layout, PropagationSet, StencilSpec, _check_unity
 from rkpos.tableau import ButcherTableau, make_family
 from rkpos import univariate
 from rkpos.univariate import Cut, UniPoly, first_negative_cut
@@ -342,3 +347,80 @@ def sweep_per_point(kind: str, lo: Fraction, hi: Fraction, step: Fraction,
         ssp = ssp_coefficient(t).exact if with_ssp else None
         rows.append(SweepRow(alpha, None, cert, ssp, None))
     return rows
+
+
+def erk22(alpha) -> ButcherTableau:
+    alpha = rational(alpha)
+    if alpha == 0:
+        raise ParameterDomainError("ERK22 requires alpha != 0")
+    return ButcherTableau(
+        [[0, 0], [alpha, 0]],
+        [1 - 1 / (2 * alpha), 1 / (2 * alpha)],
+        f"ERK22(alpha={alpha})",
+    )
+
+
+def erk33_case1(alpha, beta) -> ButcherTableau:
+    alpha, beta = rational(alpha), rational(beta)
+    if alpha == 0 or beta == 0:
+        raise ParameterDomainError("ERK33 Case I requires alpha, beta != 0")
+    if alpha == Fraction(2, 3):
+        raise ParameterDomainError("ERK33 Case I requires alpha != 2/3")
+    if alpha == beta:
+        raise ParameterDomainError("ERK33 Case I requires alpha != beta")
+    a32 = beta * (alpha - beta) / (alpha * (3 * alpha - 2))
+    return ButcherTableau(
+        [[0, 0, 0], [alpha, 0, 0], [beta - a32, a32, 0]],
+        [1 + (2 - 3 * (alpha + beta)) / (6 * alpha * beta),
+         (3 * beta - 2) / (6 * alpha * (beta - alpha)),
+         (2 - 3 * alpha) / (6 * beta * (beta - alpha))],
+        f"ERK33-I(alpha={alpha},beta={beta})",
+    )
+
+
+def erk33_case2(alpha) -> ButcherTableau:
+    alpha = rational(alpha)
+    if alpha == 0:
+        raise ParameterDomainError("ERK33 Case II requires alpha != 0")
+    q = 1 / (4 * alpha)
+    return ButcherTableau(
+        [[0, 0, 0], [Fraction(2, 3), 0, 0], [Fraction(2, 3) - q, q, 0]],
+        [Fraction(1, 4), Fraction(3, 4) - alpha, alpha],
+        f"ERK33-II(alpha={alpha})",
+    )
+
+
+def erk33_case3(alpha) -> ButcherTableau:
+    alpha = rational(alpha)
+    if alpha == 0:
+        raise ParameterDomainError("ERK33 Case III requires alpha != 0")
+    q = 1 / (4 * alpha)
+    return ButcherTableau(
+        [[0, 0, 0], [Fraction(2, 3), 0, 0], [-q, q, 0]],
+        [Fraction(1, 4) - alpha, Fraction(3, 4), alpha],
+        f"ERK33-III(alpha={alpha})",
+    )
+
+
+FAMILIES = {"ERK22": erk22, "ERK33_CaseI": erk33_case1,
+            "ERK33_CaseII": erk33_case2, "ERK33_CaseIII": erk33_case3}
+
+
+def layout_numerators(lay: Layout, s: StencilSpec,
+                      weights: list[Fraction]) -> tuple[int, list[int]]:
+    """`lay.numerators` from Fraction chain weights: with q the common
+    denominator of the stencil `s` of `lay`, the lcm over the chains of
+    the weight's denominator times q**r, and each chain's weight times
+    that scale over q**r."""
+    q = lcm(*[c.denominator for c in s.coeffs.values()])
+    pairs = [(q ** len(chain), w) for chain, w in zip(lay.chains, (Fraction(1), *weights))]
+    scale = lcm(*[w.denominator * power for power, w in pairs])
+    return scale, [w.numerator * (scale // (w.denominator * power)) for power, w in pairs]
+
+
+def in_bowtie(alpha: Fraction, beta: Fraction) -> bool:
+    """Two triangles meeting at (2/3, 2/3), compared over Fraction."""
+    half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+    left = half <= alpha < two_thirds and two_thirds <= beta <= 1 - alpha / 2
+    right = two_thirds < alpha <= 1 and 1 - alpha / 2 <= beta <= two_thirds
+    return left or right

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rkpos import adversary, cli
-from rkpos.cli import main
+from rkpos.cli import _digits, main
 from rkpos.errors import InputError, rational
 from rkpos.gamma import SWEEP_POINT_COST
 from rkpos.multilinear import GRID_POINTS
@@ -653,3 +653,27 @@ def test_tableau_file_commands_exit_0_or_2_with_one_error_line(text):
                 lines = err.splitlines()
                 assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), (
                     text, command, err)
+
+
+@pytest.mark.parametrize("n", [10**600 - 1, 10**600, 10**600 + 1, 10**1200 + 7])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_digits_at_the_chunk_boundaries(n, sign):
+    """`_digits` writes n as `str` does across its 600-digit chunks, under
+    the lowest int-to-str limit Python allows, at which `str` refuses an
+    int of more than 640 digits."""
+    n *= sign
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = _digits(n)
+        head, low = divmod(abs(n), 10**600)
+        high, mid = divmod(head, 10**600)
+        pieces = [str(high), f"{mid:0600d}", f"{low:0600d}"] if high else [str(mid), f"{low:0600d}"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == "-" * (n < 0) + "".join(pieces).lstrip("0")
+    sys.set_int_max_str_digits(0)
+    try:
+        assert got == str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)

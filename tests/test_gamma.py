@@ -20,6 +20,7 @@ from rkpos.tableau import (ButcherTableau, chain_weights, erk22, erk33_case1,
                            make_family, rk4_classical)
 from rkpos.univariate import UniPoly
 
+import oracle
 from oracle import coded, min_first_negativity, scaled, sweep_per_point
 from strategies import small_tableaux
 
@@ -641,6 +642,38 @@ def test_in_bowtie():
     assert in_bowtie(F(1, 2), F(3, 4))
     assert not in_bowtie(F(1, 3), F(2, 3))
     assert not in_bowtie(F(1), F(1, 4))
+
+
+_BOWTIE_ALPHAS = [F(1, 2), F(2, 3), F(1)]
+_BOWTIE_EDGES = [(alpha, beta) for alpha in _BOWTIE_ALPHAS
+                 for beta in (F(2, 3), 1 - alpha / 2)]
+
+
+@st.composite
+def bowtie_points(draw):
+    """A drawn (alpha, beta), or a corner or edge of the bowtie, or one of
+    them moved by a drawn amount, down to 2**-64."""
+    rationals = st.fractions(max_denominator=2**64).filter(lambda x: abs(x) < 4)
+    alpha, beta = draw(st.one_of(st.tuples(rationals, rationals),
+                                 st.sampled_from(_BOWTIE_EDGES)))
+    nudge = st.sampled_from([F(0), F(1, 2**64), F(-1, 2**64), F(1, 3**40), F(-1, 7)])
+    return alpha + draw(nudge), beta + draw(nudge)
+
+
+@settings(max_examples=300)
+@given(bowtie_points())
+def test_in_bowtie_matches_the_fraction_oracle(point):
+    """The integer cross-multiplied bounds decide every point as the
+    Fraction comparisons do, on each edge and corner too."""
+    assert in_bowtie(*point) == oracle.in_bowtie(*point)
+
+
+def test_in_bowtie_on_its_edges_and_corners():
+    got = {point: in_bowtie(*point) for point in _BOWTIE_EDGES}
+    assert got == {point: oracle.in_bowtie(*point) for point in _BOWTIE_EDGES}
+    assert got[(F(2, 3), F(2, 3))] is False  # the corner where they meet
+    assert got[(F(1, 2), F(3, 4))] and got[(F(1), F(1, 2))]
+    assert not in_bowtie(F(-1, 2), F(3, 4)) and not in_bowtie(F(1, 2), F(-3, 4))
 
 
 def test_region_scan_examples():

@@ -95,7 +95,7 @@ def test_stacked_tables_match_each_sets_table(tableaux, stencil):
     scale, that tableau's own vertex table of P_d."""
     chains = [list(chain_weights(t)) for t in tableaux]
     pattern = tuple(stages for stages, _ in chains[0])
-    shared = [(t, [w for _, w in c]) for t, c in zip(tableaux, chains)
+    shared = [(t, [w.as_integer_ratio() for _, w in c]) for t, c in zip(tableaux, chains)
               if tuple(stages for stages, _ in c) == pattern]
     lay = layout(pattern, stencil)
     rows = [lay.numerators(weights) for _, weights in shared]

@@ -3,10 +3,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracle
 from oracle import chain_weights_subsets
 from rkpos.errors import InputError, ParameterDomainError
-from rkpos.polygen import centered, heat, term_count, upwind
-from rkpos.tableau import (ButcherTableau, chain_weights, check_order, erk22,
+from rkpos.polygen import centered, heat, layout, term_count, upwind
+from rkpos.tableau import (FAMILY_KINDS, ButcherTableau, _chains, _family,
+                           chain_weights, check_order, erk22,
                            erk33_case1, erk33_case2, erk33_case3,
                            forward_euler, make_family, parse_method,
                            rk4_classical, tableau_from_json, tableau_to_json)
@@ -146,6 +148,51 @@ def test_json_roundtrip_exact():
 def test_make_family_matches_constructors():
     assert make_family("ERK22", (F(3, 2),)).b == erk22(F(3, 2)).b
     assert make_family("ERK33_CaseII", (F(1, 2),)).a == erk33_case2(F(1, 2)).a
+
+
+FAMILY_VALUES = st.one_of(
+    st.sampled_from([F(0), F(2, 3), F(1, 2), F(1), F(-1, 4), F(3, 8), F(9, 16)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=2**64))
+
+
+@st.composite
+def family_points(draw):
+    """A family kind and its parameters, beta often equal to alpha."""
+    kind = draw(st.sampled_from(FAMILY_KINDS))
+    alpha = draw(FAMILY_VALUES)
+    if kind != "ERK33_CaseI":
+        return kind, (alpha,)
+    return kind, (alpha, draw(st.one_of(st.just(alpha), FAMILY_VALUES)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_points())
+@example(("ERK33_CaseI", (F(2, 3), F(2, 3))))
+@example(("ERK33_CaseI", (F(0), F(0))))
+@example(("ERK33_CaseI", (F(1, 2), F(2, 3))))
+@example(("ERK33_CaseI", (F(-1, 3), F(2**64 - 1, 2**64))))
+def test_family_table_matches_the_fraction_builders(point):
+    """The integer family table builds the oracle's tableau, name included,
+    and its chain walk gives the oracle's pattern, weights and
+    `Layout.numerators` on every stencil; a singular point raises the
+    oracle's ParameterDomainError text on both paths."""
+    kind, params = point
+    try:
+        want = oracle.FAMILIES[kind](*params)
+    except ParameterDomainError as exc:
+        for build in (lambda: make_family(kind, params), lambda: _family(kind, params)):
+            with pytest.raises(ParameterDomainError) as got:
+                build()
+            assert str(got.value) == str(exc)
+        return
+    got = make_family(kind, params)
+    assert (got.a, got.b, got.name) == (want.a, want.b, want.name)
+    chains = list(chain_weights_subsets(want))
+    pattern, weights = zip(*_chains(*_family(kind, params)))
+    assert [(stages, F(*w)) for stages, w in zip(pattern, weights)] == chains
+    for stencil in (upwind, centered, heat):
+        lay = layout(pattern, stencil)
+        assert lay.numerators(weights) == oracle.layout_numerators(lay, stencil, [w for _, w in chains])
 
 
 def test_parse_method_shorthand():
